@@ -14,15 +14,11 @@ import datetime
 import io
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from . import families, sampling
 from .graphs import (
     GraphFamily,
     conjugate,
-    connected_components,
     family_from_json_dict,
     family_of,
     graph_from_json_dict,
@@ -30,105 +26,19 @@ from .graphs import (
     load_family,
     load_graph,
 )
-from .moments import connected_cumulant, factorization_verdict, gaussian_moment
-from .search import (
-    BudgetError,
-    DEFAULT_KMAX,
-    degree_report,
-    mst_pair_f0,
-    search_f0,
-    search_f0_connected,
-)
-
-
-@dataclass(frozen=True)
-class TieredVerdict:
-    factorizes: Optional[bool]  # None when undecidable at this budget
-    tier: str
-    detail: dict
-
-
-def decide_factorization(
-    family: GraphFamily, kmax: Optional[int] = None, workers: int = 1
-) -> TieredVerdict:
-    """Tiered factorization decision, cheap sufficient conditions first.
-
-    Tier 1 tries the per-component degree bound, tier 2 the tree-like
-    criterion, tier 3 the exhaustive partition comparison, and tier 4 the
-    conjugate-pair shortcut for maximally single-trace graphs.  Each report
-    names the tier that decided it.
-    """
-    limit = DEFAULT_KMAX if kmax is None else int(kmax)
-    f0_cache = {}
-
-    def member_f0(g):
-        key = g.sigma
-        if key not in f0_cache:
-            val = search_f0(g, kmax=limit, workers=workers).f0_max
-            f0_cache[key] = val
-            f0_cache[conjugate(g).sigma] = val  # conjugation preserves the maximum
-        return f0_cache[key]
-
-    # tier 1: sufficient bound on the sum of per-component degrees
-    try:
-        union = family.union()
-        delta_sum = Fraction(0)
-        for comp, _ in connected_components(union):
-            delta_sum += degree_report(comp, f0_max=member_f0(comp)).delta
-        threshold = Fraction(union.D * (union.D - 1), 2)
-        if delta_sum < threshold:
-            return TieredVerdict(
-                True,
-                "thm41-bound",
-                {"delta_sum": str(delta_sum), "threshold": str(threshold)},
-            )
-    except BudgetError:
-        pass
-
-    # tier 2: tree-like dominant pairings imply factorization
-    try:
-        if family.total_k <= limit:
-            tree_value = family.D + sum(member_f0(g) - family.D for g in family.graphs())
-            connected = search_f0_connected(family, kmax=limit, workers=workers)
-            if connected.f0_max == tree_value:
-                return TieredVerdict(
-                    True,
-                    "tree-like",
-                    {"f0_connected": connected.f0_max, "tree_value": tree_value},
-                )
-    except BudgetError:
-        pass
-
-    # tier 3: exhaustive comparison over the partition lattice
-    try:
-        verdict = factorization_verdict(family, kmax=limit, workers=workers)
-        return TieredVerdict(
-            verdict.factorizes,
-            "exhaustive",
-            {"worst_margin": verdict.worst[1]},
-        )
-    except BudgetError:
-        pass
-
-    # tier 4: conjugate pair of a maximally single-trace graph
-    if family.p == 2:
-        (na, ga), (nb, gb) = family.members
-        for H, other in ((ga, gb), (gb, ga)):
-            if H.k <= limit and graph_stats(H).is_mst and other.sigma == conjugate(H).sigma:
-                rep = mst_pair_f0(H, kmax=limit, workers=workers, f0_max=f0_cache.get(H.sigma))
-                return TieredVerdict(
-                    not rep.nonfactorizing,
-                    "mst-pair",
-                    {"f0_union": rep.f0_union, "f0_single": rep.f0_single},
-                )
-
-    return TieredVerdict(None, "undecidable", {"kmax": limit})
+from .moments import connected_cumulant, decide_factorization, gaussian_moment
+from .search import degree_report, mst_pair_f0, search_f0
 
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kmax", type=int, default=None, help="enumeration budget (default 11)")
-    common.add_argument("--threads", type=int, default=1, help="search workers")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for exact F0 searches, split by the image of white 1 (k >= 6)",
+    )
     common.add_argument(
         "--format", choices=["json", "csv", "pretty"], default="json", help="output format"
     )
@@ -234,7 +144,7 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
 def _cmd_analyze(args) -> int:
     G = load_graph(args.graph)
     stats = graph_stats(G)
-    rep = search_f0(G, kmax=args.kmax, workers=args.threads)
+    rep = search_f0(G, kmax=args.kmax, workers=args.threads, prune=True)
     deg = degree_report(G, f0_max=rep.f0_max)
     report = {
         "k": stats.k,
@@ -429,7 +339,7 @@ def _cmd_annealed(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     H = families.fig7()
-    rep = search_f0(H, kmax=args.kmax, workers=args.threads)
+    rep = search_f0(H, kmax=args.kmax, workers=args.threads, prune=True)
     deg = degree_report(H, f0_max=rep.f0_max)
     pair = mst_pair_f0(H, f0_max=rep.f0_max)
     verdict = decide_factorization(

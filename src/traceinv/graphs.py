@@ -66,14 +66,28 @@ def build_graph(D: int, sigma) -> ColoredGraph:
     return ColoredGraph(D=D, k=len(sigma[0]), sigma=tuple(sigma))
 
 
+def _json_object(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+
+
+def _json_int(data: dict, key: str) -> int:
+    try:
+        return int(data[key])
+    except KeyError:
+        raise ValueError(f"graph JSON missing field {key!r}")
+    except (TypeError, ValueError):
+        raise ValueError(f"graph JSON field {key!r} is not an integer")
+
+
 def graph_from_json_dict(data: dict) -> ColoredGraph:
     """Parse graph JSON: 1-based image arrays or cycle-string sugar."""
-    try:
-        D = int(data["D"])
-    except KeyError:
-        raise ValueError("graph JSON missing field 'D'")
+    _json_object(data, "graph")
+    D = _json_int(data, "D")
     if "sigma" in data:
         raw = data["sigma"]
+        if not isinstance(raw, list):
+            raise ValueError("graph JSON field 'sigma' is not a list of integer arrays")
         sigma = []
         for c, images in enumerate(raw):
             try:
@@ -83,12 +97,15 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
     elif "sigma_cycles" in data:
         if "k" not in data:
             raise ValueError("graph JSON with 'sigma_cycles' requires explicit 'k'")
-        k = int(data["k"])
-        sigma = [perms.from_cycle_string(k, text) for text in data["sigma_cycles"]]
+        k = _json_int(data, "k")
+        texts = data["sigma_cycles"]
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError("graph JSON field 'sigma_cycles' is not a list of cycle strings")
+        sigma = [perms.from_cycle_string(k, text) for text in texts]
     else:
         raise ValueError("graph JSON missing field 'sigma' (or 'sigma_cycles')")
     G = build_graph(D, sigma)
-    if "k" in data and int(data["k"]) != G.k:
+    if "k" in data and _json_int(data, "k") != G.k:
         raise ValueError(f"graph JSON field 'k'={data['k']} inconsistent with sigma size {G.k}")
     return G
 
@@ -164,12 +181,16 @@ def family_of(graphs, names=None) -> GraphFamily:
 
 
 def family_from_json_dict(data: dict) -> GraphFamily:
+    _json_object(data, "family")
     try:
         raw = data["members"]
     except KeyError:
         raise ValueError("family JSON missing field 'members'")
+    if not isinstance(raw, list):
+        raise ValueError("family JSON field 'members' is not a list")
     members = []
     for i, entry in enumerate(raw):
+        _json_object(entry, f"family member {i}")
         name = entry.get("name", f"G{i + 1}")
         if "graph" not in entry:
             raise ValueError(f"family member {i} missing field 'graph'")
@@ -180,7 +201,7 @@ def family_from_json_dict(data: dict) -> GraphFamily:
 def load_family(path: str) -> GraphFamily:
     with open(path) as fh:
         data = json.load(fh)
-    if "members" in data:
+    if isinstance(data, dict) and "members" in data:
         return family_from_json_dict(data)
     # a bare graph file is accepted as a one-member family
     return family_of([graph_from_json_dict(data)])
@@ -218,13 +239,9 @@ def graph_stats(G: ColoredGraph) -> GraphStats:
     )
 
 
-def component_labels(G: ColoredGraph) -> list:
-    """Connected components of the bipartite graph, as lists of white labels.
-
-    Whites and blacks pair up inside a component, so white labels determine it.
-    """
-    k = G.k
-    parent = list(range(2 * k))  # whites 0..k-1, blacks k..2k-1
+def union_find(n: int, edges) -> list:
+    """Component root of each node 0..n-1 of the graph with the given edges."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -232,14 +249,24 @@ def component_labels(G: ColoredGraph) -> list:
             x = parent[x]
         return x
 
-    for p in G.sigma:
-        for s in range(k):
-            a, b = find(s), find(k + p[s])
-            if a != b:
-                parent[a] = b
+    for a, b in edges:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    return [find(x) for x in range(n)]
+
+
+def component_labels(G: ColoredGraph) -> list:
+    """Connected components of the bipartite graph, as lists of white labels.
+
+    Whites and blacks pair up inside a component, so white labels determine it.
+    """
+    k = G.k
+    # whites 0..k-1, blacks k..2k-1
+    roots = union_find(2 * k, ((s, k + p[s]) for p in G.sigma for s in range(k)))
     groups = {}
     for s in range(k):
-        groups.setdefault(find(s), []).append(s)
+        groups.setdefault(roots[s], []).append(s)
     return sorted(groups.values())
 
 

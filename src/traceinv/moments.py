@@ -1,24 +1,34 @@
 """Exact Gaussian moments and cumulants as Laurent polynomials in N.
 
-Every pairing of a family's union contributes N^(F0 - D k); coefficients
-are exact integers, so moment-cumulant identities and factorization
-verdicts are decided without floating point.
+Every pairing of a family's union contributes N^(F0 - D k); the moment
+and the connected cumulant read the full F0 histogram of the pairing walk
+in ``search``.  Coefficients are exact integers, so moment-cumulant
+identities and factorization verdicts are decided without floating point.
+Factorization verdicts need only F0 maxima, so they use the pruned walk.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import ColoredGraph, GraphFamily, connected_components, family_of, graph_stats
+from .graphs import (
+    ColoredGraph,
+    GraphFamily,
+    conjugate,
+    connected_components,
+    disjoint_union,
+    family_of,
+    graph_stats,
+)
 from .search import (
     BudgetError,
     DEFAULT_KMAX,
     _check_budget,
-    _f0,
+    _enumerate,
+    _tree_values,
     degree_report,
     mst_pair_f0,
     search_f0,
@@ -174,36 +184,12 @@ def set_partitions(n: int):
     yield from rec(1, 0)
 
 
-def _exponent_histogram(family: GraphFamily, connected: bool, kmax) -> dict:
+def _wick_sum(family: GraphFamily, connected: bool, kmax) -> LaurentPoly:
     union = family.union()
     _check_budget(union.k, kmax)
-    k = union.k
-    sigmas = union.sigma
     member_of = family.member_of_label() if connected else None
-    p = family.p
-    hist = {}
-    rng = range(k)
-    for nu in itertools.permutations(rng):
-        if member_of is not None:
-            parent = list(range(p))
-            comps = p
-            for s in rng:
-                a = member_of[s]
-                b = member_of[nu[s]]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    comps -= 1
-            if comps != 1:
-                continue
-        f0 = _f0(sigmas, nu)
-        hist[f0] = hist.get(f0, 0) + 1
-    return hist
+    hist, _, _ = _enumerate(union.sigma, union.k, member_of, family.p, False, 0)
+    return LaurentPoly({f0 - union.D * union.k: n for f0, n in hist.items()})
 
 
 def gaussian_moment(family: GraphFamily, kmax: Optional[int] = None) -> LaurentPoly:
@@ -212,10 +198,7 @@ def gaussian_moment(family: GraphFamily, kmax: Optional[int] = None) -> LaurentP
     Wick expansion over all pairings of the union: each contributes
     N^(F0 - D k).
     """
-    D = family.D
-    k = family.total_k
-    hist = _exponent_histogram(family, connected=False, kmax=kmax)
-    return LaurentPoly({f0 - D * k: c for f0, c in hist.items()})
+    return _wick_sum(family, False, kmax)
 
 
 def connected_cumulant(family: GraphFamily, kmax: Optional[int] = None) -> LaurentPoly:
@@ -224,10 +207,7 @@ def connected_cumulant(family: GraphFamily, kmax: Optional[int] = None) -> Laure
     Same expansion restricted to pairings whose member-incidence graph is
     connected; for a single member this is the full moment.
     """
-    D = family.D
-    k = family.total_k
-    hist = _exponent_histogram(family, connected=True, kmax=kmax)
-    return LaurentPoly({f0 - D * k: c for f0, c in hist.items()})
+    return _wick_sum(family, True, kmax)
 
 
 def cumulant_consistency(
@@ -305,14 +285,18 @@ def factorization_verdict(
     p = family.p
     if p > pmax:
         raise BudgetError(f"partition lattice for p={p} exceeds the budget p_max={pmax}")
+    if p > 1:
+        # the one-block partition searches the whole union; refuse before any search
+        _check_budget(family.total_k, kmax)
     block_f0 = {}
 
     def f0c(block) -> int:
         if block not in block_f0:
             if len(block) == 1:
-                rep = search_f0(family.members[block[0]][1], kmax=kmax, workers=workers)
+                rep = search_f0(family.members[block[0]][1], kmax=kmax, workers=workers, prune=True)
             else:
-                rep = search_f0_connected(family.subfamily(block), kmax=kmax, workers=workers)
+                sub = family.subfamily(block)
+                rep = search_f0_connected(sub, kmax=kmax, workers=workers, prune=True)
             block_f0[block] = rep.f0_max
         return block_f0[block]
 
@@ -352,7 +336,7 @@ def thm41_check(
     lhs = 0
     delta_sum = Fraction(0)
     for comp, _ in connected_components(union):
-        rep = search_f0(comp, kmax=kmax, workers=workers)
+        rep = search_f0(comp, kmax=kmax, workers=workers, prune=True)
         lhs += rep.f0_max
         delta_sum += degree_report(comp, f0_max=rep.f0_max).delta
     rhs = Fraction(D * union.k, 2) + Fraction(stats.F_total, D - 1) - D
@@ -405,8 +389,6 @@ def prop32_scaling_check(
     if not pair.nonfactorizing:
         raise ValueError("prop32_scaling_check requires a non-factorizing pair")
     exponent = -p * H.D * H.k
-    from .graphs import conjugate, disjoint_union
-
     union, _ = disjoint_union([H, conjugate(H)])
     limit = DEFAULT_KMAX if kmax is None else int(kmax)
     if p * union.k <= limit:
@@ -418,3 +400,60 @@ def prop32_scaling_check(
             note="verified by enumeration",
         )
     return Prop32Report(exponent=exponent, verified=False, note="asymptotic (not desk-verifiable)")
+
+
+@dataclass(frozen=True)
+class TieredVerdict:
+    factorizes: Optional[bool]  # None when undecidable at this budget
+    tier: str
+    detail: dict
+
+
+def decide_factorization(
+    family: GraphFamily, kmax: Optional[int] = None, workers: int = 1
+) -> TieredVerdict:
+    """Tiered factorization decision, cheap sufficient conditions first.
+
+    Tier 1 tries the per-component degree bound, tier 2 the tree-like
+    criterion, tier 3 the exhaustive partition comparison, and tier 4 the
+    conjugate-pair shortcut for maximally single-trace graphs.  Each report
+    names the tier that decided it.
+    """
+    limit = DEFAULT_KMAX if kmax is None else int(kmax)
+
+    # tier 1: sufficient bound on the sum of per-component degrees
+    try:
+        bound = thm41_check(family, kmax=limit, workers=workers)
+        if bound.passes:
+            threshold = Fraction(family.D * (family.D - 1), 2)
+            detail = {"delta_sum": str(bound.delta_sum), "threshold": str(threshold)}
+            return TieredVerdict(True, "thm41-bound", detail)
+    except BudgetError:
+        pass
+
+    # tier 2: tree-like dominant pairings imply factorization
+    try:
+        _, connected, tree_value = _tree_values(family, limit, workers)
+        if connected.f0_max == tree_value:
+            detail = {"f0_connected": connected.f0_max, "tree_value": tree_value}
+            return TieredVerdict(True, "tree-like", detail)
+    except BudgetError:
+        pass
+
+    # tier 3: exhaustive comparison over the partition lattice
+    try:
+        verdict = factorization_verdict(family, kmax=limit, workers=workers)
+        return TieredVerdict(verdict.factorizes, "exhaustive", {"worst_margin": verdict.worst[1]})
+    except BudgetError:
+        pass
+
+    # tier 4: conjugate pair of a maximally single-trace graph
+    if family.p == 2:
+        ga, gb = family.graphs()
+        for H, other in ((ga, gb), (gb, ga)):
+            if H.k <= limit and graph_stats(H).is_mst and other.sigma == conjugate(H).sigma:
+                rep = mst_pair_f0(H, kmax=limit, workers=workers)
+                detail = {"f0_union": rep.f0_union, "f0_single": rep.f0_single}
+                return TieredVerdict(not rep.nonfactorizing, "mst-pair", detail)
+
+    return TieredVerdict(None, "undecidable", {"kmax": limit})

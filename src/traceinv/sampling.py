@@ -366,7 +366,7 @@ def concentration_experiment(
     moment.  Assumes the graph satisfies the factorization criterion; the
     coverage trend is reported, not enforced.
     """
-    rep = search_f0(G, kmax=kmax, workers=workers)
+    rep = search_f0(G, kmax=kmax, workers=workers, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity
     rows = []
@@ -430,7 +430,7 @@ def entropy_slope_experiment(
     Ns = [int(n) for n in Ns]
     if len(Ns) < 3:
         raise ValueError("need at least 3 values of N for the fit")
-    rep = search_f0(G, kmax=kmax, workers=workers)
+    rep = search_f0(G, kmax=kmax, workers=workers, prune=True)
     rows = []
     for N in Ns:
         rng = make_rng([seed, N])

@@ -1,22 +1,23 @@
 """Exact maximization of color-0 face counts over pairings.
 
 A pairing nu (white label -> black label) completes a D-colored graph with
-color-0 edges; its score is sum_c #(sigma_c nu^-1).  Everything here is
-exact enumeration over S_k, optionally split by the image of white 0 for
-parallel workers, with an optional branch-and-bound that never changes
-results.
+color-0 edges; its score is sum_c #(sigma_c nu^-1).  One depth-first walk
+over S_k, ``_enumerate``, serves every exact question: it yields the
+histogram of scores (the moments read it whole), the maximizing pairings
+and the number of pairings reached.  It can be split by the image of
+white 0 across worker processes and can cut branches by an exact bound;
+neither changes the maximum, its multiplicity or the optima.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import perms
-from .graphs import ColoredGraph, GraphFamily, component_labels, graph_stats
+from .graphs import ColoredGraph, GraphFamily, graph_stats, union_find
 
 DEFAULT_KMAX = 11
 
@@ -42,32 +43,9 @@ def pairing_f0(G: ColoredGraph, nu) -> int:
     nu = perms.check_perm(nu)
     if len(nu) != G.k:
         raise ValueError(f"pairing has size {len(nu)}, graph has k={G.k}")
-    return _f0(G.sigma, nu)
-
-
-def _f0(sigmas, nu) -> int:
-    # sum over colors of the cycle count of nu^-1 . sigma_c, which has the
-    # same cycle structure as sigma_c . nu^-1
-    k = len(nu)
-    inv = [0] * k
-    i = 0
-    for b in nu:
-        inv[b] = i
-        i += 1
-    total = 0
-    rng = range(k)
-    for sig in sigmas:
-        seen = 0
-        cnt = 0
-        for x in rng:
-            if not (seen >> x) & 1:
-                cnt += 1
-                y = x
-                while not (seen >> y) & 1:
-                    seen |= 1 << y
-                    y = inv[sig[y]]
-        total += cnt
-    return total
+    inv = perms.inverse(nu)
+    # sigma_c nu^-1 and nu^-1 sigma_c are conjugate, so their cycle counts agree
+    return sum(perms.cycle_count(perms.compose(inv, sig)) for sig in G.sigma)
 
 
 @dataclass(frozen=True)
@@ -93,193 +71,122 @@ class SearchReport:
         return out
 
 
-def _scan_coset(sigmas, k, first, member_of, p, max_optima):
-    """Enumerate pairings with nu(0)=first; None enumerates all of S_k.
-
-    member_of restricts to pairings whose member-incidence graph K is
-    connected.  Returns (best, count, optima, explored).
-    """
-    rng = range(k)
-    best = -1
-    count = 0
-    optima = []
-    explored = 0
-    connected_only = member_of is not None
-
-    if first is None:
-        iterator = itertools.permutations(rng)
-        prefix = ()
-    else:
-        rest = [x for x in rng if x != first]
-        iterator = itertools.permutations(rest)
-        prefix = (first,)
-
-    for tail in iterator:
-        nu = prefix + tail
-        explored += 1
-        if connected_only:
-            parent = list(range(p))
-            comps = p
-            for s in rng:
-                a = member_of[s]
-                b = member_of[nu[s]]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    comps -= 1
-            if comps != 1:
-                continue
-        inv = [0] * k
-        i = 0
-        for b in nu:
-            inv[b] = i
-            i += 1
-        total = 0
-        for sig in sigmas:
-            seen = 0
-            cnt = 0
-            for x in rng:
-                if not (seen >> x) & 1:
-                    cnt += 1
-                    y = x
-                    while not (seen >> y) & 1:
-                        seen |= 1 << y
-                        y = inv[sig[y]]
-            total += cnt
-        if total > best:
-            best = total
-            count = 1
-            optima = [nu]
-        elif total == best:
-            count += 1
-            if max_optima is None or len(optima) < max_optima:
-                optima.append(nu)
-    return best, count, optima, explored
+def _connects(member_of, p, edges) -> bool:
+    """Whether the color-0 edges (white, black) connect all p members."""
+    return len(set(union_find(p, ((member_of[s], member_of[b]) for s, b in edges)))) == 1
 
 
-def _scan_task(args):
-    return _scan_coset(*args)
+def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
+    """Walk the pairings nu of S_k depth first, in lexicographic order.
 
+    White s is matched at depth s.  For each color c the color-0 and
+    color-c edges placed so far form closed faces and open paths, each
+    path running from a free black to a free white; ends[c] maps each
+    path's free black to the black next to its free white, and back.
+    Matching s to b closes a face of color c exactly when b's path ends
+    at sigma_c(s); the last white closes one face of every color.
 
-def _bnb_scan(sigmas, k, member_of, p, max_optima):
-    """Depth-first search with an exact upper bound; same results as a scan.
+    member_of, when given, keeps only the pairings whose color-0 edges
+    connect the p members.  first fixes nu(0).  With prune, a branch is
+    cut when its closed faces plus D per unmatched white cannot reach the
+    best score seen; no optimal pairing is ever cut.
 
-    Bound: closed 0c-cycles so far plus one new cycle per color per
-    remaining assignment.  A branch is cut only when it cannot reach the
-    current best, so max, multiplicity and optima are unchanged.
+    Returns (hist, optima, explored): hist maps a score to the number of
+    kept pairings reached with it, so max(hist) and its count are exact
+    in both modes and hist is the full score histogram without prune;
+    optima are the pairings with the best score, lexicographic, at most
+    max_optima of them; explored counts the pairings reached.
     """
     D = len(sigmas)
-    best = _f0(sigmas, tuple(range(k)))
-    count = 0
-    optima = []
-    explored = 0
-    connected_only = member_of is not None
-
-    end_pair = [list(range(k)) for _ in range(D)]
-    closed = [0] * D
-    free = [True] * k
+    ends = [list(range(k)) for _ in sigmas]
+    steps = [tuple(zip(ends, (sig[s] for sig in sigmas))) for s in range(k)]
     nu = [0] * k
+    free = [True] * k
+    hist = [0] * (D * k + 1)
+    optima = []
+    best = -1
+    explored = 0
+    connecting = member_of is not None and p > 1  # one member is always connected
 
-    def descend(s, closed_sum):
-        nonlocal best, count, optima, explored
-        if s == k:
-            explored += 1
-            total = closed_sum
-            if connected_only:
-                parent = list(range(p))
-                comps = p
-                for t in range(k):
-                    a = member_of[t]
-                    b = member_of[nu[t]]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        comps -= 1
-                if comps != 1:
-                    return
+    def leaf(total):
+        nonlocal best, explored
+        explored += 1
+        if connecting and not _connects(member_of, p, enumerate(nu)):
+            return
+        hist[total] += 1
+        if total >= best:
             if total > best:
                 best = total
-                count = 1
-                optima = [tuple(nu)]
-            elif total == best:
-                count += 1
-                if max_optima is None or len(optima) < max_optima:
-                    optima.append(tuple(nu))
+                optima.clear()
+            if max_optima is None or len(optima) < max_optima:
+                optima.append(tuple(nu))
+
+    def descend(s, closed):
+        unmatched = [b for b in range(k) if free[b]]
+        blacks = unmatched if s or first is None else [first]
+        if s == k - 1:
+            nu[s] = blacks[0]
+            leaf(closed + D)
             return
-        remaining = k - s - 1
-        for b in range(k):
-            if not free[b]:
-                continue
+        if s == k - 2:
+            # both leaves are scored by reading the path ends, moving none
+            both = sum(unmatched)
+            for b in blacks:
+                total = closed + D
+                for ep, v in steps[s]:
+                    if ep[b] == v:
+                        total += 1
+                if not prune or total >= best:
+                    nu[s] = b
+                    nu[s + 1] = both - b
+                    leaf(total)
+            return
+        bound = D * (k - s - 1)
+        for b in blacks:
             free[b] = False
             nu[s] = b
-            log = []
-            gained = 0
-            for c in range(D):
-                v = sigmas[c][s]
-                ep = end_pair[c]
-                if b == v or ep[b] == v:
-                    closed[c] += 1
-                    gained += 1
-                    log.append((c, None))
+            total = closed
+            joined = []
+            for ep, v in steps[s]:
+                a = ep[b]
+                if a == v:
+                    total += 1
                 else:
-                    a, d = ep[b], ep[v]
+                    d = ep[v]
                     ep[a] = d
                     ep[d] = a
-                    log.append((c, (a, d, b, v)))
-            new_sum = closed_sum + gained
-            # the connectivity filter only discards completions, so the
-            # bound stays valid for the constrained maximum as well
-            if new_sum + D * remaining >= best:
-                descend(s + 1, new_sum)
-            for c, entry in reversed(log):
-                if entry is None:
-                    closed[c] -= 1
-                else:
-                    a, d, u, v = entry
-                    end_pair[c][a] = u
-                    end_pair[c][d] = v
+                    joined.append((ep, a, d, v))
+            if not prune or total + bound >= best:
+                descend(s + 1, total)
+            for ep, a, d, v in joined:
+                ep[a] = b
+                ep[d] = v
             free[b] = True
 
-    # seed best with one valid completion so the bound has a base line;
-    # for the connected variant start from nothing
-    if connected_only:
-        best = -1
     descend(0, 0)
-    optima.sort()
-    return best, count, optima, explored
+    return {f0: n for f0, n in enumerate(hist) if n}, optima, explored
 
 
-def _run_search(sigmas, k, member_of, p, workers, prune, max_optima):
-    if prune:
-        return _bnb_scan(sigmas, k, member_of, p, max_optima)
+def _run_search(sigmas, k, member_of, p, workers, prune, max_optima) -> SearchReport:
+    # below k=6 starting the worker pool costs more than the whole walk
     if workers <= 1 or k < 6:
-        return _scan_coset(sigmas, k, None, member_of, p, max_optima)
-    tasks = [(sigmas, k, j, member_of, p, max_optima) for j in range(k)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, k)) as pool:
-        parts = pool.map(_scan_task, tasks)
-    best = max(part[0] for part in parts)
-    count = 0
-    optima = []
-    explored = 0
-    for pbest, pcount, popt, pexp in parts:
-        explored += pexp
-        if pbest == best:
-            count += pcount
-            optima.extend(popt)
+        parts = [_enumerate(sigmas, k, member_of, p, prune, max_optima)]
+    else:
+        tasks = [(sigmas, k, member_of, p, prune, max_optima, j) for j in range(k)]
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes=min(workers, k)) as pool:
+            parts = pool.starmap(_enumerate, tasks)
+    hist = {}
+    for part, _, _ in parts:
+        for f0, n in part.items():
+            hist[f0] = hist.get(f0, 0) + n
+    best = max(hist)
+    # the parts run in the order of nu(0), so their optima stay lexicographic
+    optima = [nu for part, opts, _ in parts if max(part, default=-1) == best for nu in opts]
     if max_optima is not None:
         optima = optima[:max_optima]
-    return best, count, optima, explored
+    explored = sum(part[2] for part in parts)
+    return SearchReport(best, hist[best], tuple(optima), explored)
 
 
 def search_f0(
@@ -289,12 +196,13 @@ def search_f0(
     prune: bool = False,
     max_optima: Optional[int] = None,
 ) -> SearchReport:
-    """Exact maximum of pairing_f0 over all k! pairings."""
+    """Exact maximum of pairing_f0 over all k! pairings.
+
+    workers splits the walk by nu(0) across processes, from k=6 on; prune
+    cuts hopeless branches, so explored drops while the rest is unchanged.
+    """
     _check_budget(G.k, kmax)
-    best, count, optima, explored = _run_search(
-        G.sigma, G.k, None, 0, workers, prune, max_optima
-    )
-    return SearchReport(best, count, tuple(optima), explored)
+    return _run_search(G.sigma, G.k, None, 0, workers, prune, max_optima)
 
 
 def search_f0_connected(
@@ -308,10 +216,7 @@ def search_f0_connected(
     union = family.union()
     _check_budget(union.k, kmax)
     member_of = family.member_of_label()
-    best, count, optima, explored = _run_search(
-        union.sigma, union.k, member_of, family.p, workers, prune, max_optima
-    )
-    return SearchReport(best, count, tuple(optima), explored)
+    return _run_search(union.sigma, union.k, member_of, family.p, workers, prune, max_optima)
 
 
 @dataclass(frozen=True)
@@ -327,22 +232,10 @@ def k_connectivity(family: GraphFamily, nu) -> KConnectivityReport:
     if len(nu) != union.k:
         raise ValueError(f"pairing has size {len(nu)}, union has k={union.k}")
     member_of = family.member_of_label()
-    p = family.p
-    parent = list(range(p))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in range(union.k):
-        a, b = find(member_of[s]), find(member_of[nu[s]])
-        if a != b:
-            parent[a] = b
+    roots = union_find(family.p, ((member_of[s], member_of[b]) for s, b in enumerate(nu)))
     blocks = {}
-    for i in range(p):
-        blocks.setdefault(find(i), []).append(i)
+    for i, r in enumerate(roots):
+        blocks.setdefault(r, []).append(i)
     partition = tuple(tuple(v) for v in sorted(blocks.values()))
     return KConnectivityReport(connected=len(partition) == 1, partition=partition)
 
@@ -364,25 +257,10 @@ def gamma_tree_check(family: GraphFamily, nu) -> GammaTreeReport:
     if len(nu) != union.k:
         raise ValueError(f"pairing has size {len(nu)}, union has k={union.k}")
     k = union.k
-    parent = list(range(2 * k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union_(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for p_ in union.sigma:
-        for s in range(k):
-            union_(s, k + p_[s])
-    for s in range(k):
-        union_(s, k + nu[s])
-    kappa_hat = len({find(s) for s in range(k)})
+    # whites 0..k-1, blacks k..2k-1
+    edges = [(s, k + p_[s]) for p_ in union.sigma + (nu,) for s in range(k)]
+    roots = union_find(2 * k, edges)
+    kappa_hat = len({roots[s] for s in range(k)})
     kappa_g = sum(g.n_components() for g in family.graphs())
     return GammaTreeReport(is_tree=kappa_hat == kappa_g - family.p + 1, kappa_hat=kappa_hat)
 
@@ -410,7 +288,7 @@ def degree_report(
     D, k, F = G.D, G.k, stats.F_total
     omega2 = (D - 1) * stats.kappa + (D - 1) * (D - 2) * k // 2 - F
     if f0_max is None:
-        f0_max = search_f0(G, kmax=kmax, workers=workers).f0_max
+        f0_max = search_f0(G, kmax=kmax, workers=workers, prune=True).f0_max
     delta = Fraction(D * (D - 1) * k, 4) + Fraction(F, 2) - Fraction((D - 1) * f0_max, 2)
     return DegreeReport(omega2=omega2, delta=delta, compatible=delta == 0)
 
@@ -444,7 +322,7 @@ def mst_pair_f0(
     if not graph_stats(H).is_mst:
         raise ValueError("mst_pair_f0 requires a maximally single-trace graph")
     if f0_max is None:
-        f0_max = search_f0(H, kmax=kmax, workers=workers).f0_max
+        f0_max = search_f0(H, kmax=kmax, workers=workers, prune=True).f0_max
     f0_union = max(2 * f0_max, H.D * H.k)
     return MstPairReport(
         f0_union=f0_union,
@@ -466,7 +344,7 @@ def cayley_delta(
     """
     nu = perms.check_perm(nu)
     if f0_max is None:
-        f0_max = search_f0(G, kmax=kmax, workers=workers).f0_max
+        f0_max = search_f0(G, kmax=kmax, workers=workers, prune=True).f0_max
     if pairing_f0(G, nu) != f0_max:
         raise ValueError("cayley_delta requires a dominant pairing")
     k = G.k
@@ -501,10 +379,7 @@ def treelike_report(
     by all tree-like completions; each connected optimum is then tagged by
     the maximal two-cut property, member by member.
     """
-    D = family.D
-    member_reports = [search_f0(g, kmax=kmax, workers=workers) for g in family.graphs()]
-    connected = search_f0_connected(family, kmax=kmax, workers=workers)
-    tree_value = D + sum(rep.f0_max - D for rep in member_reports)
+    member_reports, connected, tree_value = _tree_values(family, kmax, workers)
     has_treelike = connected.f0_max == tree_value
     member_optima = [rep.optima for rep in member_reports]
     classified = tuple(
@@ -520,33 +395,20 @@ def treelike_report(
     )
 
 
-def _k_components_without(member_of, p, nu, skip):
-    """Components of the member-incidence graph after dropping two 0-edges.
+def _tree_values(family: GraphFamily, kmax, workers) -> tuple:
+    """(member searches, connected search, tree value) of a family.
 
-    Edges are identified by their white end; skip holds the two whites.
+    The connected search runs first, so a union over budget fails before
+    any member is searched.
     """
-    parent = list(range(p))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = p
-    for s in range(len(nu)):
-        if s in skip:
-            continue
-        a, b = find(member_of[s]), find(member_of[nu[s]])
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return comps
+    connected = search_f0_connected(family, kmax=kmax, workers=workers, prune=True)
+    member_reports = [search_f0(g, kmax=kmax, workers=workers, prune=True) for g in family.graphs()]
+    tree_value = family.D + sum(rep.f0_max - family.D for rep in member_reports)
+    return member_reports, connected, tree_value
 
 
 def _is_treelike(family: GraphFamily, nu, member_optima) -> bool:
     member_of = family.member_of_label()
-    p = family.p
     inv_nu = perms.inverse(nu)
     for i, opts in enumerate(member_optima):
         off = family.offsets[i]
@@ -559,8 +421,10 @@ def _is_treelike(family: GraphFamily, nu, member_optima) -> bool:
                 gb = off + pi[w]
                 if nu[gw] == gb:
                     continue
+                # the 0-edges at gw and at gb must cut the member graph
                 skip = (gw, inv_nu[gb])
-                if _k_components_without(member_of, p, nu, skip) == 1:
+                rest = ((s, b) for s, b in enumerate(nu) if s not in skip)
+                if _connects(member_of, family.p, rest):
                     ok = False
                     break
             if ok:

@@ -78,6 +78,16 @@ def brute_f0_connected(union_sigma, member_of):
     return best, count, set(opts)
 
 
+def brute_histogram(sigmas, member_of=None):
+    """F0 -> number of pairings with it, over the member-connecting ones if member_of is given."""
+    hist = {}
+    for nu in itertools.permutations(range(len(sigmas[0]))):
+        if member_of is None or members_connected(member_of, nu):
+            f0 = f0_naive(sigmas, nu)
+            hist[f0] = hist.get(f0, 0) + 1
+    return hist
+
+
 def union_component_count(sigmas, nu):
     """Components of the completed bipartite graph (whites 0..k-1, blacks k..2k-1)."""
     k = len(nu)

@@ -18,6 +18,7 @@ from traceinv import (
     conjugate,
     cumulant_consistency,
     cyclic,
+    decide_factorization,
     degree_report,
     disjoint_union,
     entropy_slope_experiment,
@@ -41,7 +42,6 @@ from traceinv import (
     treelike_report,
     two_vertex,
 )
-from traceinv.cli import decide_factorization
 from traceinv.families import random_graph
 from traceinv.moments import LaurentPoly, leading_order
 from traceinv.sampling import EULER_GAMMA, annealed_coefficients

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from traceinv import conjugate, cyclic, family_of, fig7, two_vertex
-from traceinv.cli import decide_factorization, main
+from traceinv import conjugate, cyclic, decide_factorization, family_of, fig7, two_vertex
+from traceinv.cli import main
 
 
 def _write_graph(tmp_path, g, name="graph.json"):
@@ -39,6 +39,16 @@ def test_analyze_parse_error_names_field(tmp_path, capsys):
     path.write_text(json.dumps({"sigma": [[1]]}))
     assert main(["analyze", str(path)]) == 2
     assert "'D'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "moment"])
+@pytest.mark.parametrize("payload", [{"D": 3, "sigma": 5}, [1, 2], {"members": [5]}])
+def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_generate_then_moment_pipeline(tmp_path, capsys):

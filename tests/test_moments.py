@@ -81,6 +81,22 @@ def test_moment_coefficient_mass_and_exponent_range():
         assert poly.min_exponent() >= g.D - g.D * g.k
 
 
+def test_moment_and_cumulant_match_brute_histogram():
+    rng = random.Random(73)
+    families = [family_of([random_graph(rng.randint(2, 4), rng.randint(1, 7), seed=2200 + t)]) for t in range(4)]
+    for t in range(6):
+        D = rng.randint(2, 4)
+        sizes = [rng.randint(1, 3) for _ in range(2 + t % 2)]
+        sizes[-1] = min(sizes[-1], 7 - sum(sizes[:-1]))
+        families.append(family_of([random_graph(D, k, seed=2300 + 10 * t + i) for i, k in enumerate(sizes)]))
+    for fam in families:
+        union = fam.union()
+        offset = fam.D * fam.total_k
+        for poly, member_of in ((gaussian_moment(fam), None), (connected_cumulant(fam), fam.member_of_label())):
+            brute = oracles.brute_histogram(union.sigma, member_of)
+            assert poly.terms == {f0 - offset: n for f0, n in brute.items()}
+
+
 def test_cumulant_single_member_is_moment(mst3):
     fam = family_of([mst3])
     assert connected_cumulant(fam) == gaussian_moment(fam)

@@ -23,7 +23,7 @@ from traceinv import (
     two_vertex,
 )
 from traceinv.families import random_graph
-from traceinv.search import _bnb_scan, _scan_coset
+from traceinv.search import _enumerate
 
 import oracles
 
@@ -103,9 +103,10 @@ def test_workers_and_prune_agree():
         serial = search_f0(g)
         parallel = search_f0(g, workers=2)
         pruned = search_f0(g, prune=True)
-        assert serial.f0_max == parallel.f0_max == pruned.f0_max
-        assert serial.multiplicity == parallel.multiplicity == pruned.multiplicity
-        assert serial.optima == parallel.optima == tuple(pruned.optima)
+        split = search_f0(g, prune=True, workers=2)
+        assert serial.f0_max == parallel.f0_max == pruned.f0_max == split.f0_max
+        assert serial.multiplicity == parallel.multiplicity == pruned.multiplicity == split.multiplicity
+        assert serial.optima == parallel.optima == tuple(pruned.optima) == split.optima
 
 
 def test_connected_search_pair_of_two_vertex(twov3):
@@ -132,13 +133,16 @@ def test_connected_search_mst3_pair(mst3):
 
 
 def test_connected_search_prune_and_workers_agree(twov3, cyc2_d3):
-    fam = family_of([cyc2_d3, twov3, cyc2_d3])
-    serial = search_f0_connected(fam)
-    parallel = search_f0_connected(fam, workers=2)
-    pruned = search_f0_connected(fam, prune=True)
-    assert serial == parallel
-    assert (serial.f0_max, serial.multiplicity) == (pruned.f0_max, pruned.multiplicity)
-    assert set(serial.optima) == set(pruned.optima)
+    # k=5 runs serially; k=6 splits, with cosets that connect nothing
+    for fam in (family_of([cyc2_d3, twov3, cyc2_d3]), family_of([twov3, cyc2_d3, twov3, cyc2_d3])):
+        serial = search_f0_connected(fam)
+        parallel = search_f0_connected(fam, workers=2)
+        pruned = search_f0_connected(fam, prune=True)
+        split = search_f0_connected(fam, prune=True, workers=2)
+        assert serial == parallel
+        for rep in (pruned, split):
+            assert (serial.f0_max, serial.multiplicity) == (rep.f0_max, rep.multiplicity)
+            assert set(serial.optima) == set(rep.optima)
 
 
 def test_k_connectivity(twov3):
@@ -384,7 +388,8 @@ def test_scan_and_bnb_internals_agree_on_family(twov3, mst3):
     fam = family_of([twov3, mst3])
     union = fam.union()
     member_of = fam.member_of_label()
-    scan = _scan_coset(union.sigma, union.k, None, member_of, 2, None)
-    bnb = _bnb_scan(union.sigma, union.k, member_of, 2, None)
-    assert scan[0] == bnb[0] and scan[1] == bnb[1]
-    assert sorted(scan[2]) == bnb[2]
+    scan_hist, scan_optima, _ = _enumerate(union.sigma, union.k, member_of, 2, False, None)
+    bnb_hist, bnb_optima, _ = _enumerate(union.sigma, union.k, member_of, 2, True, None)
+    best = max(scan_hist)
+    assert best == max(bnb_hist) and scan_hist[best] == bnb_hist[best]
+    assert sorted(scan_optima) == bnb_optima
