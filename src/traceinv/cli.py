@@ -240,17 +240,26 @@ def _config_family(cfg) -> GraphFamily:
     raise ValueError("experiment config needs a 'graph' or 'family' entry")
 
 
+def _config_Ns(cfg) -> list:
+    """The config's 'N': one integer or a list of integers, as a list."""
+    if "N" not in cfg:
+        raise ValueError("experiment config needs an 'N' entry")
+    Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
+    if not Ns or not all(isinstance(n, int) and not isinstance(n, bool) for n in Ns):
+        raise ValueError(f"'N' must be an integer or a non-empty list of integers, got {cfg['N']!r}")
+    return Ns
+
+
 def _cmd_mc_moment(args) -> int:
     cfg = _load_config(args.config)
     family = _config_family(cfg)
     kind = cfg.get("kind", "gaussian")
-    Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
     rows = []
-    for N in Ns:
-        est = sampling.mc_moment(family, kind, int(N), int(cfg["samples"]), int(cfg["seed"]))
+    for N in _config_Ns(cfg):
+        est = sampling.mc_moment(family, kind, N, int(cfg["samples"]), int(cfg["seed"]))
         rows.append(
             {
-                "N": int(N),
+                "N": N,
                 "mean_re": est.mean.real,
                 "mean_im": est.mean.imag,
                 "stderr": est.stderr,
@@ -273,7 +282,7 @@ def _cmd_concentration(args) -> int:
         raise ValueError("concentration experiment runs on a single graph")
     rep = sampling.concentration_experiment(
         family.members[0][1],
-        [int(n) for n in cfg["N"]],
+        _config_Ns(cfg),
         float(cfg.get("epsilon", 0.5)),
         int(cfg["samples"]),
         int(cfg["seed"]),
@@ -297,7 +306,7 @@ def _cmd_entropy_slope(args) -> int:
         raise ValueError("entropy slope experiment runs on a single graph")
     rep = sampling.entropy_slope_experiment(
         family.members[0][1],
-        [int(n) for n in cfg["N"]],
+        _config_Ns(cfg),
         int(cfg["samples"]),
         int(cfg["seed"]),
         kind=cfg.get("kind", "haar"),

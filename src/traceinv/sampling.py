@@ -3,10 +3,15 @@
 Gaussian tensors have i.i.d. complex entries of variance 1/N^D; Haar
 tensors are Gaussian draws normalized to the unit sphere.  Draws are
 reproducible for a fixed seed independently of batching.
+
+Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
+draws a block of samples small enough to stay in cache, contracts it with
+each graph's compiled plan, and hands the block's trace values back.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +25,7 @@ from .moments import gaussian_moment
 from .search import BudgetError, DEFAULT_KMAX, mst_pair_f0, search_f0
 
 DEFAULT_TRACE_CAP = 2**26  # complex entries per intermediate tensor
-BATCH_ENTRY_CAP = 2**22  # complex entries per operand in batched evaluation
+BATCH_ENTRY_CAP = 2**16  # complex entries per array a block of samples holds (1 MiB)
 ZERO_FLOOR = 1e-300  # |Tr| below this counts as a zero of the invariant
 EULER_GAMMA = 0.5772156649015328606
 
@@ -84,6 +89,7 @@ def _vertex_operands(G: ColoredGraph):
     return ops
 
 
+@functools.lru_cache(maxsize=256)
 def _contraction_plan(G: ColoredGraph):
     """Greedy pairwise contraction order for the vertex tensors of G.
 
@@ -91,6 +97,7 @@ def _contraction_plan(G: ColoredGraph):
     open indices, ties broken by lowest vertex labels.  Returns
     (is_black flags, steps, max open index count); each step is
     (i, j, labels_i, labels_j, labels_out) against the evolving node list.
+    Compiled once per graph and cached, so a sampling loop pays for it once.
     """
     ops = _vertex_operands(G)
     nodes = [(key, labels) for key, labels, _ in ops]
@@ -123,38 +130,77 @@ def _contraction_plan(G: ColoredGraph):
         nodes[i] = (tuple(sorted(key_i + key_j)), lab_out)
         del nodes[j]
         max_open = max(max_open, len(lab_out))
-    return [is_black for _, _, is_black in ops], steps, max_open
+    return tuple(is_black for _, _, is_black in ops), tuple(steps), max_open
 
 
-def _pair_contract(a, lab_a, b, lab_b, lab_out, batched):
-    """Contract two operands over their shared labels via batched matmul."""
+def _buffer(scratch, key, shape):
+    """scratch[key] as a complex array of this shape, allocated only when missing or resized."""
+    buf = scratch.get(key)
+    if buf is None or buf.shape != shape:
+        buf = scratch[key] = np.empty(shape, dtype=complex)
+    return buf
+
+
+def _merges(t, lo, hi):
+    """Whether axes lo..hi-1 of t merge into one axis without a copy (numpy's reshape rule)."""
+    axes = [i for i in range(lo, hi) if t.shape[i] != 1]
+    return all(t.strides[i] == t.strides[j] * t.shape[j] for i, j in zip(axes, axes[1:]))
+
+
+def _as_matrices(x, labels, rows, cols, batched, scratch, key):
+    """x with its label axes ordered rows + cols, as a (B, rows, cols) stack of matrices.
+
+    A view when numpy's reshape would give one; otherwise the same C-ordered
+    copy, written into scratch[key] instead of fresh memory.
+    """
+    off = 1 if batched else 0
+    n = x.shape[-1] if labels else 1
+    B = x.shape[0] if batched else 1
+    t = np.transpose(x, list(range(off)) + [labels.index(l) + off for l in rows + cols])
+    shape = (B, n ** len(rows), n ** len(cols))
+    if _merges(t, off, off + len(rows)) and _merges(t, off + len(rows), t.ndim):
+        return t.reshape(shape)
+    buf = _buffer(scratch, key, shape)
+    np.copyto(buf.reshape(t.shape), t)
+    return buf
+
+
+def _pair_contract(a, lab_a, b, lab_b, lab_out, batched, scratch, step):
+    """Contract two operands over their shared labels via batched matmul.
+
+    Operand copies and the product live in scratch under keys of this step,
+    so a loop over equal-sized blocks reuses memory that is already paged in.
+    """
     shared = [l for l in lab_a if l in set(lab_b)]
     keep_a = [l for l in lab_a if l not in shared]
     keep_b = [l for l in lab_b if l not in shared]
-    off = 1 if batched else 0
-    pos_a = {l: i + off for i, l in enumerate(lab_a)}
-    pos_b = {l: i + off for i, l in enumerate(lab_b)}
+    am = _as_matrices(a, lab_a, keep_a, shared, batched, scratch, (step, "a"))
+    bm = _as_matrices(b, lab_b, shared, keep_b, batched, scratch, (step, "b"))
+    cm = np.matmul(am, bm, out=_buffer(scratch, (step, "c"), am.shape[:2] + bm.shape[2:]))
     n = a.shape[-1] if lab_a or lab_b else 1
-    B = a.shape[0] if batched else 1
-    at = np.transpose(a, list(range(off)) + [pos_a[l] for l in keep_a] + [pos_a[l] for l in shared])
-    bt = np.transpose(b, list(range(off)) + [pos_b[l] for l in shared] + [pos_b[l] for l in keep_b])
-    am = at.reshape(B, n ** len(keep_a), n ** len(shared))
-    bm = bt.reshape(B, n ** len(shared), n ** len(keep_b))
-    cm = am @ bm
-    shape = ((B,) if batched else ()) + (n,) * len(lab_out)
-    return cm.reshape(shape)
+    return cm.reshape(((am.shape[0],) if batched else ()) + (n,) * len(lab_out))
 
 
-def _run_plan(arrays, steps, N, memory_cap, batched):
-    """Execute a contraction plan; arrays may carry a leading batch axis."""
-    arrays = list(arrays)
-    for i, j, lab_i, lab_j, lab_out in steps:
+def _check_cap(steps, N, memory_cap):
+    """Refuse a plan whose intermediate would exceed memory_cap entries per sample."""
+    for _, _, _, _, lab_out in steps:
         if N ** len(lab_out) > memory_cap:
             raise MemoryCapError(
                 f"intermediate with {len(lab_out)} open indices needs "
                 f"{N ** len(lab_out)} entries, cap is {memory_cap}"
             )
-        arrays[i] = _pair_contract(arrays[i], lab_i, arrays[j], lab_j, lab_out, batched)
+
+
+def _run_plan(arrays, steps, N, memory_cap, batched, scratch):
+    """Execute a contraction plan; arrays may carry a leading batch axis.
+
+    Intermediates are written into scratch (see _pair_contract); the
+    returned traces never alias it.
+    """
+    _check_cap(steps, N, memory_cap)
+    arrays = list(arrays)
+    for step, (i, j, lab_i, lab_j, lab_out) in enumerate(steps):
+        arrays[i] = _pair_contract(arrays[i], lab_i, arrays[j], lab_j, lab_out, batched, scratch, step)
         del arrays[j]
     if batched:
         out = np.ones(arrays[0].shape[0], dtype=complex)
@@ -179,30 +225,55 @@ def evaluate_trace(G: ColoredGraph, S: DenseTensor, memory_cap: int = DEFAULT_TR
     is_black, steps, _ = _contraction_plan(G)
     conj_entries = np.conj(S.entries)
     arrays = [conj_entries if black else S.entries for black in is_black]
-    return _run_plan(arrays, steps, S.N, memory_cap, batched=False)
+    return _run_plan(arrays, steps, S.N, memory_cap, batched=False, scratch={})
 
 
-def _batch_trace(G: ColoredGraph, batch: np.ndarray, memory_cap: int = DEFAULT_TRACE_CAP) -> np.ndarray:
+def _batch_trace(
+    G: ColoredGraph, batch: np.ndarray, memory_cap: int = DEFAULT_TRACE_CAP, scratch: Optional[dict] = None
+) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
-    Follows the same greedy order as evaluate_trace, chunking the batch so
-    intermediates stay within the entry budget.
+    Follows the same greedy order as evaluate_trace over the whole batch at
+    once; _trace_blocks sizes the batch so every intermediate fits in cache
+    and passes the same scratch for every block of a graph.
     """
-    N = batch.shape[-1]
-    is_black, steps, max_open = _contraction_plan(G)
-    chunk = max(1, BATCH_ENTRY_CAP // N**max_open)
-    total = batch.shape[0]
-    out = np.empty(total, dtype=complex)
-    for start in range(0, total, chunk):
-        part = batch[start : start + chunk]
-        conj = np.conj(part)
-        arrays = [conj if black else part for black in is_black]
-        out[start : start + len(part)] = _run_plan(arrays, steps, N, memory_cap, batched=True)
-    return out
+    is_black, steps, _ = _contraction_plan(G)
+    conj = np.conj(batch)
+    arrays = [conj if black else batch for black in is_black]
+    return _run_plan(arrays, steps, batch.shape[-1], memory_cap, True, {} if scratch is None else scratch)
 
 
-def _batch_size(N: int, D: int, samples: int) -> int:
-    return max(1, min(samples, BATCH_ENTRY_CAP // N**D))
+def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
+    """Product of the graphs' traces on `samples` fresh draws, one block at a time.
+
+    A block holds as many samples as keep every array it touches, the draw
+    and the widest plan intermediate alike, within BATCH_ENTRY_CAP complex
+    entries (at least one sample), so it is drawn and contracted in cache.
+    The draws depend only on rng, not on the block size.  Every plan is
+    checked against the memory cap before the first draw.
+    """
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if N < 2:
+        raise ValueError("need N >= 2")
+    widest = 0  # max_open counts the vertex operands, so it covers the draw too
+    for g in graphs:
+        _, steps, max_open = _contraction_plan(g)
+        _check_cap(steps, N, DEFAULT_TRACE_CAP)
+        widest = max(widest, max_open)
+    block = max(1, BATCH_ENTRY_CAP // N**widest)
+    # one scratch per graph, reused by every block: fresh arrays for each
+    # block would be paged in anew whenever the allocator hands the freed
+    # ones back to the system
+    scratch = [{} for _ in graphs]
+    for start in range(0, samples, block):
+        batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
+        prod = _batch_trace(graphs[0], batch, DEFAULT_TRACE_CAP, scratch[0])
+        for g, work in zip(graphs[1:], scratch[1:]):
+            # not in place: numpy's in-place complex multiply rounds a
+            # one-element array differently from a longer one
+            prod = prod * _batch_trace(g, batch, DEFAULT_TRACE_CAP, work)
+        yield prod
 
 
 @dataclass(frozen=True)
@@ -217,21 +288,7 @@ def mc_moment(
     family: GraphFamily, kind: str, N: int, samples: int, seed: int
 ) -> MCEstimate:
     """Sample mean of the product of the member traces over fresh draws."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    D = family.D
-    rng = make_rng(seed)
-    vals = np.empty(samples, dtype=complex)
-    done = 0
-    bsize = _batch_size(N, D, samples)
-    while done < samples:
-        b = min(bsize, samples - done)
-        batch = _draw_batch(kind, D, N, b, rng)
-        prod = np.ones(b, dtype=complex)
-        for g in family.graphs():
-            prod *= _batch_trace(g, batch)
-        vals[done : done + b] = prod
-        done += b
+    vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed))))
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).sum() / (samples - 1)) / math.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
@@ -285,16 +342,8 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None, worker
 def sphere_min_sample(G: ColoredGraph, N: int, samples: int, seed: int) -> float:
     """Smallest |Tr_G| over Haar draws: a non-rigorous upper bound on the
     sphere minimum, offered as a diagnostic only."""
-    rng = make_rng(seed)
-    best = math.inf
-    done = 0
-    bsize = _batch_size(N, G.D, samples)
-    while done < samples:
-        b = min(bsize, samples - done)
-        batch = _draw_batch("haar", G.D, N, b, rng)
-        best = min(best, float(np.abs(_batch_trace(G, batch)).min()))
-        done += b
-    return best
+    blocks = _trace_blocks([G], "haar", N, samples, make_rng(seed))
+    return min(float(np.abs(tr).min()) for tr in blocks)
 
 
 def quenched_annealed_report(
@@ -371,17 +420,9 @@ def concentration_experiment(
     mu = rep.multiplicity
     rows = []
     for N in Ns:
-        rng = make_rng([seed, int(N)])
         scale = mu * float(N) ** s
-        hit = 0
-        done = 0
-        bsize = _batch_size(N, G.D, samples)
-        while done < samples:
-            b = min(bsize, samples - done)
-            batch = _draw_batch(kind, G.D, N, b, rng)
-            tr = _batch_trace(G, batch)
-            hit += int(np.count_nonzero(np.abs(np.abs(tr) / scale - 1.0) < epsilon))
-            done += b
+        blocks = _trace_blocks([G], kind, int(N), samples, make_rng([seed, int(N)]))
+        hit = sum(int(np.count_nonzero(np.abs(np.abs(tr) / scale - 1.0) < epsilon)) for tr in blocks)
         rows.append((int(N), hit / samples))
     envelope = float(np.mean([(1.0 - c) * n for n, c in rows]))
     return ConcentrationReport(
@@ -433,16 +474,8 @@ def entropy_slope_experiment(
     rep = search_f0(G, kmax=kmax, workers=workers, prune=True)
     rows = []
     for N in Ns:
-        rng = make_rng([seed, N])
-        vals = np.empty(samples, dtype=float)
-        done = 0
-        bsize = _batch_size(N, G.D, samples)
-        while done < samples:
-            b = min(bsize, samples - done)
-            batch = _draw_batch(kind, G.D, N, b, rng)
-            tr = np.abs(_batch_trace(G, batch))
-            vals[done : done + b] = -np.log(np.maximum(tr, ZERO_FLOOR))
-            done += b
+        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]))
+        vals = np.concatenate([-np.log(np.maximum(np.abs(tr), ZERO_FLOOR)) for tr in blocks])
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(samples))
         rows.append((N, mean, stderr))

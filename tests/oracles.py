@@ -135,3 +135,22 @@ def trace_naive(G, S):
             term *= conj[tuple(idx(c, inv[c][t]) for c in range(D))]
         total += term
     return total
+
+
+def per_sample_traces(graphs, kind, N, samples, rng):
+    """Product of the graphs' traces on each of `samples` draws.
+
+    All samples come from one draw call, and each is contracted on its own
+    by the single-tensor evaluate_trace, so no block structure is involved.
+    """
+    from traceinv import DenseTensor, evaluate_trace
+    from traceinv.sampling import _draw_batch
+
+    D = graphs[0].D
+    batch = _draw_batch(kind, D, N, samples, rng)
+    vals = np.ones(samples, dtype=complex)
+    for i in range(samples):
+        S = DenseTensor(D, N, batch[i])
+        for g in graphs:
+            vals[i] *= evaluate_trace(g, S)
+    return vals

@@ -51,6 +51,40 @@ def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, pay
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        ("entropy-slope", {"N": 5}),
+        ("mc-moment", {"N": "8"}),
+        ("concentration", {"N": [4, None]}),
+        ("entropy-slope", {"N": []}),
+        ("mc-moment", {"N": [1]}),
+        ("concentration", {"samples": 0}),
+        ("concentration", {"samples": -3}),
+        ("entropy-slope", {"samples": 1}),
+        ("mc-moment", {"samples": 1}),
+    ],
+)
+def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, command, entries):
+    cfg = {"graph": cyclic(3, {0}, 2).to_json_dict(), "N": [2, 3, 4], "samples": 10, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, **entries)))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_scalar_N_runs_like_a_one_element_list(tmp_path, capsys):
+    outs = []
+    for N in (4, [4]):
+        path = tmp_path / "cfg.json"
+        cfg = {"graph": cyclic(3, {0}, 2).to_json_dict(), "N": N, "samples": 20, "seed": 1}
+        path.write_text(json.dumps(cfg))
+        assert main(["concentration", str(path), "--no-timestamp"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["rows"][0]["N"] == 4
+
+
 def test_generate_then_moment_pipeline(tmp_path, capsys):
     out_file = tmp_path / "mst3.json"
     code = main(

@@ -22,7 +22,9 @@ from traceinv import (
     regularized_entropy,
     renyi_entropy,
     sample_tensor,
+    sphere_min_sample,
 )
+from traceinv import sampling
 from traceinv.families import fig7, random_graph
 from traceinv.sampling import EULER_GAMMA, _batch_trace, _draw_batch
 
@@ -112,6 +114,71 @@ def test_batch_trace_matches_single(cyc2_d3):
     for i in range(6):
         single = evaluate_trace(cyc2_d3, DenseTensor(3, 3, batch[i]))
         assert vals[i] == pytest.approx(single, rel=1e-12)
+
+
+def test_mc_moment_refuses_over_cap_plan_before_drawing(monkeypatch):
+    # fig7's widest intermediate has 20 open indices: 3^20 entries exceed the cap
+    calls = []
+    real_draw = sampling._draw_batch
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: calls.append(a) or real_draw(*a))
+    with pytest.raises(MemoryCapError):
+        mc_moment(family_of([fig7()]), "gaussian", 3, 2, seed=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: mc_moment(family_of([g]), "gaussian", 4, 1, seed=1),
+        lambda g: mc_moment(family_of([g]), "gaussian", 1, 10, seed=1),
+        lambda g: concentration_experiment(g, [4, 8], 0.5, 0, seed=1),
+        lambda g: concentration_experiment(g, [4, 8], 0.5, -3, seed=1),
+        lambda g: concentration_experiment(g, [1, 8], 0.5, 10, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8], 1, seed=1),
+        lambda g: sphere_min_sample(g, 1, 10, seed=1),
+    ],
+    ids=["mc-1-sample", "mc-N1", "conc-0-samples", "conc-neg-samples", "conc-N1", "slope-1-sample", "sphere-N1"],
+)
+def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
+    with pytest.raises(ValueError, match="need"):
+        run(cyc2_d3)
+
+
+def _seeded_results(mst3, cyc):
+    return (
+        mc_moment(family_of([mst3]), "gaussian", 4, 300, seed=3),
+        mc_moment(family_of([mst3]), "haar", 3, 300, seed=4),
+        mc_moment(family_of([mst3, conjugate(mst3)]), "gaussian", 4, 200, seed=5),
+        concentration_experiment(cyc, [4, 8, 16], 0.5, 200, seed=6),
+        entropy_slope_experiment(cyc, [4, 8, 16], 200, seed=7),
+        sphere_min_sample(mst3, 4, 200, seed=8),
+    )
+
+
+def test_seeded_results_do_not_depend_on_block_size(monkeypatch, mst3, cyc2_d3):
+    results = []
+    for cap in (2**8, 2**16, 2**22):
+        monkeypatch.setattr(sampling, "BATCH_ENTRY_CAP", cap)
+        results.append(_seeded_results(mst3, cyc2_d3))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "haar"])
+def test_mc_moment_matches_per_sample_oracle(mst3, kind):
+    for graphs, N in (([mst3], 4), ([mst3, conjugate(mst3)], 3), ([cyclic(3, {0}, 2)], 8)):
+        samples = 150
+        est = mc_moment(family_of(graphs), kind, N, samples, seed=N)
+        vals = oracles.per_sample_traces(graphs, kind, N, samples, make_rng(N))
+        stderr = np.sqrt((np.abs(vals - vals.mean()) ** 2).sum() / (samples - 1) / samples)
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_entropy_slope_matches_per_sample_oracle(cyc2_d3):
+    rep = entropy_slope_experiment(cyc2_d3, [4, 8, 16], 120, seed=9)
+    for N, mean, _ in rep.rows:
+        vals = oracles.per_sample_traces([cyc2_d3], "haar", N, 120, make_rng([9, N]))
+        assert mean == pytest.approx(float(np.mean(-np.log(np.abs(vals)))), rel=1e-12)
 
 
 def test_mc_moment_two_vertex(twov3):
