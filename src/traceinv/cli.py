@@ -178,37 +178,23 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    kind = args.kind
-
-    def colors(text):
-        return {int(c) - 1 for c in text.split(",") if c.strip()}
-
-    if kind == "two-vertex":
-        G = families.two_vertex(args.D)
-    elif kind == "melonic":
-        script = [(int(c) - 1, int(s) - 1) for c, s in json.loads(args.script)]
-        G = families.melonic(args.D, script)
-    elif kind == "cyclic":
-        G = families.cyclic(args.D, colors(args.M), args.k)
-    elif kind == "realignment":
-        G = families.realignment(colors(args.M1), colors(args.M2), colors(args.M3), args.k)
-    elif kind == "joint-realignment":
-        links = [{int(c) - 1 for c in l} for l in json.loads(args.links)]
-        G = families.joint_realignment(args.D, colors(args.M3), links)
-    elif kind == "fig7":
-        G = families.fig7()
-    elif kind == "random":
-        G = families.random_graph(args.D, args.k, args.seed)
-    elif kind == "with-delta":
+    if args.kind == "with-delta":
         built = families.build_with_delta(args.D, args.delta, kmax=args.kmax, workers=args.threads)
         report = built.graph.to_json_dict()
         report["delta"] = built.delta
         report["delta_verified"] = built.verified
         _emit(report, args)
         return 0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    _emit(G.to_json_dict(), args)
+    # the spec parser owns the 1-based mapping; color subsets arrive comma-separated
+    spec = {"kind": args.kind.replace("-", "_")}
+    for key, value in vars(args).items():
+        if key in ("D", "k", "seed"):
+            spec[key] = value
+        elif key in ("M", "M1", "M2", "M3"):
+            spec[key] = [c for c in value.split(",") if c.strip()]
+        elif key in ("script", "links"):
+            spec[key] = json.loads(value)
+    _emit(families.generate_from_spec(spec).to_json_dict(), args)
     return 0
 
 
@@ -224,39 +210,52 @@ def _cmd_moment(args, connected=False) -> int:
     return 0
 
 
-def _load_config(path) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _experiment_config(path, default_kind, single_graph) -> tuple:
+    """(family, kind, Ns, samples, seed, epsilon), validated, from an experiment config file.
+
+    'seed', 'samples', 'N' and a 'graph' or 'family' are required; 'N' is
+    one integer or a list of them.  'kind' defaults to default_kind and
+    'epsilon' to 0.5.  single_graph refuses a family of more than one member.
+    """
     with open(path) as fh:
         cfg = json.load(fh)
-    if "seed" not in cfg:
-        raise ValueError("experiment config requires an explicit 'seed'")
-    return cfg
-
-
-def _config_family(cfg) -> GraphFamily:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
+    for key in ("seed", "samples", "N"):
+        if key not in cfg:
+            raise ValueError(f"experiment config requires an explicit {key!r}")
     if "family" in cfg:
-        return family_from_json_dict(cfg["family"])
-    if "graph" in cfg:
-        return GraphFamily((("G1", graph_from_json_dict(cfg["graph"])),))
-    raise ValueError("experiment config needs a 'graph' or 'family' entry")
-
-
-def _config_Ns(cfg) -> list:
-    """The config's 'N': one integer or a list of integers, as a list."""
-    if "N" not in cfg:
-        raise ValueError("experiment config needs an 'N' entry")
+        family = family_from_json_dict(cfg["family"])
+    elif "graph" in cfg:
+        family = GraphFamily((("G1", graph_from_json_dict(cfg["graph"])),))
+    else:
+        raise ValueError("experiment config needs a 'graph' or 'family' entry")
+    if single_graph and family.p != 1:
+        raise ValueError("this experiment runs on a single graph")
     Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    if not Ns or not all(isinstance(n, int) and not isinstance(n, bool) for n in Ns):
+    if not Ns or not all(_is_int(n) for n in Ns):
         raise ValueError(f"'N' must be an integer or a non-empty list of integers, got {cfg['N']!r}")
-    return Ns
+    for key in ("samples", "seed"):
+        if not _is_int(cfg[key]):
+            raise ValueError(f"{key!r} must be an integer, got {cfg[key]!r}")
+    kind = cfg.get("kind", default_kind)
+    if kind not in ("gaussian", "haar"):
+        raise ValueError(f"'kind' must be \"gaussian\" or \"haar\", got {kind!r}")
+    epsilon = cfg.get("epsilon", 0.5)
+    if not (_is_int(epsilon) or isinstance(epsilon, float)):
+        raise ValueError(f"'epsilon' must be a number, got {epsilon!r}")
+    return family, kind, Ns, cfg["samples"], cfg["seed"], float(epsilon)
 
 
 def _cmd_mc_moment(args) -> int:
-    cfg = _load_config(args.config)
-    family = _config_family(cfg)
-    kind = cfg.get("kind", "gaussian")
+    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "gaussian", single_graph=False)
     rows = []
-    for N in _config_Ns(cfg):
-        est = sampling.mc_moment(family, kind, N, int(cfg["samples"]), int(cfg["seed"]))
+    for N in Ns:
+        est = sampling.mc_moment(family, kind, N, samples, seed)
         rows.append(
             {
                 "N": N,
@@ -265,7 +264,7 @@ def _cmd_mc_moment(args) -> int:
                 "stderr": est.stderr,
             }
         )
-    report = {"kind": kind, "samples": int(cfg["samples"]), "seed": int(cfg["seed"]), "rows": rows}
+    report = {"kind": kind, "samples": samples, "seed": seed, "rows": rows}
     _emit(
         report,
         args,
@@ -276,17 +275,14 @@ def _cmd_mc_moment(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    cfg = _load_config(args.config)
-    family = _config_family(cfg)
-    if family.p != 1:
-        raise ValueError("concentration experiment runs on a single graph")
+    family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, "haar", single_graph=True)
     rep = sampling.concentration_experiment(
         family.members[0][1],
-        _config_Ns(cfg),
-        float(cfg.get("epsilon", 0.5)),
-        int(cfg["samples"]),
-        int(cfg["seed"]),
-        kind=cfg.get("kind", "haar"),
+        Ns,
+        epsilon,
+        samples,
+        seed,
+        kind=kind,
         kmax=args.kmax,
         workers=args.threads,
     )
@@ -300,16 +296,13 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_entropy_slope(args) -> int:
-    cfg = _load_config(args.config)
-    family = _config_family(cfg)
-    if family.p != 1:
-        raise ValueError("entropy slope experiment runs on a single graph")
+    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "haar", single_graph=True)
     rep = sampling.entropy_slope_experiment(
         family.members[0][1],
-        _config_Ns(cfg),
-        int(cfg["samples"]),
-        int(cfg["seed"]),
-        kind=cfg.get("kind", "haar"),
+        Ns,
+        samples,
+        seed,
+        kind=kind,
         kmax=args.kmax,
         workers=args.threads,
     )

@@ -198,29 +198,54 @@ def build_with_delta(
     return DeltaBuildReport(graph=g, delta=delta, verified=verified)
 
 
+def _array(value):
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _colors(value) -> set:
+    return {int(c) - 1 for c in _array(value)}
+
+
+def _script(value) -> list:
+    steps = [tuple(int(x) - 1 for x in _array(step)) for step in _array(value)]
+    if any(len(step) != 2 for step in steps):
+        raise ValueError("a script step is not a [color, white] pair")
+    return steps
+
+
+def _links(value) -> list:
+    return [_colors(link) for link in _array(value)]
+
+
 def generate_from_spec(spec: dict) -> ColoredGraph:
     """Build a graph from a JSON family spec (1-based colors and labels)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"family spec must be an object, got {type(spec).__name__}")
+
+    def field(key, convert=int):
+        if key not in spec:
+            raise ValueError(f"family spec missing field {key!r}")
+        try:
+            return convert(spec[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"family spec field {key!r} is malformed: {exc}")
+
     kind = spec.get("kind")
     if kind == "two_vertex":
-        return two_vertex(int(spec["D"]))
+        return two_vertex(field("D"))
     if kind == "melonic":
-        script = [(int(c) - 1, int(s) - 1) for c, s in spec["script"]]
-        return melonic(int(spec["D"]), script)
+        return melonic(field("D"), field("script", _script))
     if kind == "cyclic":
-        M = {int(c) - 1 for c in spec["M"]}
-        return cyclic(int(spec["D"]), M, int(spec["k"]))
+        return cyclic(field("D"), field("M", _colors), field("k"))
     if kind == "realignment":
-        M1 = {int(c) - 1 for c in spec["M1"]}
-        M2 = {int(c) - 1 for c in spec["M2"]}
-        M3 = {int(c) - 1 for c in spec["M3"]}
-        D = int(spec["D"]) if "D" in spec else None
-        return realignment(M1, M2, M3, int(spec["k"]), D=D)
+        D = field("D") if "D" in spec else None
+        return realignment(field("M1", _colors), field("M2", _colors), field("M3", _colors), field("k"), D=D)
     if kind == "joint_realignment":
-        M3 = {int(c) - 1 for c in spec["M3"]}
-        links = [{int(c) - 1 for c in l} for l in spec["links"]]
-        return joint_realignment(int(spec["D"]), M3, links)
+        return joint_realignment(field("D"), field("M3", _colors), field("links", _links))
     if kind == "fig7":
         return fig7()
     if kind == "random":
-        return random_graph(int(spec["D"]), int(spec["k"]), int(spec["seed"]))
+        return random_graph(field("D"), field("k"), field("seed"))
     raise ValueError(f"unknown family kind {kind!r}")

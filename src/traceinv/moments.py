@@ -292,11 +292,8 @@ def factorization_verdict(
 
     def f0c(block) -> int:
         if block not in block_f0:
-            if len(block) == 1:
-                rep = search_f0(family.members[block[0]][1], kmax=kmax, workers=workers, prune=True)
-            else:
-                sub = family.subfamily(block)
-                rep = search_f0_connected(sub, kmax=kmax, workers=workers, prune=True)
+            # one member is always connected: its block is that member's own search
+            rep = search_f0_connected(family.subfamily(block), kmax=kmax, workers=workers, prune=True)
             block_f0[block] = rep.f0_max
         return block_f0[block]
 

@@ -147,26 +147,24 @@ def _merges(t, lo, hi):
     return all(t.strides[i] == t.strides[j] * t.shape[j] for i, j in zip(axes, axes[1:]))
 
 
-def _as_matrices(x, labels, rows, cols, batched, scratch, key):
+def _as_matrices(x, labels, rows, cols, scratch, key):
     """x with its label axes ordered rows + cols, as a (B, rows, cols) stack of matrices.
 
     A view when numpy's reshape would give one; otherwise the same C-ordered
     copy, written into scratch[key] instead of fresh memory.
     """
-    off = 1 if batched else 0
-    n = x.shape[-1] if labels else 1
-    B = x.shape[0] if batched else 1
-    t = np.transpose(x, list(range(off)) + [labels.index(l) + off for l in rows + cols])
-    shape = (B, n ** len(rows), n ** len(cols))
-    if _merges(t, off, off + len(rows)) and _merges(t, off + len(rows), t.ndim):
+    n = x.shape[-1]
+    t = np.transpose(x, [0] + [labels.index(l) + 1 for l in rows + cols])
+    shape = (x.shape[0], n ** len(rows), n ** len(cols))
+    if _merges(t, 1, 1 + len(rows)) and _merges(t, 1 + len(rows), t.ndim):
         return t.reshape(shape)
     buf = _buffer(scratch, key, shape)
     np.copyto(buf.reshape(t.shape), t)
     return buf
 
 
-def _pair_contract(a, lab_a, b, lab_b, lab_out, batched, scratch, step):
-    """Contract two operands over their shared labels via batched matmul.
+def _pair_contract(a, lab_a, b, lab_b, lab_out, scratch, step):
+    """Contract two batched operands over their shared labels via batched matmul.
 
     Operand copies and the product live in scratch under keys of this step,
     so a loop over equal-sized blocks reuses memory that is already paged in.
@@ -174,11 +172,10 @@ def _pair_contract(a, lab_a, b, lab_b, lab_out, batched, scratch, step):
     shared = [l for l in lab_a if l in set(lab_b)]
     keep_a = [l for l in lab_a if l not in shared]
     keep_b = [l for l in lab_b if l not in shared]
-    am = _as_matrices(a, lab_a, keep_a, shared, batched, scratch, (step, "a"))
-    bm = _as_matrices(b, lab_b, shared, keep_b, batched, scratch, (step, "b"))
+    am = _as_matrices(a, lab_a, keep_a, shared, scratch, (step, "a"))
+    bm = _as_matrices(b, lab_b, shared, keep_b, scratch, (step, "b"))
     cm = np.matmul(am, bm, out=_buffer(scratch, (step, "c"), am.shape[:2] + bm.shape[2:]))
-    n = a.shape[-1] if lab_a or lab_b else 1
-    return cm.reshape(((am.shape[0],) if batched else ()) + (n,) * len(lab_out))
+    return cm.reshape((am.shape[0],) + (a.shape[-1],) * len(lab_out))
 
 
 def _check_cap(steps, N, memory_cap):
@@ -191,56 +188,38 @@ def _check_cap(steps, N, memory_cap):
             )
 
 
-def _run_plan(arrays, steps, N, memory_cap, batched, scratch):
-    """Execute a contraction plan; arrays may carry a leading batch axis.
-
-    Intermediates are written into scratch (see _pair_contract); the
-    returned traces never alias it.
-    """
-    _check_cap(steps, N, memory_cap)
-    arrays = list(arrays)
-    for step, (i, j, lab_i, lab_j, lab_out) in enumerate(steps):
-        arrays[i] = _pair_contract(arrays[i], lab_i, arrays[j], lab_j, lab_out, batched, scratch, step)
-        del arrays[j]
-    if batched:
-        out = np.ones(arrays[0].shape[0], dtype=complex)
-        for arr in arrays:
-            out = out * arr.reshape(arr.shape[0])
-        return out
-    value = complex(1)
-    for arr in arrays:
-        # disconnected components finish as independent scalars
-        value *= complex(arr)
-    return value
-
-
 def evaluate_trace(G: ColoredGraph, S: DenseTensor, memory_cap: int = DEFAULT_TRACE_CAP) -> complex:
     """Contract the trace-invariant of G on the sample S.
 
-    Deterministic greedy pairwise contraction; refuses if an intermediate
-    would exceed the memory cap.
+    The trace of a block of one sample; refuses if an intermediate would
+    exceed the memory cap.
     """
     if S.D != G.D:
         raise ValueError(f"tensor has D={S.D}, graph has D={G.D}")
-    is_black, steps, _ = _contraction_plan(G)
-    conj_entries = np.conj(S.entries)
-    arrays = [conj_entries if black else S.entries for black in is_black]
-    return _run_plan(arrays, steps, S.N, memory_cap, batched=False, scratch={})
+    _check_cap(_contraction_plan(G)[1], S.N, memory_cap)
+    return complex(_batch_trace(G, S.entries[None])[0])
 
 
-def _batch_trace(
-    G: ColoredGraph, batch: np.ndarray, memory_cap: int = DEFAULT_TRACE_CAP, scratch: Optional[dict] = None
-) -> np.ndarray:
+def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = None) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
-    Follows the same greedy order as evaluate_trace over the whole batch at
-    once; _trace_blocks sizes the batch so every intermediate fits in cache
-    and passes the same scratch for every block of a graph.
+    Runs G's greedy plan over the whole batch at once; the caller checks the
+    plan against the memory cap.  Intermediates are written into scratch
+    (see _pair_contract), which _trace_blocks keeps per graph across blocks;
+    the returned traces never alias it.
     """
     is_black, steps, _ = _contraction_plan(G)
     conj = np.conj(batch)
     arrays = [conj if black else batch for black in is_black]
-    return _run_plan(arrays, steps, batch.shape[-1], memory_cap, True, {} if scratch is None else scratch)
+    scratch = {} if scratch is None else scratch
+    for step, (i, j, lab_i, lab_j, lab_out) in enumerate(steps):
+        arrays[i] = _pair_contract(arrays[i], lab_i, arrays[j], lab_j, lab_out, scratch, step)
+        del arrays[j]
+    # disconnected components finish as independent traces
+    out = np.ones(batch.shape[0], dtype=complex)
+    for arr in arrays:
+        out = out * arr.reshape(arr.shape[0])
+    return out
 
 
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
@@ -268,11 +247,11 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     scratch = [{} for _ in graphs]
     for start in range(0, samples, block):
         batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
-        prod = _batch_trace(graphs[0], batch, DEFAULT_TRACE_CAP, scratch[0])
+        prod = _batch_trace(graphs[0], batch, scratch[0])
         for g, work in zip(graphs[1:], scratch[1:]):
             # not in place: numpy's in-place complex multiply rounds a
             # one-element array differently from a longer one
-            prod = prod * _batch_trace(g, batch, DEFAULT_TRACE_CAP, work)
+            prod = prod * _batch_trace(g, batch, work)
         yield prod
 
 
@@ -558,19 +537,12 @@ def annealed_coefficients(
     a = Lambda**-2.0
     mass = mass_below(a)
     mid = max(1.0, 2.0 * a)
-    tail_ln = lnx_piece(a, mid)
-    val, err = quad(lambda x: rho(x) * math.log(x), mid, np.inf, limit=200)
+    # the integral of rho ln x beyond mid, shared by beta and beta_inf
+    far, err = quad(lambda x: rho(x) * math.log(x), mid, np.inf, limit=200)
     _check_quad(err)
-    tail_ln += val
-    alpha = 0.5 * D * k * (1.0 + mass)
-    beta = -0.5 * tail_ln + math.log(Lambda) * mass
-    full_ln = lnx_piece(0.0, mid)
-    val, err = quad(lambda x: rho(x) * math.log(x), mid, np.inf, limit=200)
-    _check_quad(err)
-    full_ln += val
     return AnnealedCoefficients(
-        alpha=alpha,
-        beta=beta,
+        alpha=0.5 * D * k * (1.0 + mass),
+        beta=-0.5 * (lnx_piece(a, mid) + far) + math.log(Lambda) * mass,
         alpha_inf=0.5 * D * k,
-        beta_inf=-0.5 * full_ln,
+        beta_inf=-0.5 * (lnx_piece(0.0, mid) + far),
     )

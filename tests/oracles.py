@@ -141,7 +141,8 @@ def per_sample_traces(graphs, kind, N, samples, rng):
     """Product of the graphs' traces on each of `samples` draws.
 
     All samples come from one draw call, and each is contracted on its own
-    by the single-tensor evaluate_trace, so no block structure is involved.
+    by evaluate_trace (a block of one), so no block of several samples is
+    involved.
     """
     from traceinv import DenseTensor, evaluate_trace
     from traceinv.sampling import _draw_batch

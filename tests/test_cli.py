@@ -63,6 +63,11 @@ def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, pay
         ("concentration", {"samples": -3}),
         ("entropy-slope", {"samples": 1}),
         ("mc-moment", {"samples": 1}),
+        ("mc-moment", {"samples": [10]}),
+        ("concentration", {"seed": [1]}),
+        ("concentration", {"epsilon": [0.5]}),
+        ("entropy-slope", {"kind": ["haar"]}),
+        ("mc-moment", {"samples": True}),
     ],
 )
 def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, command, entries):
@@ -70,6 +75,22 @@ def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, comma
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(cfg, **entries)))
     assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["melonic", "--D", "3", "--script", "[1]"],
+        ["melonic", "--D", "3", "--script", "5"],
+        ["melonic", "--D", "3", "--script", "[[1, 1, 1]]"],
+        ["joint-realignment", "--D", "4", "--M3", "3", "--links", "[5]"],
+        ["cyclic", "--D", "3", "--M", "one", "--k", "3"],
+    ],
+)
+def test_bad_generate_args_exit_2_without_traceback(capsys, argv):
+    assert main(["generate"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

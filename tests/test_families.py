@@ -202,3 +202,19 @@ def test_generate_from_spec_kinds():
     )
     with pytest.raises(ValueError, match="kind"):
         generate_from_spec({"kind": "moebius"})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "melonic", "D": 3, "script": [1]},
+        {"kind": "melonic", "D": 3, "script": 5},
+        {"kind": "joint_realignment", "D": 4, "M3": [3], "links": [5]},
+        {"kind": "cyclic", "D": "three", "M": [1], "k": 3},
+        {"kind": "random", "D": 3, "k": 4},
+        ["kind", "fig7"],
+    ],
+)
+def test_generate_from_spec_rejects_malformed_fields(spec):
+    with pytest.raises(ValueError, match="spec"):
+        generate_from_spec(spec)

@@ -108,12 +108,14 @@ def test_trace_memory_cap(mst3):
         evaluate_trace(mst3, S, memory_cap=3)
 
 
-def test_batch_trace_matches_single(cyc2_d3):
+def test_batch_trace_matches_single(cyc2_d3, mst3):
     batch = _draw_batch("gaussian", 3, 3, 6, make_rng(15))
-    vals = _batch_trace(cyc2_d3, batch)
-    for i in range(6):
-        single = evaluate_trace(cyc2_d3, DenseTensor(3, 3, batch[i]))
-        assert vals[i] == pytest.approx(single, rel=1e-12)
+    # the union has two components, whose traces multiply at the end
+    for g in (cyc2_d3, disjoint_union([mst3, conjugate(mst3)])[0]):
+        vals = _batch_trace(g, batch)
+        for i in range(6):
+            single = evaluate_trace(g, DenseTensor(3, 3, batch[i]))
+            assert vals[i] == pytest.approx(single, rel=1e-12)
 
 
 def test_mc_moment_refuses_over_cap_plan_before_drawing(monkeypatch):
