@@ -23,6 +23,7 @@ from .graphs import (
     family_of,
     graph_from_json_dict,
     graph_stats,
+    is_int,
     load_family,
     load_graph,
 )
@@ -191,7 +192,10 @@ def _cmd_generate(args) -> int:
         if key in ("D", "k", "seed"):
             spec[key] = value
         elif key in ("M", "M1", "M2", "M3"):
-            spec[key] = [c for c in value.split(",") if c.strip()]
+            try:
+                spec[key] = [int(c) for c in value.split(",") if c.strip()]
+            except ValueError:
+                raise ValueError(f"--{key} must be comma-separated integers, got {value!r}")
         elif key in ("script", "links"):
             spec[key] = json.loads(value)
     _emit(families.generate_from_spec(spec).to_json_dict(), args)
@@ -208,10 +212,6 @@ def _cmd_moment(args, connected=False) -> int:
     report["pretty"] = str(poly)
     _emit(report, args)
     return 0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _experiment_config(path, default_kind, single_graph) -> tuple:
@@ -237,16 +237,16 @@ def _experiment_config(path, default_kind, single_graph) -> tuple:
     if single_graph and family.p != 1:
         raise ValueError("this experiment runs on a single graph")
     Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    if not Ns or not all(_is_int(n) for n in Ns):
+    if not Ns or not all(is_int(n) for n in Ns):
         raise ValueError(f"'N' must be an integer or a non-empty list of integers, got {cfg['N']!r}")
     for key in ("samples", "seed"):
-        if not _is_int(cfg[key]):
+        if not is_int(cfg[key]):
             raise ValueError(f"{key!r} must be an integer, got {cfg[key]!r}")
     kind = cfg.get("kind", default_kind)
     if kind not in ("gaussian", "haar"):
         raise ValueError(f"'kind' must be \"gaussian\" or \"haar\", got {kind!r}")
     epsilon = cfg.get("epsilon", 0.5)
-    if not (_is_int(epsilon) or isinstance(epsilon, float)):
+    if not (is_int(epsilon) or isinstance(epsilon, float)):
         raise ValueError(f"'epsilon' must be a number, got {epsilon!r}")
     return family, kind, Ns, cfg["samples"], cfg["seed"], float(epsilon)
 

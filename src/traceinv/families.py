@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import perms
-from .graphs import ColoredGraph, disjoint_union, flip_edges
+from .graphs import ColoredGraph, disjoint_union, flip_edges, is_int
 from .search import DEFAULT_KMAX, degree_report
 
 
@@ -204,12 +204,18 @@ def _array(value):
     return value
 
 
+def _int(value) -> int:
+    if not is_int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _colors(value) -> set:
-    return {int(c) - 1 for c in _array(value)}
+    return {_int(c) - 1 for c in _array(value)}
 
 
 def _script(value) -> list:
-    steps = [tuple(int(x) - 1 for x in _array(step)) for step in _array(value)]
+    steps = [tuple(_int(x) - 1 for x in _array(step)) for step in _array(value)]
     if any(len(step) != 2 for step in steps):
         raise ValueError("a script step is not a [color, white] pair")
     return steps
@@ -224,7 +230,7 @@ def generate_from_spec(spec: dict) -> ColoredGraph:
     if not isinstance(spec, dict):
         raise ValueError(f"family spec must be an object, got {type(spec).__name__}")
 
-    def field(key, convert=int):
+    def field(key, convert=_int):
         if key not in spec:
             raise ValueError(f"family spec missing field {key!r}")
         try:

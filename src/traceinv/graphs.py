@@ -71,13 +71,17 @@ def _json_object(data, what: str) -> None:
         raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
 
 
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer: booleans and fractional numbers are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(data: dict, key: str) -> int:
-    try:
-        return int(data[key])
-    except KeyError:
+    if key not in data:
         raise ValueError(f"graph JSON missing field {key!r}")
-    except (TypeError, ValueError):
+    if not is_int(data[key]):
         raise ValueError(f"graph JSON field {key!r} is not an integer")
+    return data[key]
 
 
 def graph_from_json_dict(data: dict) -> ColoredGraph:
@@ -90,10 +94,9 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
             raise ValueError("graph JSON field 'sigma' is not a list of integer arrays")
         sigma = []
         for c, images in enumerate(raw):
-            try:
-                sigma.append(tuple(int(b) - 1 for b in images))
-            except (TypeError, ValueError):
+            if not isinstance(images, list) or not all(is_int(b) for b in images):
                 raise ValueError(f"graph JSON field 'sigma[{c}]' is not an integer array")
+            sigma.append(tuple(b - 1 for b in images))
     elif "sigma_cycles" in data:
         if "k" not in data:
             raise ValueError("graph JSON with 'sigma_cycles' requires explicit 'k'")

@@ -24,7 +24,7 @@ from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats
 from .moments import gaussian_moment
 from .search import BudgetError, DEFAULT_KMAX, mst_pair_f0, search_f0
 
-DEFAULT_TRACE_CAP = 2**26  # complex entries per intermediate tensor
+DEFAULT_TRACE_CAP = 2**26  # complex entries per sample in the draw and in any intermediate
 BATCH_ENTRY_CAP = 2**16  # complex entries per array a block of samples holds (1 MiB)
 ZERO_FLOOR = 1e-300  # |Tr| below this counts as a zero of the invariant
 EULER_GAMMA = 0.5772156649015328606
@@ -178,25 +178,25 @@ def _pair_contract(a, lab_a, b, lab_b, lab_out, scratch, step):
     return cm.reshape((am.shape[0],) + (a.shape[-1],) * len(lab_out))
 
 
-def _check_cap(steps, N, memory_cap):
-    """Refuse a plan whose intermediate would exceed memory_cap entries per sample."""
-    for _, _, _, _, lab_out in steps:
-        if N ** len(lab_out) > memory_cap:
-            raise MemoryCapError(
-                f"intermediate with {len(lab_out)} open indices needs "
-                f"{N ** len(lab_out)} entries, cap is {memory_cap}"
-            )
+def _check_cap(G: ColoredGraph, N: int, memory_cap: int) -> None:
+    """Refuse a graph whose draw or plan intermediate would exceed memory_cap entries per sample."""
+    widest = _contraction_plan(G)[2]  # counts the vertex operands, so the draw too
+    if N**widest > memory_cap:
+        raise MemoryCapError(
+            f"a tensor with {widest} open indices needs {N**widest} entries "
+            f"per sample, cap is {memory_cap}"
+        )
 
 
 def evaluate_trace(G: ColoredGraph, S: DenseTensor, memory_cap: int = DEFAULT_TRACE_CAP) -> complex:
     """Contract the trace-invariant of G on the sample S.
 
-    The trace of a block of one sample; refuses if an intermediate would
-    exceed the memory cap.
+    The trace of a block of one sample; refuses if the sample or an
+    intermediate would exceed the memory cap.
     """
     if S.D != G.D:
         raise ValueError(f"tensor has D={S.D}, graph has D={G.D}")
-    _check_cap(_contraction_plan(G)[1], S.N, memory_cap)
+    _check_cap(G, S.N, memory_cap)
     return complex(_batch_trace(G, S.entries[None])[0])
 
 
@@ -229,17 +229,16 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     and the widest plan intermediate alike, within BATCH_ENTRY_CAP complex
     entries (at least one sample), so it is drawn and contracted in cache.
     The draws depend only on rng, not on the block size.  Every plan is
-    checked against the memory cap before the first draw.
+    checked against the memory cap, draw and intermediates alike, before
+    the first draw.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if N < 2:
         raise ValueError("need N >= 2")
-    widest = 0  # max_open counts the vertex operands, so it covers the draw too
     for g in graphs:
-        _, steps, max_open = _contraction_plan(g)
-        _check_cap(steps, N, DEFAULT_TRACE_CAP)
-        widest = max(widest, max_open)
+        _check_cap(g, N, DEFAULT_TRACE_CAP)
+    widest = max(_contraction_plan(g)[2] for g in graphs)
     block = max(1, BATCH_ENTRY_CAP // N**widest)
     # one scratch per graph, reused by every block: fresh arrays for each
     # block would be paged in anew whenever the allocator hands the freed
@@ -516,7 +515,7 @@ def _limit_density(regime: str, mu: float):
 
 def _check_quad(err):
     if err > 1e-7:
-        raise RuntimeError(f"quadrature did not converge (error estimate {err:.2e})")
+        raise ValueError(f"quadrature did not converge (error estimate {err:.2e})")
 
 
 def annealed_coefficients(

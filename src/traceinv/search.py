@@ -76,7 +76,7 @@ def _connects(member_of, p, edges) -> bool:
     return len(set(union_find(p, ((member_of[s], member_of[b]) for s, b in edges)))) == 1
 
 
-def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
+def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None, floor=-1):
     """Walk the pairings nu of S_k depth first, in lexicographic order.
 
     White s is matched at depth s.  For each color c the color-0 and
@@ -87,9 +87,13 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     at sigma_c(s); the last white closes one face of every color.
 
     member_of, when given, keeps only the pairings whose color-0 edges
-    connect the p members.  first fixes nu(0).  With prune, a branch is
-    cut when its closed faces plus D per unmatched white cannot reach the
-    best score seen; no optimal pairing is ever cut.
+    connect the p members.  blocks[i] is the bitmask of the members joined
+    to member i by the edges placed so far; matching s to b merges the
+    blocks of their members and backtracking splits them again, so a leaf
+    is judged from blocks and its last two edges.  first fixes nu(0).
+    With prune, a branch is cut when its closed faces plus D per unmatched
+    white cannot reach the best score seen, which starts at floor; no
+    optimal pairing is ever cut while floor is at most the maximum.
 
     Returns (hist, optima, explored): hist maps a score to the number of
     kept pairings reached with it, so max(hist) and its count are exact
@@ -104,14 +108,16 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     free = [True] * k
     hist = [0] * (D * k + 1)
     optima = []
-    best = -1
+    best = floor
     explored = 0
     connecting = member_of is not None and p > 1  # one member is always connected
+    blocks = [1 << i for i in range(p)]
+    whole = (1 << p) - 1
 
-    def leaf(total):
+    def leaf(total, kept):
         nonlocal best, explored
         explored += 1
-        if connecting and not _connects(member_of, p, enumerate(nu)):
+        if not kept:
             return
         hist[total] += 1
         if total >= best:
@@ -121,12 +127,20 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
             if max_optima is None or len(optima) < max_optima:
                 optima.append(tuple(nu))
 
+    def joins(b, c):
+        """Whether the edges (k-2, b) and (k-1, c) leave one block of members."""
+        x, y, mc = member_of[k - 2], member_of[k - 1], member_of[c]
+        merged = blocks[x] | blocks[member_of[b]]
+        by = merged if merged >> y & 1 else blocks[y]
+        bc = merged if merged >> mc & 1 else blocks[mc]
+        return by | bc == whole
+
     def descend(s, closed):
         unmatched = [b for b in range(k) if free[b]]
         blacks = unmatched if s or first is None else [first]
         if s == k - 1:
             nu[s] = blacks[0]
-            leaf(closed + D)
+            leaf(closed + D, True)  # k == 1 allows a single member only
             return
         if s == k - 2:
             # both leaves are scored by reading the path ends, moving none
@@ -139,9 +153,10 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
                 if not prune or total >= best:
                     nu[s] = b
                     nu[s + 1] = both - b
-                    leaf(total)
+                    leaf(total, not connecting or joins(b, both - b))
             return
         bound = D * (k - s - 1)
+        own = blocks[member_of[s]] if connecting else 0
         for b in blacks:
             free[b] = False
             nu[s] = b
@@ -156,8 +171,20 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
                     ep[a] = d
                     ep[d] = a
                     joined.append((ep, a, d, v))
+            other = blocks[member_of[b]] if connecting else 0
+            if other != own:
+                merged = own | other
+                for i in range(p):
+                    if merged >> i & 1:
+                        blocks[i] = merged
             if not prune or total + bound >= best:
                 descend(s + 1, total)
+            if other != own:
+                for i in range(p):
+                    if own >> i & 1:
+                        blocks[i] = own
+                    elif other >> i & 1:
+                        blocks[i] = other
             for ep, a, d, v in joined:
                 ep[a] = b
                 ep[d] = v
@@ -173,9 +200,16 @@ def _run_search(sigmas, k, member_of, p, workers, prune, max_optima) -> SearchRe
         parts = [_enumerate(sigmas, k, member_of, p, prune, max_optima)]
     else:
         tasks = [(sigmas, k, member_of, p, prune, max_optima, j) for j in range(k)]
+        parts = []
+        if prune:
+            # the part nu(0)=0 runs first, and its best score is the floor of
+            # the others, so they cut what the serial walk cuts after it
+            parts.append(_enumerate(*tasks.pop(0)))
+            floor = max(parts[0][0], default=-1)
+            tasks = [task + (floor,) for task in tasks]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, k)) as pool:
-            parts = pool.starmap(_enumerate, tasks)
+        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+            parts += pool.starmap(_enumerate, tasks)
     hist = {}
     for part, _, _ in parts:
         for f0, n in part.items():

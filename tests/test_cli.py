@@ -42,7 +42,9 @@ def test_analyze_parse_error_names_field(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "moment"])
-@pytest.mark.parametrize("payload", [{"D": 3, "sigma": 5}, [1, 2], {"members": [5]}])
+@pytest.mark.parametrize(
+    "payload", [{"D": 3, "sigma": 5}, [1, 2], {"members": [5]}, {"D": 3.9, "sigma": [[1], [1], [1]]}]
+)
 def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -87,12 +89,28 @@ def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, comma
         ["melonic", "--D", "3", "--script", "[[1, 1, 1]]"],
         ["joint-realignment", "--D", "4", "--M3", "3", "--links", "[5]"],
         ["cyclic", "--D", "3", "--M", "one", "--k", "3"],
+        ["cyclic", "--D", "3", "--M", "1.5", "--k", "3"],
     ],
 )
 def test_bad_generate_args_exit_2_without_traceback(capsys, argv):
     assert main(["generate"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_comma_separated_colors_parse(capsys):
+    assert main(["generate", "cyclic", "--D", "4", "--M", " 1, 2,", "--k", "3", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out) == cyclic(4, {0, 1}, 3).to_json_dict()
+
+
+def test_annealed_quadrature_failure_exits_2_without_traceback(monkeypatch, capsys):
+    from traceinv import sampling
+
+    monkeypatch.setattr(sampling, "quad", lambda *a, **kw: (0.0, 1.0))
+    argv = ["annealed", "--regime", "exponential", "--mu", "1", "--lambda", "10", "--D", "3", "--k", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "quadrature" in err
 
 
 def test_scalar_N_runs_like_a_one_element_list(tmp_path, capsys):

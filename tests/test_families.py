@@ -213,6 +213,11 @@ def test_generate_from_spec_kinds():
         {"kind": "cyclic", "D": "three", "M": [1], "k": 3},
         {"kind": "random", "D": 3, "k": 4},
         ["kind", "fig7"],
+        {"kind": "two_vertex", "D": 3.7},
+        {"kind": "cyclic", "D": 3, "M": [1], "k": 2.9},
+        {"kind": "two_vertex", "D": True},
+        {"kind": "cyclic", "D": 3, "M": [1.5], "k": 3},
+        {"kind": "melonic", "D": 3, "script": [[1, 1.0]]},
     ],
 )
 def test_generate_from_spec_rejects_malformed_fields(spec):

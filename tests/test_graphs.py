@@ -277,6 +277,21 @@ def test_graph_json_errors_name_field():
         graph_from_json_dict({"D": 3, "k": 5, "sigma": [[1], [1], [1]]})
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"D": 3.9, "sigma": [[1], [1], [1]]}, "'D'"),
+        ({"D": True, "sigma": [[1], [1], [1]]}, "'D'"),
+        ({"D": 3, "sigma": [[1.0], [1], [1]]}, "sigma"),
+        ({"D": 3, "sigma": [[1], [False], [1]]}, "sigma"),
+        ({"D": 3, "k": 1.5, "sigma_cycles": ["", "", ""]}, "'k'"),
+    ],
+)
+def test_graph_json_refuses_non_integers(data, field):
+    with pytest.raises(ValueError, match=field):
+        graph_from_json_dict(data)
+
+
 def test_family_json_roundtrip(mst3, twov3):
     fam = family_of([mst3, twov3], names=["a", "b"])
     data = json.loads(json.dumps(fam.to_json_dict()))

@@ -23,6 +23,7 @@ from traceinv import (
     renyi_entropy,
     sample_tensor,
     sphere_min_sample,
+    two_vertex,
 )
 from traceinv import sampling
 from traceinv.families import fig7, random_graph
@@ -116,6 +117,30 @@ def test_batch_trace_matches_single(cyc2_d3, mst3):
         for i in range(6):
             single = evaluate_trace(g, DenseTensor(3, 3, batch[i]))
             assert vals[i] == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["twov3", "melon2", "cyc2_d3", "pair"])
+def test_batch_trace_matches_naive_oracle(request, name):
+    # every fixture graph with D*k <= 8, and a two-component union
+    if name == "pair":
+        g = disjoint_union([two_vertex(3), cyclic(3, {0}, 2)])[0]
+    else:
+        g = request.getfixturevalue(name)
+    batch = _draw_batch("gaussian", g.D, 2, 4, make_rng(16))
+    vals = _batch_trace(g, batch)
+    for i in range(4):
+        assert vals[i] == pytest.approx(oracles.trace_naive(g, DenseTensor(g.D, 2, batch[i])), rel=1e-12)
+
+
+def test_mc_moment_refuses_over_cap_draw_before_drawing(monkeypatch):
+    # two_vertex(3) contracts to a scalar at once, so only its 4^3-entry draw is over the cap
+    calls = []
+    real_draw = sampling._draw_batch
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: calls.append(a) or real_draw(*a))
+    monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 10)
+    with pytest.raises(MemoryCapError):
+        mc_moment(family_of([two_vertex(3)]), "gaussian", 4, 10, seed=1)
+    assert calls == []
 
 
 def test_mc_moment_refuses_over_cap_plan_before_drawing(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -393,3 +394,63 @@ def test_scan_and_bnb_internals_agree_on_family(twov3, mst3):
     best = max(scan_hist)
     assert best == max(bnb_hist) and scan_hist[best] == bnb_hist[best]
     assert sorted(scan_optima) == bnb_optima
+
+
+def _connected_families():
+    """Families of p = 2..5 members, total k <= 7, some with k=1 members.
+
+    The sizes put the last two whites in different members in some
+    families and in the same member in others.
+    """
+    sizes = [
+        (1, 1), (2, 1), (3, 3), (1, 4, 1), (2, 2, 1), (3, 1, 2),
+        (2, 1, 1, 1), (1, 2, 1, 2), (1, 1, 1, 1, 1), (2, 1, 2, 1, 1),
+    ]
+    out = []
+    for n, ks in enumerate(sizes):
+        for D in (2, 3):
+            out.append(family_of([random_graph(D, k, seed=1300 + 10 * n + i) for i, k in enumerate(ks)]))
+    return out
+
+
+def test_connected_walk_matches_brute_force():
+    for fam in _connected_families():
+        union = fam.union()
+        member_of = fam.member_of_label()
+        brute_hist = oracles.brute_histogram(union.sigma, member_of)
+        best, count, opts = oracles.brute_f0_connected(union.sigma, member_of)
+        hist, optima, explored = _enumerate(union.sigma, union.k, member_of, fam.p, False, None)
+        assert hist == brute_hist
+        assert optima == sorted(opts) and explored == math.factorial(union.k)
+        hist, optima, _ = _enumerate(union.sigma, union.k, member_of, fam.p, True, None)
+        assert (max(hist), hist[max(hist)]) == (best, count)
+        assert optima == sorted(opts)
+
+
+def test_connected_split_matches_serial_walk():
+    # k >= 6 goes to the worker pool; a k=1 member makes the nu(0)=0 part connect nothing
+    fams = [f for f in _connected_families() if f.total_k >= 6]
+    fams.append(family_of([two_vertex(3), random_graph(3, 5, seed=1400)]))
+    for fam in fams:
+        for prune in (False, True):
+            serial = search_f0_connected(fam, prune=prune)
+            split = search_f0_connected(fam, prune=prune, workers=2)
+            assert (serial.f0_max, serial.multiplicity, serial.optima) == (
+                split.f0_max,
+                split.multiplicity,
+                split.optima,
+            )
+            if not prune:
+                assert serial.explored == split.explored
+
+
+def test_pruned_split_starts_from_the_first_part_floor(fig7_graph):
+    serial = search_f0(fig7_graph, prune=True)
+    split = search_f0(fig7_graph, prune=True, workers=2)
+    assert (split.f0_max, split.multiplicity, split.optima) == (
+        serial.f0_max,
+        serial.multiplicity,
+        serial.optima,
+    )
+    # without the floor every part starts from no best value and reaches 1070 leaves
+    assert serial.explored == 78 and split.explored <= 156
