@@ -76,7 +76,7 @@ def _connects(member_of, p, edges) -> bool:
     return len(set(union_find(p, ((member_of[s], member_of[b]) for s, b in edges)))) == 1
 
 
-def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None, floor=-1):
+def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     """Walk the pairings nu of S_k depth first, in lexicographic order.
 
     White s is matched at depth s.  For each color c the color-0 and
@@ -92,8 +92,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None, floor=-1)
     blocks of their members and backtracking splits them again, so a leaf
     is judged from blocks and its last two edges.  first fixes nu(0).
     With prune, a branch is cut when its closed faces plus D per unmatched
-    white cannot reach the best score seen, which starts at floor; no
-    optimal pairing is ever cut while floor is at most the maximum.
+    white cannot reach the best score seen; no optimal pairing is ever cut.
 
     Returns (hist, optima, explored): hist maps a score to the number of
     kept pairings reached with it, so max(hist) and its count are exact
@@ -108,7 +107,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None, floor=-1)
     free = [True] * k
     hist = [0] * (D * k + 1)
     optima = []
-    best = floor
+    best = -1
     explored = 0
     connecting = member_of is not None and p > 1  # one member is always connected
     blocks = [1 << i for i in range(p)]
@@ -195,21 +194,15 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None, floor=-1)
 
 
 def _run_search(sigmas, k, member_of, p, workers, prune, max_optima) -> SearchReport:
-    # below k=6 starting the worker pool costs more than the whole walk
-    if workers <= 1 or k < 6:
+    # below k=6 starting the worker pool costs more than the whole walk; a
+    # pruned walk stays serial, since split parts cannot share a best score
+    if workers <= 1 or k < 6 or prune:
         parts = [_enumerate(sigmas, k, member_of, p, prune, max_optima)]
     else:
         tasks = [(sigmas, k, member_of, p, prune, max_optima, j) for j in range(k)]
-        parts = []
-        if prune:
-            # the part nu(0)=0 runs first, and its best score is the floor of
-            # the others, so they cut what the serial walk cuts after it
-            parts.append(_enumerate(*tasks.pop(0)))
-            floor = max(parts[0][0], default=-1)
-            tasks = [task + (floor,) for task in tasks]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            parts += pool.starmap(_enumerate, tasks)
+        with ctx.Pool(processes=min(workers, k)) as pool:
+            parts = pool.starmap(_enumerate, tasks)
     hist = {}
     for part, _, _ in parts:
         for f0, n in part.items():
@@ -232,8 +225,9 @@ def search_f0(
 ) -> SearchReport:
     """Exact maximum of pairing_f0 over all k! pairings.
 
-    workers splits the walk by nu(0) across processes, from k=6 on; prune
-    cuts hopeless branches, so explored drops while the rest is unchanged.
+    workers splits an exhaustive walk by nu(0) across processes, from k=6
+    on; prune cuts hopeless branches in one process, so explored drops
+    while the rest is unchanged.
     """
     _check_budget(G.k, kmax)
     return _run_search(G.sigma, G.k, None, 0, workers, prune, max_optima)

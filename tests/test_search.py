@@ -134,16 +134,23 @@ def test_connected_search_mst3_pair(mst3):
 
 
 def test_connected_search_prune_and_workers_agree(twov3, cyc2_d3):
-    # k=5 runs serially; k=6 splits, with cosets that connect nothing
-    for fam in (family_of([cyc2_d3, twov3, cyc2_d3]), family_of([twov3, cyc2_d3, twov3, cyc2_d3])):
+    # k=5 runs serially; k=6 splits, with cosets that connect nothing; a k=1
+    # member makes the nu(0)=0 part of the last family connect nothing
+    fams = [family_of([cyc2_d3, twov3, cyc2_d3]), family_of([twov3, cyc2_d3, twov3, cyc2_d3])]
+    fams += [f for f in _connected_families() if f.total_k >= 6]
+    fams.append(family_of([twov3, random_graph(3, 5, seed=1400)]))
+    for fam in fams:
         serial = search_f0_connected(fam)
         parallel = search_f0_connected(fam, workers=2)
         pruned = search_f0_connected(fam, prune=True)
         split = search_f0_connected(fam, prune=True, workers=2)
         assert serial == parallel
-        for rep in (pruned, split):
-            assert (serial.f0_max, serial.multiplicity) == (rep.f0_max, rep.multiplicity)
-            assert set(serial.optima) == set(rep.optima)
+        assert pruned == split
+        assert (serial.f0_max, serial.multiplicity, serial.optima) == (
+            pruned.f0_max,
+            pruned.multiplicity,
+            pruned.optima,
+        )
 
 
 def test_k_connectivity(twov3):
@@ -427,30 +434,9 @@ def test_connected_walk_matches_brute_force():
         assert optima == sorted(opts)
 
 
-def test_connected_split_matches_serial_walk():
-    # k >= 6 goes to the worker pool; a k=1 member makes the nu(0)=0 part connect nothing
-    fams = [f for f in _connected_families() if f.total_k >= 6]
-    fams.append(family_of([two_vertex(3), random_graph(3, 5, seed=1400)]))
-    for fam in fams:
-        for prune in (False, True):
-            serial = search_f0_connected(fam, prune=prune)
-            split = search_f0_connected(fam, prune=prune, workers=2)
-            assert (serial.f0_max, serial.multiplicity, serial.optima) == (
-                split.f0_max,
-                split.multiplicity,
-                split.optima,
-            )
-            if not prune:
-                assert serial.explored == split.explored
-
-
-def test_pruned_split_starts_from_the_first_part_floor(fig7_graph):
+def test_pruned_search_with_workers_walks_serially(fig7_graph):
+    # split parts share no best value: unseeded they reach 1070 leaves
     serial = search_f0(fig7_graph, prune=True)
     split = search_f0(fig7_graph, prune=True, workers=2)
-    assert (split.f0_max, split.multiplicity, split.optima) == (
-        serial.f0_max,
-        serial.multiplicity,
-        serial.optima,
-    )
-    # without the floor every part starts from no best value and reaches 1070 leaves
+    assert split == serial
     assert serial.explored == 78 and split.explored <= 156
