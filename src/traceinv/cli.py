@@ -27,8 +27,8 @@ from .graphs import (
     load_family,
     load_graph,
 )
-from .moments import connected_cumulant, decide_factorization, gaussian_moment
-from .search import degree_report, mst_pair_f0, search_f0
+from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
+from .search import _Searches, degree_report, mst_pair_f0, search_f0
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -341,12 +341,12 @@ def _cmd_annealed(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     H = families.fig7()
-    rep = search_f0(H, kmax=args.kmax, workers=args.threads, prune=True)
+    # the verdict reads fig7's search from the same table instead of walking it again
+    searches = _Searches(args.kmax, args.threads)
+    rep = searches.graph(H)
     deg = degree_report(H, f0_max=rep.f0_max)
     pair = mst_pair_f0(H, f0_max=rep.f0_max)
-    verdict = decide_factorization(
-        family_of([H, conjugate(H)], names=["H", "Hbar"]), kmax=args.kmax, workers=args.threads
-    )
+    verdict = _decide(family_of([H, conjugate(H)], names=["H", "Hbar"]), searches)
     checks = {
         "f0_max_is_26": rep.f0_max == 26,
         "delta_is_10": deg.delta == 10,

@@ -28,11 +28,10 @@ from .search import (
     DEFAULT_KMAX,
     _check_budget,
     _enumerate,
+    _Searches,
     _tree_values,
     degree_report,
     mst_pair_f0,
-    search_f0,
-    search_f0_connected,
 )
 
 DEFAULT_PMAX = 5
@@ -188,7 +187,7 @@ def _wick_sum(family: GraphFamily, connected: bool, kmax) -> LaurentPoly:
     union = family.union()
     _check_budget(union.k, kmax)
     member_of = family.member_of_label() if connected else None
-    hist, _, _ = _enumerate(union.sigma, union.k, member_of, family.p, False, 0)
+    hist, _, _, _ = _enumerate(union.sigma, union.k, member_of, family.p, False, 0)
     return LaurentPoly({f0 - union.D * union.k: n for f0, n in hist.items()})
 
 
@@ -282,20 +281,19 @@ def factorization_verdict(
     partition, margin = sum_i F0max(G_i) - sum_{B in pi} F0max_connected(B);
     factorization holds exactly when every margin is positive.
     """
+    return _factorization_verdict(family, pmax, _Searches(kmax, workers))
+
+
+def _factorization_verdict(family: GraphFamily, pmax: int, searches: _Searches) -> FactorizationVerdict:
     p = family.p
     if p > pmax:
         raise BudgetError(f"partition lattice for p={p} exceeds the budget p_max={pmax}")
     if p > 1:
         # the one-block partition searches the whole union; refuse before any search
-        _check_budget(family.total_k, kmax)
-    block_f0 = {}
+        _check_budget(family.total_k, searches.kmax)
 
     def f0c(block) -> int:
-        if block not in block_f0:
-            # one member is always connected: its block is that member's own search
-            rep = search_f0_connected(family.subfamily(block), kmax=kmax, workers=workers, prune=True)
-            block_f0[block] = rep.f0_max
-        return block_f0[block]
+        return searches.connected(family.subfamily(block)).f0_max
 
     split_total = sum(f0c((i,)) for i in range(p))
     per_partition = []
@@ -327,13 +325,17 @@ def thm41_check(
     family: GraphFamily, kmax: Optional[int] = None, workers: int = 1
 ) -> Thm41Report:
     """Sufficient factorization bound over the union's connected components."""
+    return _thm41(family, _Searches(kmax, workers))
+
+
+def _thm41(family: GraphFamily, searches: _Searches) -> Thm41Report:
     union = family.union()
     D = union.D
     stats = graph_stats(union)
     lhs = 0
     delta_sum = Fraction(0)
     for comp, _ in connected_components(union):
-        rep = search_f0(comp, kmax=kmax, workers=workers, prune=True)
+        rep = searches.graph(comp)
         lhs += rep.f0_max
         delta_sum += degree_report(comp, f0_max=rep.f0_max).delta
     rhs = Fraction(D * union.k, 2) + Fraction(stats.F_total, D - 1) - D
@@ -416,11 +418,20 @@ def decide_factorization(
     conjugate-pair shortcut for maximally single-trace graphs.  Each report
     names the tier that decided it.
     """
-    limit = DEFAULT_KMAX if kmax is None else int(kmax)
+    return _decide(family, _Searches(kmax, workers))
+
+
+def _decide(family: GraphFamily, searches: _Searches) -> TieredVerdict:
+    """decide_factorization, reading and filling the caller's table of searches.
+
+    Each tier takes its maxima from the table, so a graph that several
+    tiers (or the caller) ask about is walked once.
+    """
+    limit = DEFAULT_KMAX if searches.kmax is None else int(searches.kmax)
 
     # tier 1: sufficient bound on the sum of per-component degrees
     try:
-        bound = thm41_check(family, kmax=limit, workers=workers)
+        bound = _thm41(family, searches)
         if bound.passes:
             threshold = Fraction(family.D * (family.D - 1), 2)
             detail = {"delta_sum": str(bound.delta_sum), "threshold": str(threshold)}
@@ -430,7 +441,7 @@ def decide_factorization(
 
     # tier 2: tree-like dominant pairings imply factorization
     try:
-        _, connected, tree_value = _tree_values(family, limit, workers)
+        _, connected, tree_value = _tree_values(family, searches)
         if connected.f0_max == tree_value:
             detail = {"f0_connected": connected.f0_max, "tree_value": tree_value}
             return TieredVerdict(True, "tree-like", detail)
@@ -439,7 +450,7 @@ def decide_factorization(
 
     # tier 3: exhaustive comparison over the partition lattice
     try:
-        verdict = factorization_verdict(family, kmax=limit, workers=workers)
+        verdict = _factorization_verdict(family, DEFAULT_PMAX, searches)
         return TieredVerdict(verdict.factorizes, "exhaustive", {"worst_margin": verdict.worst[1]})
     except BudgetError:
         pass
@@ -449,7 +460,7 @@ def decide_factorization(
         ga, gb = family.graphs()
         for H, other in ((ga, gb), (gb, ga)):
             if H.k <= limit and graph_stats(H).is_mst and other.sigma == conjugate(H).sigma:
-                rep = mst_pair_f0(H, kmax=limit, workers=workers)
+                rep = mst_pair_f0(H, f0_max=searches.graph(H).f0_max)
                 detail = {"f0_union": rep.f0_union, "f0_single": rep.f0_single}
                 return TieredVerdict(not rep.nonfactorizing, "mst-pair", detail)
 

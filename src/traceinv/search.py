@@ -6,13 +6,15 @@ over S_k, ``_enumerate``, serves every exact question: it yields the
 histogram of scores (the moments read it whole), the maximizing pairings
 and the number of pairings reached.  It can be split by the image of
 white 0 across worker processes and can cut branches by an exact bound;
-neither changes the maximum, its multiplicity or the optima.
+neither changes the maximum, its multiplicity or the optima.  Callers that
+ask several questions of the same graphs share one table of pruned
+reports (``_Searches``), so that each graph is walked once per call.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -53,7 +55,8 @@ class SearchReport:
     f0_max: int
     multiplicity: int
     optima: tuple  # pairings achieving f0_max, lexicographic
-    explored: int
+    explored: int  # pairings reached (leaves)
+    nodes: int  # partial pairings expanded below the root, for any workers
 
     @property
     def truncated(self) -> bool:
@@ -65,6 +68,7 @@ class SearchReport:
             "multiplicity": self.multiplicity,
             "optima": [[b + 1 for b in nu] for nu in self.optima],
             "explored": self.explored,
+            "nodes": self.nodes,
         }
         if self.truncated:
             out["truncated"] = True
@@ -74,6 +78,38 @@ class SearchReport:
 def _connects(member_of, p, edges) -> bool:
     """Whether the color-0 edges (white, black) connect all p members."""
     return len(set(union_find(p, ((member_of[s], member_of[b]) for s, b in edges)))) == 1
+
+
+def _face_bound(paths, enough=None) -> int:
+    """Most faces that any completion of a partial pairing can still close.
+
+    paths[c][i] is the free black at the far end of the open c-path from
+    free white i, so paths[c] is a bijection pi_c from the k' free whites
+    to the free blacks, and a completion nu' closes cyc(nu'^-1 pi_c) faces
+    of color c.  By the triangle inequality of the Cayley distance,
+    cyc(nu'^-1 pi_c) + cyc(nu'^-1 pi_d) <= k' + cyc(pi_d^-1 pi_c) for every
+    pair of colors; summed over the D(D-1)/2 pairs, each color counts D-1
+    times.  No color closes more than k' faces, either.  With enough, the
+    sum stops as soon as the bound is sure to reach it, and the value
+    returned is then at least enough instead of the bound.
+    """
+    D, n = len(paths), len(paths[0])
+    total = D * (D - 1) // 2 * n
+    stop = None if enough is None else enough * (D - 1)
+    for d in range(1, D):
+        back = {b: i for i, b in enumerate(paths[d])}
+        for c in range(d):
+            pc = paths[c]
+            seen = [False] * n
+            for i in range(n):
+                if not seen[i]:
+                    total += 1
+                    while not seen[i]:
+                        seen[i] = True
+                        i = back[pc[i]]
+        if stop is not None and total >= stop:
+            break
+    return min(D * n, total // (D - 1))
 
 
 def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
@@ -92,23 +128,31 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     blocks of their members and backtracking splits them again, so a leaf
     is judged from blocks and its last two edges.  first fixes nu(0).
     With prune, a branch is cut when its closed faces plus D per unmatched
-    white cannot reach the best score seen; no optimal pairing is ever cut.
+    white cannot reach the best score seen.  Where that fails with k' >= 4
+    whites unmatched (below that the subtree costs less than the bound),
+    the Cayley-distance bound of the open paths, ``_face_bound``, is tried;
+    it is never below floor(D (k'+1) / 2), so it is skipped where that many
+    more faces would reach the best.  A branch that could tie the best is
+    kept, so no optimal pairing is ever cut.
 
-    Returns (hist, optima, explored): hist maps a score to the number of
-    kept pairings reached with it, so max(hist) and its count are exact
-    in both modes and hist is the full score histogram without prune;
-    optima are the pairings with the best score, lexicographic, at most
-    max_optima of them; explored counts the pairings reached.
+    Returns (hist, optima, explored, nodes): hist maps a score to the
+    number of kept pairings reached with it, so max(hist) and its count
+    are exact in both modes and hist is the full score histogram without
+    prune; optima are the pairings with the best score, lexicographic, at
+    most max_optima of them; explored counts the pairings reached and
+    nodes the partial pairings expanded below the root.
     """
     D = len(sigmas)
     ends = [list(range(k)) for _ in sigmas]
     steps = [tuple(zip(ends, (sig[s] for sig in sigmas))) for s in range(k)]
+    tails = [[sig[s + 1:] for sig in sigmas] for s in range(k)]  # color-c blacks of whites after s
     nu = [0] * k
     free = [True] * k
     hist = [0] * (D * k + 1)
     optima = []
     best = -1
     explored = 0
+    nodes = 0
     connecting = member_of is not None and p > 1  # one member is always connected
     blocks = [1 << i for i in range(p)]
     whole = (1 << p) - 1
@@ -134,7 +178,15 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
         bc = merged if merged >> mc & 1 else blocks[mc]
         return by | bc == whole
 
+    def reaches(s, total):
+        """Whether the Cayley-distance bound lets whites s+1.. lift total to best."""
+        paths = [[ep[b] for b in tail] for ep, tail in zip(ends, tails[s])]
+        return total + _face_bound(paths, best - total) >= best
+
     def descend(s, closed):
+        nonlocal nodes
+        if s:
+            nodes += 1
         unmatched = [b for b in range(k) if free[b]]
         blacks = unmatched if s or first is None else [first]
         if s == k - 1:
@@ -154,7 +206,10 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
                     nu[s + 1] = both - b
                     leaf(total, not connecting or joins(b, both - b))
             return
-        bound = D * (k - s - 1)
+        rest = k - s - 1
+        bound = D * rest
+        # least is the floor of _face_bound, which is not tried below four free whites
+        least = D * (rest + 1) // 2 if rest >= 4 else bound
         own = blocks[member_of[s]] if connecting else 0
         for b in blacks:
             free[b] = False
@@ -176,7 +231,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
                 for i in range(p):
                     if merged >> i & 1:
                         blocks[i] = merged
-            if not prune or total + bound >= best:
+            if not prune or total + bound >= best and (total + least >= best or reaches(s, total)):
                 descend(s + 1, total)
             if other != own:
                 for i in range(p):
@@ -190,7 +245,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
             free[b] = True
 
     descend(0, 0)
-    return {f0: n for f0, n in enumerate(hist) if n}, optima, explored
+    return {f0: n for f0, n in enumerate(hist) if n}, optima, explored, nodes
 
 
 def _run_search(sigmas, k, member_of, p, workers, prune, max_optima) -> SearchReport:
@@ -204,16 +259,17 @@ def _run_search(sigmas, k, member_of, p, workers, prune, max_optima) -> SearchRe
         with ctx.Pool(processes=min(workers, k)) as pool:
             parts = pool.starmap(_enumerate, tasks)
     hist = {}
-    for part, _, _ in parts:
+    for part, _, _, _ in parts:
         for f0, n in part.items():
             hist[f0] = hist.get(f0, 0) + n
     best = max(hist)
     # the parts run in the order of nu(0), so their optima stay lexicographic
-    optima = [nu for part, opts, _ in parts if max(part, default=-1) == best for nu in opts]
+    optima = [nu for part, opts, _, _ in parts if max(part, default=-1) == best for nu in opts]
     if max_optima is not None:
         optima = optima[:max_optima]
     explored = sum(part[2] for part in parts)
-    return SearchReport(best, hist[best], tuple(optima), explored)
+    nodes = sum(part[3] for part in parts)
+    return SearchReport(best, hist[best], tuple(optima), explored, nodes)
 
 
 def search_f0(
@@ -245,6 +301,39 @@ def search_f0_connected(
     _check_budget(union.k, kmax)
     member_of = family.member_of_label()
     return _run_search(union.sigma, union.k, member_of, family.p, workers, prune, max_optima)
+
+
+@dataclass
+class _Searches:
+    """The pruned searches of one call, so that it walks each graph once.
+
+    table maps (sigma, member_of) to a pruned report with every optimum;
+    member_of is None for a single graph and for a one-member family.
+    Every lookup checks the budget first, so a report already in the table
+    is refused exactly where a walk would be.  A table lives only as long
+    as the call that made it.
+    """
+
+    kmax: Optional[int]
+    workers: int
+    table: dict = field(default_factory=dict)
+
+    def graph(self, G: ColoredGraph) -> SearchReport:
+        _check_budget(G.k, self.kmax)
+        key = (G.sigma, None)
+        if key not in self.table:
+            self.table[key] = search_f0(G, kmax=self.kmax, workers=self.workers, prune=True)
+        return self.table[key]
+
+    def connected(self, family: GraphFamily) -> SearchReport:
+        if family.p == 1:  # one member is always connected
+            return self.graph(family.members[0][1])
+        union = family.union()
+        _check_budget(union.k, self.kmax)
+        key = (union.sigma, tuple(family.member_of_label()))
+        if key not in self.table:
+            self.table[key] = search_f0_connected(family, kmax=self.kmax, workers=self.workers, prune=True)
+        return self.table[key]
 
 
 @dataclass(frozen=True)
@@ -407,7 +496,7 @@ def treelike_report(
     by all tree-like completions; each connected optimum is then tagged by
     the maximal two-cut property, member by member.
     """
-    member_reports, connected, tree_value = _tree_values(family, kmax, workers)
+    member_reports, connected, tree_value = _tree_values(family, _Searches(kmax, workers))
     has_treelike = connected.f0_max == tree_value
     member_optima = [rep.optima for rep in member_reports]
     classified = tuple(
@@ -423,14 +512,14 @@ def treelike_report(
     )
 
 
-def _tree_values(family: GraphFamily, kmax, workers) -> tuple:
+def _tree_values(family: GraphFamily, searches: _Searches) -> tuple:
     """(member searches, connected search, tree value) of a family.
 
     The connected search runs first, so a union over budget fails before
     any member is searched.
     """
-    connected = search_f0_connected(family, kmax=kmax, workers=workers, prune=True)
-    member_reports = [search_f0(g, kmax=kmax, workers=workers, prune=True) for g in family.graphs()]
+    connected = searches.connected(family)
+    member_reports = [searches.graph(g) for g in family.graphs()]
     tree_value = family.D + sum(rep.f0_max - family.D for rep in member_reports)
     return member_reports, connected, tree_value
 

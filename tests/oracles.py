@@ -88,6 +88,53 @@ def brute_histogram(sigmas, member_of=None):
     return hist
 
 
+def open_path_ends(sigmas, matches):
+    """paths[c][i]: the free black reached from the i-th free white along colors c and 0.
+
+    matches maps matched whites to their blacks; free whites are taken in
+    increasing order.  The walk leaves a white by its color-c edge and
+    comes back by a color-0 edge until it lands on an unmatched black.
+    """
+    k = len(sigmas[0])
+    white_of = {b: w for w, b in matches.items()}
+    paths = []
+    for sig in sigmas:
+        row = []
+        for w in range(k):
+            if w in matches:
+                continue
+            b = sig[w]
+            while b in white_of:
+                b = sig[white_of[b]]
+            row.append(b)
+        paths.append(row)
+    return paths
+
+
+def best_completion_faces(sigmas, matches):
+    """Most faces through a free white over every completion of the partial pairing."""
+    k = len(sigmas[0])
+    free_whites = [w for w in range(k) if w not in matches]
+    free_blacks = sorted(set(range(k)) - set(matches.values()))
+    best = -1
+    for images in itertools.permutations(free_blacks):
+        nu = {**matches, **dict(zip(free_whites, images))}
+        inv_nu = {b: s for s, b in nu.items()}
+        faces = 0
+        for sig in sigmas:
+            left = set(range(k))
+            while left:
+                x = min(left)
+                cycle = []
+                while x in left:
+                    left.remove(x)
+                    cycle.append(x)
+                    x = inv_nu[sig[x]]
+                faces += any(w not in matches for w in cycle)
+        best = max(best, faces)
+    return best
+
+
 def union_component_count(sigmas, nu):
     """Components of the completed bipartite graph (whites 0..k-1, blacks k..2k-1)."""
     k = len(nu)

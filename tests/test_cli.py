@@ -2,8 +2,19 @@ import json
 
 import pytest
 
-from traceinv import conjugate, cyclic, decide_factorization, family_of, fig7, two_vertex
+from traceinv import (
+    BudgetError,
+    conjugate,
+    cyclic,
+    decide_factorization,
+    family_of,
+    fig7,
+    search_f0_connected,
+    two_vertex,
+)
+from traceinv import search
 from traceinv.cli import main
+from traceinv.moments import _decide
 
 
 def _write_graph(tmp_path, g, name="graph.json"):
@@ -181,6 +192,58 @@ def test_decide_factorization_mst_pair_tier():
     verdict = decide_factorization(fam, kmax=9, workers=2)
     assert verdict.factorizes is False and verdict.tier == "mst-pair"
     assert verdict.detail["f0_union"] == 54
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(sigma, member_of) of every pairing walk started during the test."""
+    seen = []
+    walk = search._enumerate
+
+    def counted(sigmas, k, member_of, *rest):
+        seen.append((sigmas, None if member_of is None else tuple(member_of)))
+        return walk(sigmas, k, member_of, *rest)
+
+    monkeypatch.setattr(search, "_enumerate", counted)
+    return seen
+
+
+def test_counterexample_walks_each_graph_once(walks, capsys):
+    assert main(["counterexample", "--no-timestamp"]) == 0
+    H = fig7()
+    assert sorted(walks) == sorted([(H.sigma, None), (conjugate(H).sigma, None)])
+
+
+def test_decide_factorization_walks_a_repeated_member_once(walks):
+    G = cyclic(4, {0, 1}, 4)
+    verdict = decide_factorization(family_of([G, G]))
+    assert verdict.tier == "tree-like"
+    # tiers 1 and 2 both ask for G twice; the union is the other walk
+    assert len(walks) == 2 and walks.count((G.sigma, None)) == 1
+    walks.clear()
+    G = two_vertex(3)
+    verdict = decide_factorization(family_of([G, G]))
+    assert verdict.tier == "thm41-bound" and walks == [(G.sigma, None)]
+
+
+def test_over_budget_union_is_refused_without_walking(walks):
+    H = fig7()
+    pair = family_of([H, conjugate(H)])
+    with pytest.raises(BudgetError):
+        search_f0_connected(pair)
+    assert decide_factorization(pair, kmax=8).tier == "undecidable"
+    assert walks == []
+    # the members fit k_max=9: after their walks the union is refused by every tier
+    assert decide_factorization(pair, kmax=9).tier == "mst-pair"
+    assert len(walks) == 2
+    # a report already in the table is refused under a lower budget, as a walk would be
+    filled = search._Searches(9, 1)
+    filled.graph(H)
+    lower = search._Searches(8, 1, dict(filled.table))
+    with pytest.raises(BudgetError):
+        lower.graph(H)
+    assert _decide(pair, lower).tier == "undecidable"
+    assert len(walks) == 3
 
 
 def test_mc_moment_requires_seed(tmp_path, capsys):

@@ -1,0 +1,72 @@
+"""Arbitrary graph and family JSON against the CLI's exit-code contract.
+
+Every input either runs (exit 0, or 3 when a check fails or the verdict is
+undecidable) or is refused with exit 2 and one ``error:`` line; nothing
+escapes as a traceback.  Generated graphs have at most five whites in
+total, so every valid input is answered in milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from traceinv.cli import main
+
+K = 5
+
+scalars = st.none() | st.booleans() | st.integers(-2, K + 2) | st.floats(-3, 8) | st.text(max_size=3)
+junk = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def graphs(draw, kmax=K):
+    """Graph JSON with at most kmax whites: valid, or with one field broken."""
+    k = draw(st.integers(1, kmax))
+    D = draw(st.integers(2, 4))
+    out = {"D": D, "sigma": draw(st.lists(st.permutations(range(1, k + 1)), min_size=D, max_size=D))}
+    flaw = draw(st.sampled_from([None, None, "D", "k", "sigma", "row"]))
+    if flaw == "row":
+        bad = st.lists(st.integers(-1, k + 1), max_size=k + 1) | junk
+        out["sigma"][draw(st.integers(0, D - 1))] = draw(bad)
+    elif flaw == "k":
+        out["k"] = draw(st.integers(0, K + 1) | junk)
+    elif flaw is not None:
+        out[flaw] = draw(junk)
+    return out
+
+
+@st.composite
+def families(draw):
+    """Family JSON of 1-3 members with at most K whites in total, or a broken member list."""
+    p = draw(st.integers(1, 3))
+    member = st.fixed_dictionaries({"graph": graphs(K // p)}, optional={"name": st.text(max_size=3) | junk})
+    return {"members": draw(st.lists(member | junk, min_size=1, max_size=p) | junk)}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["analyze", "moment", "factorize"]),
+    payload=graphs() | families() | junk,
+)
+def test_arbitrary_json_holds_the_exit_code_contract(command, payload):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, "--no-timestamp"])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err + out.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -24,7 +24,8 @@ from traceinv import (
     two_vertex,
 )
 from traceinv.families import random_graph
-from traceinv.search import _enumerate
+from traceinv.graphs import GraphFamily
+from traceinv.search import _enumerate, _face_bound
 
 import oracles
 
@@ -396,8 +397,8 @@ def test_scan_and_bnb_internals_agree_on_family(twov3, mst3):
     fam = family_of([twov3, mst3])
     union = fam.union()
     member_of = fam.member_of_label()
-    scan_hist, scan_optima, _ = _enumerate(union.sigma, union.k, member_of, 2, False, None)
-    bnb_hist, bnb_optima, _ = _enumerate(union.sigma, union.k, member_of, 2, True, None)
+    scan_hist, scan_optima, _, _ = _enumerate(union.sigma, union.k, member_of, 2, False, None)
+    bnb_hist, bnb_optima, _, _ = _enumerate(union.sigma, union.k, member_of, 2, True, None)
     best = max(scan_hist)
     assert best == max(bnb_hist) and scan_hist[best] == bnb_hist[best]
     assert sorted(scan_optima) == bnb_optima
@@ -426,10 +427,10 @@ def test_connected_walk_matches_brute_force():
         member_of = fam.member_of_label()
         brute_hist = oracles.brute_histogram(union.sigma, member_of)
         best, count, opts = oracles.brute_f0_connected(union.sigma, member_of)
-        hist, optima, explored = _enumerate(union.sigma, union.k, member_of, fam.p, False, None)
+        hist, optima, explored, _ = _enumerate(union.sigma, union.k, member_of, fam.p, False, None)
         assert hist == brute_hist
         assert optima == sorted(opts) and explored == math.factorial(union.k)
-        hist, optima, _ = _enumerate(union.sigma, union.k, member_of, fam.p, True, None)
+        hist, optima, _, _ = _enumerate(union.sigma, union.k, member_of, fam.p, True, None)
         assert (max(hist), hist[max(hist)]) == (best, count)
         assert optima == sorted(opts)
 
@@ -440,3 +441,67 @@ def test_pruned_search_with_workers_walks_serially(fig7_graph):
     split = search_f0(fig7_graph, prune=True, workers=2)
     assert split == serial
     assert serial.explored == 78 and split.explored <= 156
+
+
+def test_pruned_fig7_expands_few_nodes(fig7_graph):
+    # the walk with only the closed-faces bound expands about 30,000 nodes
+    rep = search_f0(fig7_graph, prune=True)
+    assert (rep.f0_max, rep.multiplicity, rep.explored) == (26, 13, 78)
+    assert 0 < rep.nodes <= 3000
+
+
+def test_nodes_do_not_depend_on_workers():
+    g = random_graph(4, 6, seed=3300)
+    serial = search_f0(g)
+    split = search_f0(g, workers=2)
+    assert split == serial
+    # every partial pairing of 1..4 whites is expanded; the root is not counted
+    assert serial.nodes == sum(math.perm(6, s) for s in range(1, 5))
+
+
+def test_face_bound_caps_every_completion():
+    # a bound below the best completion would cut optimal pairings
+    rng = random.Random(71)
+    tight = 0
+    for trial in range(320):
+        D, k = rng.randint(2, 6), rng.randint(3, 7)
+        g = random_graph(D, k, seed=3000 + trial)
+        whites = rng.sample(range(k), k - rng.randint(2, min(k, 6)))
+        matches = dict(zip(whites, rng.sample(range(k), len(whites))))
+        best = oracles.best_completion_faces(g.sigma, matches)
+        paths = oracles.open_path_ends(g.sigma, matches)
+        bound = _face_bound(paths)
+        assert best <= bound <= D * (k - len(matches))
+        tight += bound == best
+        for enough in range(D * (k - len(matches)) + 2):
+            early = _face_bound(paths, enough)
+            assert early == bound if bound < enough else early >= enough
+    assert tight >= 200
+
+
+def _seeded_search_cases():
+    """Graphs with D = 2..6 and k = 1..8, and connected families of total k <= 8.
+
+    k = 8 walks cost about 0.1 s each unpruned, so only a few cases have it.
+    """
+    cases = []
+    for k in range(1, 9):
+        for D in range(2, 7) if k < 8 else (2, 4, 6):
+            cases.append(random_graph(D, k, seed=3500 + 10 * k + D))
+    sizes = [(1, 1), (2, 2), (3, 3), (1, 2, 4), (2, 2, 2, 1), (1, 1, 1, 1, 1), (4, 4), (2, 3, 3)]
+    for n, ks in enumerate(sizes):
+        for D in (2, 3, 5, 6) if sum(ks) < 8 else (2, 6):
+            cases.append(family_of([random_graph(D, k, seed=3700 + 10 * n + i) for i, k in enumerate(ks)]))
+    return cases
+
+
+def test_pruned_search_matches_exhaustive_on_seeded_cases():
+    cases = _seeded_search_cases()
+    assert len(cases) >= 60
+    for case in cases:
+        search = search_f0_connected if isinstance(case, GraphFamily) else search_f0
+        full = search(case)
+        for max_optima in (None, 1, 2):
+            rep = search(case, prune=True, max_optima=max_optima)
+            assert (rep.f0_max, rep.multiplicity) == (full.f0_max, full.multiplicity)
+            assert rep.optima == full.optima[:max_optima]
