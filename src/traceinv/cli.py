@@ -28,7 +28,7 @@ from .graphs import (
     load_graph,
 )
 from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
-from .search import _Searches, degree_report, mst_pair_f0, search_f0
+from .search import _check_budget, _Searches, degree_report, mst_pair_f0, search_f0
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -38,7 +38,7 @@ def _common_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker processes for exact F0 searches, split by the image of white 1 (k >= 6)",
+        help="accepted for compatibility and ignored: every exact walk runs in one process",
     )
     common.add_argument(
         "--format", choices=["json", "csv", "pretty"], default="json", help="output format"
@@ -144,6 +144,7 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
 
 def _cmd_analyze(args) -> int:
     G = load_graph(args.graph)
+    _check_budget(G.k, args.kmax)  # before graph_stats, whose cost grows with k
     stats = graph_stats(G)
     rep = search_f0(G, kmax=args.kmax, workers=args.threads, prune=True)
     deg = degree_report(G, f0_max=rep.f0_max)

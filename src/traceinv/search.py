@@ -4,24 +4,31 @@ A pairing nu (white label -> black label) completes a D-colored graph with
 color-0 edges; its score is sum_c #(sigma_c nu^-1).  One depth-first walk
 over S_k, ``_enumerate``, serves every exact question: it yields the
 histogram of scores (the moments read it whole), the maximizing pairings
-and the number of pairings reached.  It can be split by the image of
-white 0 across worker processes and can cut branches by an exact bound;
-neither changes the maximum, its multiplicity or the optima.  Callers that
-ask several questions of the same graphs share one table of pruned
-reports (``_Searches``), so that each graph is walked once per call.
+and the number of pairings reached.  Walking every pairing, it scores the
+completions of the last six whites together from a table of cycle counts
+over S_6; it can instead cut branches by an exact bound.  Neither changes
+the maximum, its multiplicity or the optima.  Every walk runs in one
+process.  Callers that ask several questions of the same graphs share one
+table of pruned reports (``_Searches``), so that each graph is walked once
+per call.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, graph_stats, union_find
 
 DEFAULT_KMAX = 11
+TABLE_WHITES = 6  # an exhaustive walk scores this many last whites from a table
+_BATCH_SCORES = 1 << 19  # completions scored per batch of prefixes, 1 MB as int16
 
 
 class BudgetError(ValueError):
@@ -56,7 +63,7 @@ class SearchReport:
     multiplicity: int
     optima: tuple  # pairings achieving f0_max, lexicographic
     explored: int  # pairings reached (leaves)
-    nodes: int  # partial pairings expanded below the root, for any workers
+    nodes: int  # partial pairings expanded below the root
 
     @property
     def truncated(self) -> bool:
@@ -112,7 +119,55 @@ def _face_bound(paths, enough=None) -> int:
     return min(D * n, total // (D - 1))
 
 
-def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
+@functools.lru_cache(maxsize=None)
+def _completions(m):
+    """(P, row_of, T): the completions of m free whites, and their cycle counts.
+
+    P lists S_m in lexicographic order, one permutation per row, and row_of
+    maps the base-m code sum_i q[i] m^(m-1-i) of a permutation q to its
+    row.  T[a, r] is cyc(P_r^-1 P_a) as int8; it is symmetric, since a
+    permutation and its inverse have the same cycles.  T is built once per
+    process, in chunks of rows, and holds 0.5 MB at m = 6.
+    """
+    rows = list(itertools.permutations(range(m)))
+    P = np.array(rows, dtype=np.intp)
+    inv = np.argsort(P, axis=1)
+    weights = m ** np.arange(m - 1, -1, -1)
+    row_of = np.zeros(m**m, dtype=np.int16)
+    row_of[P @ weights] = np.arange(len(rows))
+    cycles = np.array([perms.cycle_count(q) for q in rows], dtype=np.int8)
+    # P_r^-1 P_a has the code sum_i inv_r[P_a[i]] m^(m-1-i) = sum_j inv_r[j] m^(m-1-inv_a[j]),
+    # which fills row r, column a: T[a, r], as T is symmetric
+    spread = weights[inv].T
+    T = np.empty((len(rows), len(rows)), dtype=np.int8)
+    chunk = 24  # rows of codes at a time, 0.14 MB at m = 6
+    for lo in range(0, len(rows), chunk):
+        codes = inv[lo : lo + chunk] @ spread
+        T[lo : lo + chunk] = cycles[row_of[codes]]
+    for shared in (P, row_of, T):  # every walk of the process reads the same arrays
+        shared.flags.writeable = False
+    return P, row_of, T
+
+
+def _joining(masks, P, whole):
+    """Which completions (rows of P) connect every member, as bools.
+
+    masks holds the member blocks of the m free whites, then those of the m
+    free blacks in increasing order; completion r matches free white i to
+    free black P[r, i], which joins the blocks of both.  Each pass adds the
+    blocks one edge away from those reached, so passes one fewer than the
+    blocks reach all that can be reached.
+    """
+    m = P.shape[1]
+    edges = np.array(masks[:m]) | np.array(masks[m:])[P]  # edges[r, i]: the blocks edge i joins
+    reach = edges[:, 0]
+    for _ in range(len(set(masks)) - 1):
+        touched = np.where(edges & reach[:, None] != 0, edges, 0)
+        reach = reach | np.bitwise_or.reduce(touched, axis=1)
+    return reach == whole
+
+
+def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     """Walk the pairings nu of S_k depth first, in lexicographic order.
 
     White s is matched at depth s.  For each color c the color-0 and
@@ -125,13 +180,23 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     member_of, when given, keeps only the pairings whose color-0 edges
     connect the p members.  blocks[i] is the bitmask of the members joined
     to member i by the edges placed so far; matching s to b merges the
-    blocks of their members and backtracking splits them again, so a leaf
-    is judged from blocks and its last two edges.  first fixes nu(0).
-    With prune, a branch is cut when its closed faces plus D per unmatched
-    white cannot reach the best score seen.  Where that fails with k' >= 4
-    whites unmatched (below that the subtree costs less than the bound),
-    the Cayley-distance bound of the open paths, ``_face_bound``, is tried;
-    it is never below floor(D (k'+1) / 2), so it is skipped where that many
+    blocks of their members and backtracking splits them again.
+
+    Without prune the walk stops at depth k - m, m = min(k, 6), and scores
+    all m! completions of each prefix at once.  The open paths of color c
+    form a bijection pi_c from the m free whites to the m free blacks, as
+    in ``_face_bound``, so the completion P_r of ``_completions`` closes
+    T[rank pi_c, r] faces of color c.  Prefixes are scored in batches, in
+    the order of the walk; whether a completion connects the members
+    depends only on the blocks of the free whites and blacks, so each
+    pattern of blocks is judged once per call (``_joining``).
+
+    With prune, a leaf is judged from blocks and its last two edges, and a
+    branch is cut when its closed faces plus D per unmatched white cannot
+    reach the best score seen.  Where that fails with k' >= 4 whites
+    unmatched (below that the subtree costs less than the bound), the
+    Cayley-distance bound of the open paths, ``_face_bound``, is tried; it
+    is never below floor(D (k'+1) / 2), so it is skipped where that many
     more faces would reach the best.  A branch that could tie the best is
     kept, so no optimal pairing is ever cut.
 
@@ -140,7 +205,8 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     are exact in both modes and hist is the full score histogram without
     prune; optima are the pairings with the best score, lexicographic, at
     most max_optima of them; explored counts the pairings reached and
-    nodes the partial pairings expanded below the root.
+    nodes the partial pairings expanded below the root, those of k - m
+    whites included.
     """
     D = len(sigmas)
     ends = [list(range(k)) for _ in sigmas]
@@ -156,6 +222,20 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
     connecting = member_of is not None and p > 1  # one member is always connected
     blocks = [1 << i for i in range(p)]
     whole = (1 << p) - 1
+    m = min(k, TABLE_WHITES)
+    table_depth = -1 if prune else k - m
+    if not prune:
+        P, row_of, T = _completions(m)
+        weights = m ** np.arange(m - 1, -1, -1)
+        hist = np.zeros(D * k + 1, dtype=np.int64)
+        free_whites = range(k - m, k)
+        free_tails = [sig[k - m:] for sig in sigmas]
+        patterns = {}  # block masks of the free whites and blacks -> index into connects
+        connects = []  # per pattern, which completions connect the members
+        # the queued prefixes: their nu[:k-m], the free blacks pi_c(i) of their
+        # open paths, their closed faces and their pattern of blocks
+        heads, labels, faces, pattern = [], [], [], []
+        per_batch = max(1, _BATCH_SCORES // len(P))
 
     def leaf(total, kept):
         nonlocal best, explored
@@ -183,25 +263,76 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
         paths = [[ep[b] for b in tail] for ep, tail in zip(ends, tails[s])]
         return total + _face_bound(paths, best - total) >= best
 
+    def prefix(closed):
+        """Queue the prefix nu[:k-m] for scoring, and score a full batch."""
+        heads.extend(nu[: k - m])
+        labels.extend([ep[v] for ep, tail in zip(ends, free_tails) for v in tail])
+        faces.append(closed)
+        if connecting:
+            unmatched = [b for b in range(k) if free[b]]
+            masks = tuple([blocks[member_of[x]] for x in free_whites] + [blocks[member_of[b]] for b in unmatched])
+            if masks not in patterns:
+                patterns[masks] = len(connects)
+                connects.append(_joining(masks, P, whole))
+            pattern.append(patterns[masks])
+        if len(faces) == per_batch:
+            score()
+
+    def score():
+        """Add the completions of the queued prefixes to hist and optima."""
+        nonlocal best, explored
+        B = len(faces)
+        head = np.array(heads, dtype=np.intp).reshape(B, k - m)
+        free_at = np.ones((B, k), dtype=np.intp)
+        free_at[np.arange(B)[:, None], head] = 0
+        # labels holds the free black pi_c(i) for each color c and free white i;
+        # its index among the prefix's free blacks makes pi_c a permutation of S_m
+        index = np.cumsum(free_at, axis=1) - 1
+        pis = np.take_along_axis(index, np.array(labels, dtype=np.intp).reshape(B, D * m), axis=1)
+        ranks = row_of[pis.reshape(B, D, m) @ weights]
+        scores = T[ranks[:, 0]].astype(np.int16 if D * k < 1 << 15 else np.int64)
+        for c in range(1, D):
+            scores += T[ranks[:, c]]
+        scores += np.array(faces, dtype=scores.dtype)[:, None]
+        explored += scores.size
+        if connecting:
+            scores[~np.array(connects)[pattern]] = -1
+            hist[:] += np.bincount(scores[scores >= 0], minlength=len(hist))
+        else:
+            hist[:] += np.bincount(scores.ravel(), minlength=len(hist))
+        top = int(scores.max())
+        if top > best:
+            best = top
+            optima.clear()
+        if top == best >= 0 and max_optima != 0:
+            # prefixes and completions are both in lexicographic order
+            room = None if max_optima is None else max_optima - len(optima)
+            for j, r in zip(*np.divmod(np.flatnonzero(scores == best)[:room], len(P))):
+                optima.append(tuple(head[j].tolist() + np.flatnonzero(free_at[j])[P[r]].tolist()))
+        for queue in (heads, labels, faces, pattern):
+            queue.clear()
+
     def descend(s, closed):
         nonlocal nodes
         if s:
             nodes += 1
+        if s == table_depth:
+            prefix(closed)
+            return
         unmatched = [b for b in range(k) if free[b]]
-        blacks = unmatched if s or first is None else [first]
         if s == k - 1:
-            nu[s] = blacks[0]
+            nu[s] = unmatched[0]
             leaf(closed + D, True)  # k == 1 allows a single member only
             return
         if s == k - 2:
             # both leaves are scored by reading the path ends, moving none
             both = sum(unmatched)
-            for b in blacks:
+            for b in unmatched:
                 total = closed + D
                 for ep, v in steps[s]:
                     if ep[b] == v:
                         total += 1
-                if not prune or total >= best:
+                if total >= best:
                     nu[s] = b
                     nu[s + 1] = both - b
                     leaf(total, not connecting or joins(b, both - b))
@@ -211,7 +342,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
         # least is the floor of _face_bound, which is not tried below four free whites
         least = D * (rest + 1) // 2 if rest >= 4 else bound
         own = blocks[member_of[s]] if connecting else 0
-        for b in blacks:
+        for b in unmatched:
             free[b] = False
             nu[s] = b
             total = closed
@@ -245,30 +376,14 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima, first=None):
             free[b] = True
 
     descend(0, 0)
-    return {f0: n for f0, n in enumerate(hist) if n}, optima, explored, nodes
+    if not prune and faces:
+        score()
+    return {f0: int(n) for f0, n in enumerate(hist) if n}, optima, explored, nodes
 
 
-def _run_search(sigmas, k, member_of, p, workers, prune, max_optima) -> SearchReport:
-    # below k=6 starting the worker pool costs more than the whole walk; a
-    # pruned walk stays serial, since split parts cannot share a best score
-    if workers <= 1 or k < 6 or prune:
-        parts = [_enumerate(sigmas, k, member_of, p, prune, max_optima)]
-    else:
-        tasks = [(sigmas, k, member_of, p, prune, max_optima, j) for j in range(k)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, k)) as pool:
-            parts = pool.starmap(_enumerate, tasks)
-    hist = {}
-    for part, _, _, _ in parts:
-        for f0, n in part.items():
-            hist[f0] = hist.get(f0, 0) + n
+def _run_search(sigmas, k, member_of, p, prune, max_optima) -> SearchReport:
+    hist, optima, explored, nodes = _enumerate(sigmas, k, member_of, p, prune, max_optima)
     best = max(hist)
-    # the parts run in the order of nu(0), so their optima stay lexicographic
-    optima = [nu for part, opts, _, _ in parts if max(part, default=-1) == best for nu in opts]
-    if max_optima is not None:
-        optima = optima[:max_optima]
-    explored = sum(part[2] for part in parts)
-    nodes = sum(part[3] for part in parts)
     return SearchReport(best, hist[best], tuple(optima), explored, nodes)
 
 
@@ -281,12 +396,12 @@ def search_f0(
 ) -> SearchReport:
     """Exact maximum of pairing_f0 over all k! pairings.
 
-    workers splits an exhaustive walk by nu(0) across processes, from k=6
-    on; prune cuts hopeless branches in one process, so explored drops
-    while the rest is unchanged.
+    prune cuts hopeless branches, so explored drops while the rest is
+    unchanged.  workers is accepted and has no effect: every walk runs in
+    one process.
     """
     _check_budget(G.k, kmax)
-    return _run_search(G.sigma, G.k, None, 0, workers, prune, max_optima)
+    return _run_search(G.sigma, G.k, None, 0, prune, max_optima)
 
 
 def search_f0_connected(
@@ -300,7 +415,7 @@ def search_f0_connected(
     union = family.union()
     _check_budget(union.k, kmax)
     member_of = family.member_of_label()
-    return _run_search(union.sigma, union.k, member_of, family.p, workers, prune, max_optima)
+    return _run_search(union.sigma, union.k, member_of, family.p, prune, max_optima)
 
 
 @dataclass

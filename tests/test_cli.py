@@ -45,6 +45,19 @@ def test_analyze_budget_error_names_kmax(tmp_path, capsys):
     assert "k_max=11" in capsys.readouterr().err
 
 
+def test_analyze_refuses_over_budget_k_before_graph_stats(tmp_path, capsys, monkeypatch):
+    from traceinv import cli
+
+    stats_calls = []
+    for module in (cli, search):
+        monkeypatch.setattr(module, "graph_stats", lambda G: stats_calls.append(G.k))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"D": 2, "k": 20000, "sigma_cycles": ["", ""]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "k_max=11" in capsys.readouterr().err
+    assert stats_calls == []
+
+
 def test_analyze_parse_error_names_field(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"sigma": [[1]]}))

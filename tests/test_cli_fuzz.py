@@ -3,7 +3,8 @@
 Every input either runs (exit 0, or 3 when a check fails or the verdict is
 undecidable) or is refused with exit 2 and one ``error:`` line; nothing
 escapes as a traceback.  Generated graphs have at most five whites in
-total, so every valid input is answered in milliseconds.
+total, so every valid input is answered in milliseconds; ``quenched``
+walks the pair of a graph and its conjugate, at most ten whites.
 """
 
 import contextlib
@@ -52,9 +53,9 @@ def families(draw):
     return {"members": draw(st.lists(member | junk, min_size=1, max_size=p) | junk)}
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["analyze", "moment", "factorize"]),
+    command=st.sampled_from([["analyze"], ["moment"], ["factorize"], ["cumulant"], ["quenched", "--N", "3"]]),
     payload=graphs() | families() | junk,
 )
 def test_arbitrary_json_holds_the_exit_code_contract(command, payload):
@@ -64,7 +65,7 @@ def test_arbitrary_json_holds_the_exit_code_contract(command, payload):
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, path, "--no-timestamp"])
+            code = main([command[0], path, *command[1:], "--no-timestamp"])
     err = err.getvalue()
     assert code in (0, 2, 3)
     assert "Traceback" not in err + out.getvalue()

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from traceinv import (
@@ -25,7 +26,8 @@ from traceinv import (
 )
 from traceinv.families import random_graph
 from traceinv.graphs import GraphFamily
-from traceinv.search import _enumerate, _face_bound
+from traceinv import search as search_module
+from traceinv.search import _completions, _enumerate, _face_bound
 
 import oracles
 
@@ -135,8 +137,8 @@ def test_connected_search_mst3_pair(mst3):
 
 
 def test_connected_search_prune_and_workers_agree(twov3, cyc2_d3):
-    # k=5 runs serially; k=6 splits, with cosets that connect nothing; a k=1
-    # member makes the nu(0)=0 part of the last family connect nothing
+    # workers has no effect on either walk; in the last family no pairing
+    # with nu(0)=0 connects, since the k=1 member is then matched to itself
     fams = [family_of([cyc2_d3, twov3, cyc2_d3]), family_of([twov3, cyc2_d3, twov3, cyc2_d3])]
     fams += [f for f in _connected_families() if f.total_k >= 6]
     fams.append(family_of([twov3, random_graph(3, 5, seed=1400)]))
@@ -451,12 +453,94 @@ def test_pruned_fig7_expands_few_nodes(fig7_graph):
 
 
 def test_nodes_do_not_depend_on_workers():
-    g = random_graph(4, 6, seed=3300)
+    g = random_graph(4, 8, seed=3300)
     serial = search_f0(g)
     split = search_f0(g, workers=2)
     assert split == serial
-    # every partial pairing of 1..4 whites is expanded; the root is not counted
-    assert serial.nodes == sum(math.perm(6, s) for s in range(1, 5))
+    # every partial pairing of 1..2 whites is expanded, and the last six
+    # whites are scored from the table; the root is not counted
+    assert serial.nodes == sum(math.perm(8, s) for s in range(1, 3))
+
+
+def test_cycle_table_matches_naive_cycle_counts():
+    # every entry up to S_5, a seeded sample of S_6
+    rng = random.Random(79)
+    for m in range(1, 7):
+        P, row_of, T = _completions(m)
+        rows = list(itertools.permutations(range(m)))
+        assert P.tolist() == [list(q) for q in rows]
+        assert row_of[P @ m ** np.arange(m - 1, -1, -1)].tolist() == list(range(len(rows)))
+        if m <= 5:
+            entries = itertools.product(range(len(rows)), repeat=2)
+        else:
+            entries = [(rng.randrange(720), rng.randrange(720)) for _ in range(4000)]
+        for a, r in entries:
+            back = {x: i for i, x in enumerate(rows[r])}
+            assert T[a, r] == oracles.cycle_count_naive([back[x] for x in rows[a]])
+
+
+def test_table_walk_histograms_match_brute_force():
+    # prefixes of one and two whites for D = 2..6, of three at k = 9
+    cases = [random_graph(D, k, seed=4000 + 10 * k + D) for k in (7, 8) for D in range(2, 7)]
+    cases.append(random_graph(2, 9, seed=4092))
+    for g in cases:
+        hist, optima, explored, nodes = _enumerate(g.sigma, g.k, None, 0, False, None)
+        assert hist == oracles.brute_histogram(g.sigma)
+        assert explored == math.factorial(g.k)
+        assert nodes == sum(math.perm(g.k, s) for s in range(1, g.k - 5))
+        pruned = _enumerate(g.sigma, g.k, None, 0, True, None)
+        assert optima == pruned[1] and pruned[0][max(pruned[0])] == hist[max(hist)]
+
+
+def test_table_walk_connected_histograms_match_brute_force(monkeypatch):
+    """p = 2..5 at total k = 7 and 8, with k = 1 members.
+
+    In some prefixes every member is joined before the table depth (one
+    block left); in others a member is cut off from every free white and
+    black, so no completion connects.
+    """
+    judge = search_module._joining
+    seen = []  # (blocks, all completions connect, some completion connects) per pattern
+
+    def spy(masks, P, whole):
+        connects = judge(masks, P, whole)
+        seen.append((len(set(masks)), connects.all(), connects.any()))
+        return connects
+
+    monkeypatch.setattr(search_module, "_joining", spy)
+    batch = search_module._BATCH_SCORES
+    sizes = [(1, 6), (6, 1), (3, 4), (2, 2, 3), (1, 1, 1, 4), (2, 1, 2, 2), (1, 2, 1, 2, 1), (1, 1, 6), (2, 1, 1, 4)]
+    for n, ks in enumerate(sizes):
+        for D in (2, 4) if sum(ks) < 8 else (3,):
+            fam = family_of([random_graph(D, k, seed=4200 + 10 * n + i) for i, k in enumerate(ks)])
+            union = fam.union()
+            member_of = fam.member_of_label()
+            walk = _enumerate(union.sigma, union.k, member_of, fam.p, False, None)
+            hist, optima, explored, _ = walk
+            assert hist == oracles.brute_histogram(union.sigma, member_of)
+            assert explored == math.factorial(union.k)
+            pruned = _enumerate(union.sigma, union.k, member_of, fam.p, True, None)
+            assert optima == pruned[1] and pruned[0][max(pruned[0])] == hist[max(hist)]
+            # three prefixes per batch: hist and optima do not depend on the batching
+            monkeypatch.setattr(search_module, "_BATCH_SCORES", 3 * 720)
+            assert _enumerate(union.sigma, union.k, member_of, fam.p, False, None) == walk
+            monkeypatch.setattr(search_module, "_BATCH_SCORES", batch)
+    assert (1, True, True) in seen
+    assert any(not some for _, _, some in seen)
+
+
+def test_exhaustive_fig7_optima_match_brute_force(fig7_graph, monkeypatch):
+    best, count, opts = oracles.brute_f0(fig7_graph)
+    rep = search_f0(fig7_graph)
+    assert (rep.f0_max, rep.multiplicity, rep.explored) == (best, count, 362880) == (26, 13, 362880)
+    assert list(rep.optima) == sorted(opts)
+    for cap in (0, 1, 5, 13, 20):
+        capped = search_f0(fig7_graph, max_optima=cap)
+        assert (capped.multiplicity, capped.optima) == (13, rep.optima[:cap])
+    # five prefixes per batch: the optima come from many batches, in order
+    monkeypatch.setattr(search_module, "_BATCH_SCORES", 5 * 720)
+    assert search_f0(fig7_graph) == rep
+    assert search_f0(fig7_graph, max_optima=5).optima == rep.optima[:5]
 
 
 def test_face_bound_caps_every_completion():
