@@ -297,9 +297,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
         explored += scores.size
         if connecting:
             scores[~np.array(connects)[pattern]] = -1
-            hist[:] += np.bincount(scores[scores >= 0], minlength=len(hist))
-        else:
-            hist[:] += np.bincount(scores.ravel(), minlength=len(hist))
+        hist[:] += np.bincount(scores[scores >= 0] if connecting else scores.ravel(), minlength=len(hist))
         top = int(scores.max())
         if top > best:
             best = top
