@@ -19,13 +19,12 @@ from . import families, sampling
 from .graphs import (
     GraphFamily,
     conjugate,
+    family_file_from_json_dict,
     family_from_json_dict,
     family_of,
     graph_from_json_dict,
     graph_stats,
     is_int,
-    load_family,
-    load_graph,
 )
 from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
 from .search import _check_budget, _Searches, degree_report, mst_pair_f0, search_f0
@@ -142,8 +141,25 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
+def _read_graphs(path, kmax):
+    """The JSON of a graph or family file, refused if a graph in it declares k over the budget.
+
+    Cycle strings let a few bytes declare any k, and the loader builds
+    k-element permutations from them, so a cycle-string graph's declared k
+    is checked before anything is built.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    members = data.get("members") if isinstance(data, dict) else None
+    graphs = [m.get("graph") for m in members if isinstance(m, dict)] if isinstance(members, list) else [data]
+    for g in graphs:
+        if isinstance(g, dict) and "sigma_cycles" in g and is_int(g.get("k")):
+            _check_budget(g["k"], kmax)
+    return data
+
+
 def _cmd_analyze(args) -> int:
-    G = load_graph(args.graph)
+    G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
     _check_budget(G.k, args.kmax)  # before graph_stats, whose cost grows with k
     stats = graph_stats(G)
     rep = search_f0(G, kmax=args.kmax, workers=args.threads, prune=True)
@@ -167,7 +183,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    family = load_family(args.family)
+    family = family_file_from_json_dict(_read_graphs(args.family, args.kmax))
     verdict = decide_factorization(family, kmax=args.kmax, workers=args.threads)
     report = {
         "factorizes": verdict.factorizes,
@@ -204,7 +220,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_moment(args, connected=False) -> int:
-    family = load_family(args.family)
+    family = family_file_from_json_dict(_read_graphs(args.family, args.kmax))
     if connected:
         poly = connected_cumulant(family, kmax=args.kmax)
     else:
@@ -317,7 +333,7 @@ def _cmd_entropy_slope(args) -> int:
 
 
 def _cmd_quenched(args) -> int:
-    G = load_graph(args.graph)
+    G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
     rep = sampling.quenched_entropy(G, args.N, kmax=args.kmax, workers=args.threads)
     _emit({"N": args.N, "value": rep.value, "method": rep.method}, args)
     return 0

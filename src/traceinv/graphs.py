@@ -201,13 +201,16 @@ def family_from_json_dict(data: dict) -> GraphFamily:
     return GraphFamily(tuple(members))
 
 
-def load_family(path: str) -> GraphFamily:
-    with open(path) as fh:
-        data = json.load(fh)
+def family_file_from_json_dict(data) -> GraphFamily:
+    """The family of a family file: family JSON, or a bare graph's as a one-member family."""
     if isinstance(data, dict) and "members" in data:
         return family_from_json_dict(data)
-    # a bare graph file is accepted as a one-member family
     return family_of([graph_from_json_dict(data)])
+
+
+def load_family(path: str) -> GraphFamily:
+    with open(path) as fh:
+        return family_file_from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

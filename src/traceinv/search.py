@@ -4,10 +4,10 @@ A pairing nu (white label -> black label) completes a D-colored graph with
 color-0 edges; its score is sum_c #(sigma_c nu^-1).  One depth-first walk
 over S_k, ``_enumerate``, serves every exact question: it yields the
 histogram of scores (the moments read it whole), the maximizing pairings
-and the number of pairings reached.  Walking every pairing, it scores the
-completions of the last six whites together from a table of cycle counts
-over S_6; it can instead cut branches by an exact bound.  Neither changes
-the maximum, its multiplicity or the optima.  Every walk runs in one
+and the number of pairings reached.  It scores the completions of the
+last six whites together from a table of cycle counts over S_6; above
+them it can cut branches by an exact bound, which changes neither the
+maximum, its multiplicity nor the optima.  Every walk runs in one
 process.  Callers that ask several questions of the same graphs share one
 table of pruned reports (``_Searches``), so that each graph is walked once
 per call.
@@ -27,8 +27,10 @@ from . import perms
 from .graphs import ColoredGraph, GraphFamily, graph_stats, union_find
 
 DEFAULT_KMAX = 11
-TABLE_WHITES = 6  # an exhaustive walk scores this many last whites from a table
-_BATCH_SCORES = 1 << 19  # completions scored per batch of prefixes, 1 MB as int16
+TABLE_WHITES = 6  # every walk scores this many last whites from a table
+# completions scored per batch of prefixes, 256 KB as int16: 182 prefixes at
+# m = 6, so a pruned walk learns a best score after its first 182 prefixes
+_BATCH_SCORES = 1 << 17
 
 
 class BudgetError(ValueError):
@@ -62,7 +64,7 @@ class SearchReport:
     f0_max: int
     multiplicity: int
     optima: tuple  # pairings achieving f0_max, lexicographic
-    explored: int  # pairings reached (leaves)
+    explored: int  # pairings scored (leaves)
     nodes: int  # partial pairings expanded below the root
 
     @property
@@ -175,38 +177,38 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     path running from a free black to a free white; ends[c] maps each
     path's free black to the black next to its free white, and back.
     Matching s to b closes a face of color c exactly when b's path ends
-    at sigma_c(s); the last white closes one face of every color.
+    at sigma_c(s).
 
     member_of, when given, keeps only the pairings whose color-0 edges
     connect the p members.  blocks[i] is the bitmask of the members joined
     to member i by the edges placed so far; matching s to b merges the
     blocks of their members and backtracking splits them again.
 
-    Without prune the walk stops at depth k - m, m = min(k, 6), and scores
-    all m! completions of each prefix at once.  The open paths of color c
-    form a bijection pi_c from the m free whites to the m free blacks, as
-    in ``_face_bound``, so the completion P_r of ``_completions`` closes
+    The walk stops at depth k - m, m = min(k, 6), and scores all m!
+    completions of each prefix at once.  The open paths of color c form a
+    bijection pi_c from the m free whites to the m free blacks, as in
+    ``_face_bound``, so the completion P_r of ``_completions`` closes
     T[rank pi_c, r] faces of color c.  Prefixes are scored in batches, in
     the order of the walk; whether a completion connects the members
     depends only on the blocks of the free whites and blacks, so each
     pattern of blocks is judged once per call (``_joining``).
 
-    With prune, a leaf is judged from blocks and its last two edges, and a
-    branch is cut when its closed faces plus D per unmatched white cannot
-    reach the best score seen.  Where that fails with k' >= 4 whites
-    unmatched (below that the subtree costs less than the bound), the
-    Cayley-distance bound of the open paths, ``_face_bound``, is tried; it
-    is never below floor(D (k'+1) / 2), so it is skipped where that many
-    more faces would reach the best.  A branch that could tie the best is
-    kept, so no optimal pairing is ever cut.
+    With prune, a branch above depth k - m is cut when its closed faces
+    plus D per unmatched white cannot reach the best score of the batches
+    scored so far.  Where that fails, the Cayley-distance bound of the
+    open paths, ``_face_bound``, is tried, except on the last level above
+    the table, where a cut saves only one prefix's m! table reads; the
+    bound is never below floor(D (k'+1) / 2) with k' whites unmatched, so
+    it is skipped where that many more faces would reach the best.  A
+    branch that could tie the best is kept, so no optimal pairing is ever
+    cut.
 
     Returns (hist, optima, explored, nodes): hist maps a score to the
-    number of kept pairings reached with it, so max(hist) and its count
+    number of kept pairings scored with it, so max(hist) and its count
     are exact in both modes and hist is the full score histogram without
     prune; optima are the pairings with the best score, lexicographic, at
-    most max_optima of them; explored counts the pairings reached and
-    nodes the partial pairings expanded below the root, those of k - m
-    whites included.
+    most max_optima of them; explored counts the pairings scored, m! per
+    kept prefix, and nodes the partial pairings of 1..k - m whites expanded.
     """
     D = len(sigmas)
     ends = [list(range(k)) for _ in sigmas]
@@ -214,7 +216,6 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     tails = [[sig[s + 1:] for sig in sigmas] for s in range(k)]  # color-c blacks of whites after s
     nu = [0] * k
     free = [True] * k
-    hist = [0] * (D * k + 1)
     optima = []
     best = -1
     explored = 0
@@ -223,40 +224,17 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     blocks = [1 << i for i in range(p)]
     whole = (1 << p) - 1
     m = min(k, TABLE_WHITES)
-    table_depth = -1 if prune else k - m
-    if not prune:
-        P, row_of, T = _completions(m)
-        weights = m ** np.arange(m - 1, -1, -1)
-        hist = np.zeros(D * k + 1, dtype=np.int64)
-        free_whites = range(k - m, k)
-        free_tails = [sig[k - m:] for sig in sigmas]
-        patterns = {}  # block masks of the free whites and blacks -> index into connects
-        connects = []  # per pattern, which completions connect the members
-        # the queued prefixes: their nu[:k-m], the free blacks pi_c(i) of their
-        # open paths, their closed faces and their pattern of blocks
-        heads, labels, faces, pattern = [], [], [], []
-        per_batch = max(1, _BATCH_SCORES // len(P))
-
-    def leaf(total, kept):
-        nonlocal best, explored
-        explored += 1
-        if not kept:
-            return
-        hist[total] += 1
-        if total >= best:
-            if total > best:
-                best = total
-                optima.clear()
-            if max_optima is None or len(optima) < max_optima:
-                optima.append(tuple(nu))
-
-    def joins(b, c):
-        """Whether the edges (k-2, b) and (k-1, c) leave one block of members."""
-        x, y, mc = member_of[k - 2], member_of[k - 1], member_of[c]
-        merged = blocks[x] | blocks[member_of[b]]
-        by = merged if merged >> y & 1 else blocks[y]
-        bc = merged if merged >> mc & 1 else blocks[mc]
-        return by | bc == whole
+    P, row_of, T = _completions(m)
+    weights = m ** np.arange(m - 1, -1, -1)
+    hist = np.zeros(D * k + 1, dtype=np.int64)
+    free_whites = range(k - m, k)
+    free_tails = [sig[k - m:] for sig in sigmas]
+    patterns = {}  # block masks of the free whites and blacks -> index into connects
+    connects = []  # per pattern, which completions connect the members
+    # the queued prefixes: their nu[:k-m], the free blacks pi_c(i) of their
+    # open paths, their closed faces and their pattern of blocks
+    heads, labels, faces, pattern = [], [], [], []
+    per_batch = max(1, _BATCH_SCORES // len(P))
 
     def reaches(s, total):
         """Whether the Cayley-distance bound lets whites s+1.. lift total to best."""
@@ -305,8 +283,10 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
         if top == best >= 0 and max_optima != 0:
             # prefixes and completions are both in lexicographic order
             room = None if max_optima is None else max_optima - len(optima)
-            for j, r in zip(*np.divmod(np.flatnonzero(scores == best)[:room], len(P))):
-                optima.append(tuple(head[j].tolist() + np.flatnonzero(free_at[j])[P[r]].tolist()))
+            j, r = np.divmod(np.flatnonzero(scores == best)[:room], len(P))
+            blacks = np.nonzero(free_at)[1].reshape(B, m)  # the free blacks of each prefix, increasing
+            completions = np.take_along_axis(blacks[j], P[r], axis=1)
+            optima.extend(map(tuple, np.concatenate([head[j], completions], axis=1).tolist()))
         for queue in (heads, labels, faces, pattern):
             queue.clear()
 
@@ -314,33 +294,15 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
         nonlocal nodes
         if s:
             nodes += 1
-        if s == table_depth:
+        if s == k - m:
             prefix(closed)
-            return
-        unmatched = [b for b in range(k) if free[b]]
-        if s == k - 1:
-            nu[s] = unmatched[0]
-            leaf(closed + D, True)  # k == 1 allows a single member only
-            return
-        if s == k - 2:
-            # both leaves are scored by reading the path ends, moving none
-            both = sum(unmatched)
-            for b in unmatched:
-                total = closed + D
-                for ep, v in steps[s]:
-                    if ep[b] == v:
-                        total += 1
-                if total >= best:
-                    nu[s] = b
-                    nu[s + 1] = both - b
-                    leaf(total, not connecting or joins(b, both - b))
             return
         rest = k - s - 1
         bound = D * rest
-        # least is the floor of _face_bound, which is not tried below four free whites
-        least = D * (rest + 1) // 2 if rest >= 4 else bound
+        # least is the floor of _face_bound, which is not tried on the last level above the table
+        least = bound if rest == m else D * (rest + 1) // 2
         own = blocks[member_of[s]] if connecting else 0
-        for b in unmatched:
+        for b in [b for b in range(k) if free[b]]:
             free[b] = False
             nu[s] = b
             total = closed
@@ -374,7 +336,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
             free[b] = True
 
     descend(0, 0)
-    if not prune and faces:
+    if faces:
         score()
     return {f0: int(n) for f0, n in enumerate(hist) if n}, optima, explored, nodes
 
@@ -394,7 +356,9 @@ def search_f0(
 ) -> SearchReport:
     """Exact maximum of pairing_f0 over all k! pairings.
 
-    prune cuts hopeless branches, so explored drops while the rest is
+    prune cuts the branches above the last six whites that cannot reach
+    the best score found so far, so explored (the completions of the kept
+    prefixes) and nodes drop while f0_max, multiplicity and optima are
     unchanged.  workers is accepted and has no effect: every walk runs in
     one process.
     """

@@ -58,6 +58,23 @@ def test_analyze_refuses_over_budget_k_before_graph_stats(tmp_path, capsys, monk
     assert stats_calls == []
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["moment"], ["cumulant"], ["factorize"], ["quenched", "--N", "3"]])
+@pytest.mark.parametrize("as_member", [False, True])
+def test_declared_k_over_budget_is_refused_before_loading(tmp_path, capsys, monkeypatch, command, as_member):
+    from traceinv import perms
+
+    def refuse(k, text):
+        raise AssertionError(f"built a permutation of {k} labels")
+
+    monkeypatch.setattr(perms, "from_cycle_string", refuse)
+    graph = {"D": 2, "k": 100000000, "sigma_cycles": ["", ""]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"members": [{"graph": graph}]} if as_member else graph))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "k_max=11" in err
+
+
 def test_analyze_parse_error_names_field(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"sigma": [[1]]}))

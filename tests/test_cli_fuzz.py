@@ -5,6 +5,8 @@ undecidable) or is refused with exit 2 and one ``error:`` line; nothing
 escapes as a traceback.  Generated graphs have at most five whites in
 total, so every valid input is answered in milliseconds; ``quenched``
 walks the pair of a graph and its conjugate, at most ten whites.
+Cycle-string graphs may also declare any k up to 10^9, far over the
+budget, which must be refused before the loader builds anything.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceinv.cli import main
+from traceinv.search import DEFAULT_KMAX
 
 K = 5
 
@@ -46,17 +49,28 @@ def graphs(draw, kmax=K):
 
 
 @st.composite
+def cycle_graphs(draw, kmax=K):
+    """Cycle-string graph JSON declaring at most kmax whites, or far more than the budget."""
+    k = draw(st.integers(1, kmax) | st.integers(DEFAULT_KMAX + 1, 10**9))
+    D = draw(st.integers(2, 4))
+    cycle = st.lists(st.integers(1, K + 1), max_size=3, unique=True).map(lambda c: f"({' '.join(map(str, c))})")
+    texts = st.lists(cycle, max_size=2).map("".join) | st.text(max_size=3)
+    return {"D": D, "k": k, "sigma_cycles": draw(st.lists(texts, min_size=D, max_size=D))}
+
+
+@st.composite
 def families(draw):
     """Family JSON of 1-3 members with at most K whites in total, or a broken member list."""
     p = draw(st.integers(1, 3))
-    member = st.fixed_dictionaries({"graph": graphs(K // p)}, optional={"name": st.text(max_size=3) | junk})
+    graph = graphs(K // p) | cycle_graphs(K // p)
+    member = st.fixed_dictionaries({"graph": graph}, optional={"name": st.text(max_size=3) | junk})
     return {"members": draw(st.lists(member | junk, min_size=1, max_size=p) | junk)}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from([["analyze"], ["moment"], ["factorize"], ["cumulant"], ["quenched", "--N", "3"]]),
-    payload=graphs() | families() | junk,
+    payload=graphs() | cycle_graphs() | families() | junk,
 )
 def test_arbitrary_json_holds_the_exit_code_contract(command, payload):
     out, err = io.StringIO(), io.StringIO()

@@ -437,19 +437,24 @@ def test_connected_walk_matches_brute_force():
         assert optima == sorted(opts)
 
 
-def test_pruned_search_with_workers_walks_serially(fig7_graph):
-    # split parts share no best value: unseeded they reach 1070 leaves
-    serial = search_f0(fig7_graph, prune=True)
-    split = search_f0(fig7_graph, prune=True, workers=2)
-    assert split == serial
-    assert serial.explored == 78 and split.explored <= 156
+def test_pruned_walk_cuts_prefixes_at_k10():
+    # fig7 at k = 9 keeps every prefix: nothing is cut above depth 3 there
+    g = random_graph(3, 10, seed=3400)
+    full = search_f0(g)
+    for max_optima in (None, 1, 2):
+        rep = search_f0(g, prune=True, max_optima=max_optima)
+        assert rep.explored < math.factorial(10) and rep.nodes < full.nodes
+        assert (rep.f0_max, rep.multiplicity) == (full.f0_max, full.multiplicity)
+        assert rep.optima == full.optima[:max_optima]
 
 
-def test_pruned_fig7_expands_few_nodes(fig7_graph):
-    # the walk with only the closed-faces bound expands about 30,000 nodes
-    rep = search_f0(fig7_graph, prune=True)
-    assert (rep.f0_max, rep.multiplicity, rep.explored) == (26, 13, 78)
-    assert 0 < rep.nodes <= 3000
+def test_pruned_search_with_workers_cuts_prefixes_at_k11():
+    g = random_graph(3, 11, seed=3410)
+    full = search_f0(g)
+    rep = search_f0(g, prune=True, workers=2)
+    assert rep == search_f0(g, prune=True)
+    assert rep.explored < math.factorial(11) and rep.nodes < full.nodes
+    assert (rep.f0_max, rep.multiplicity, rep.optima) == (full.f0_max, full.multiplicity, full.optima)
 
 
 def test_nodes_do_not_depend_on_workers():
@@ -537,10 +542,14 @@ def test_exhaustive_fig7_optima_match_brute_force(fig7_graph, monkeypatch):
     for cap in (0, 1, 5, 13, 20):
         capped = search_f0(fig7_graph, max_optima=cap)
         assert (capped.multiplicity, capped.optima) == (13, rep.optima[:cap])
+    pruned = search_f0(fig7_graph, prune=True)
+    assert (pruned.f0_max, pruned.multiplicity, list(pruned.optima)) == (best, count, sorted(opts))
     # five prefixes per batch: the optima come from many batches, in order
     monkeypatch.setattr(search_module, "_BATCH_SCORES", 5 * 720)
     assert search_f0(fig7_graph) == rep
     assert search_f0(fig7_graph, max_optima=5).optima == rep.optima[:5]
+    small = search_f0(fig7_graph, prune=True, max_optima=5)
+    assert (small.multiplicity, small.optima) == (13, rep.optima[:5])
 
 
 def test_face_bound_caps_every_completion():
@@ -564,24 +573,31 @@ def test_face_bound_caps_every_completion():
 
 
 def _seeded_search_cases():
-    """Graphs with D = 2..6 and k = 1..8, and connected families of total k <= 8.
+    """Graphs with D = 2..6 and k = 1..10, and connected families of total k <= 9.
 
-    k = 8 walks cost about 0.1 s each unpruned, so only a few cases have it.
+    k = 9 and 10 walks queue 504 and 5,040 prefixes, so a pruned walk cuts
+    and caps its optima across batches there.  In two k = 10 graphs the
+    last six whites are melons (every color joins white s to black s), so
+    an optimal prefix meets the bound of closed faces plus D per free white
+    exactly, and only ties keep it.
     """
     cases = []
-    for k in range(1, 9):
-        for D in range(2, 7) if k < 8 else (2, 4, 6):
+    for k in range(1, 11):
+        for D in range(2, 7) if k < 8 else (2, 4, 6) if k == 8 else (3, 5) if k == 9 else (2, 4, 6):
             cases.append(random_graph(D, k, seed=3500 + 10 * k + D))
-    sizes = [(1, 1), (2, 2), (3, 3), (1, 2, 4), (2, 2, 2, 1), (1, 1, 1, 1, 1), (4, 4), (2, 3, 3)]
+    for D in (2, 3):
+        cases.append(disjoint_union([random_graph(D, 4, seed=5000), build_graph(D, [tuple(range(6))] * D)])[0])
+    sizes = [(1, 1), (2, 2), (3, 3), (1, 2, 4), (2, 2, 2, 1), (1, 1, 1, 1, 1), (4, 4), (2, 3, 3), (2, 3, 4)]
     for n, ks in enumerate(sizes):
-        for D in (2, 3, 5, 6) if sum(ks) < 8 else (2, 6):
+        for D in (2, 3, 5, 6) if sum(ks) < 8 else (2, 6) if sum(ks) == 8 else (4,):
             cases.append(family_of([random_graph(D, k, seed=3700 + 10 * n + i) for i, k in enumerate(ks)]))
     return cases
 
 
 def test_pruned_search_matches_exhaustive_on_seeded_cases():
     cases = _seeded_search_cases()
-    assert len(cases) >= 60
+    assert len(cases) >= 70
+    cut = 0
     for case in cases:
         search = search_f0_connected if isinstance(case, GraphFamily) else search_f0
         full = search(case)
@@ -589,3 +605,5 @@ def test_pruned_search_matches_exhaustive_on_seeded_cases():
             rep = search(case, prune=True, max_optima=max_optima)
             assert (rep.f0_max, rep.multiplicity) == (full.f0_max, full.multiplicity)
             assert rep.optima == full.optima[:max_optima]
+        cut += rep.explored < full.explored
+    assert cut >= 5
