@@ -30,6 +30,15 @@ from .moments import _decide, connected_cumulant, decide_factorization, gaussian
 from .search import _check_budget, _Searches, degree_report, mst_pair_f0, search_f0
 
 
+# generate's spec fields and the reader of each option's text (colors comma-separated, 1-based)
+_FIELDS = {
+    **dict.fromkeys(("D", "k", "seed", "delta"), int),
+    **dict.fromkeys(("M", "M1", "M2", "M3"), lambda text: [int(c) for c in text.split(",") if c.strip()]),
+    "script": json.loads,  # [[color, white], ...], 1-based
+    "links": json.loads,  # [[color, ...], ...], 1-based
+}
+
+
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kmax", type=int, default=None, help="enumeration budget (default 11)")
@@ -64,33 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family JSON file")
 
     p = sub.add_parser("generate", parents=[common], help="build a named family graph")
-    gen = p.add_subparsers(dest="kind", required=True)
-    g = gen.add_parser("two-vertex", parents=[common])
-    g.add_argument("--D", type=int, required=True)
-    g = gen.add_parser("melonic", parents=[common])
-    g.add_argument("--D", type=int, required=True)
-    g.add_argument("--script", required=True, help='JSON list of [color, white] steps, 1-based')
-    g = gen.add_parser("cyclic", parents=[common])
-    g.add_argument("--D", type=int, required=True)
-    g.add_argument("--M", required=True, help="comma-separated colors, 1-based")
-    g.add_argument("--k", type=int, required=True)
-    g = gen.add_parser("realignment", parents=[common])
-    g.add_argument("--M1", required=True, help="comma-separated colors, 1-based")
-    g.add_argument("--M2", required=True)
-    g.add_argument("--M3", required=True)
-    g.add_argument("--k", type=int, required=True)
-    g = gen.add_parser("joint-realignment", parents=[common])
-    g.add_argument("--D", type=int, required=True)
-    g.add_argument("--M3", required=True)
-    g.add_argument("--links", required=True, help="JSON list of color lists, 1-based")
-    g = gen.add_parser("fig7", parents=[common])
-    g = gen.add_parser("random", parents=[common])
-    g.add_argument("--D", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g = gen.add_parser("with-delta", parents=[common])
-    g.add_argument("--D", type=int, required=True)
-    g.add_argument("--delta", type=int, required=True)
+    p.add_argument("kind", help=", ".join(kind.replace("_", "-") for kind in families.KINDS))
+    for name, read in _FIELDS.items():
+        p.add_argument(f"--{name}", type=int if read is int else str)
 
     p = sub.add_parser("moment", parents=[common], help="exact Gaussian moment in N")
     p.add_argument("family", help="family (or graph) JSON file")
@@ -196,26 +181,21 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "with-delta":
-        built = families.build_with_delta(args.D, args.delta, kmax=args.kmax, workers=args.threads)
-        report = built.graph.to_json_dict()
-        report["delta"] = built.delta
-        report["delta_verified"] = built.verified
-        _emit(report, args)
-        return 0
-    # the spec parser owns the 1-based mapping; color subsets arrive comma-separated
+    # families decides which fields a kind takes: only the options given enter the spec
     spec = {"kind": args.kind.replace("-", "_")}
-    for key, value in vars(args).items():
-        if key in ("D", "k", "seed"):
-            spec[key] = value
-        elif key in ("M", "M1", "M2", "M3"):
+    for key, read in _FIELDS.items():
+        if (text := getattr(args, key)) is not None:
             try:
-                spec[key] = [int(c) for c in value.split(",") if c.strip()]
-            except ValueError:
-                raise ValueError(f"--{key} must be comma-separated integers, got {value!r}")
-        elif key in ("script", "links"):
-            spec[key] = json.loads(value)
-    _emit(families.generate_from_spec(spec).to_json_dict(), args)
+                spec[key] = read(text)
+            except (ValueError, RecursionError) as exc:  # json.loads recurses once per nesting level
+                raise ValueError(f"--{key} is malformed: {exc}")
+    if spec["kind"] == "with_delta":
+        _, fields = families.read_spec(spec)
+        built = families.build_with_delta(**fields, kmax=args.kmax, workers=args.threads)
+        report = dict(built.graph.to_json_dict(), delta=built.delta, delta_verified=built.verified)
+    else:
+        report = families.generate_from_spec(spec).to_json_dict()
+    _emit(report, args)
     return 0
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import perms
 from .graphs import ColoredGraph, disjoint_union, flip_edges, is_int
-from .search import DEFAULT_KMAX, degree_report
+from .search import degree_report, resolve_kmax
 
 
 def two_vertex(D: int) -> ColoredGraph:
@@ -66,7 +66,7 @@ def cyclic(D: int, M, k: int) -> ColoredGraph:
     return ColoredGraph(D=D, k=k, sigma=sigma)
 
 
-def realignment(M1, M2, M3, k: int, D: Optional[int] = None) -> ColoredGraph:
+def realignment(M1, M2, M3, k: int) -> ColoredGraph:
     """Cycle of k vertex pairs with M1 and M2 links alternating.
 
     Within each pair, one edge per color of M3; consecutive pairs are
@@ -79,8 +79,7 @@ def realignment(M1, M2, M3, k: int, D: Optional[int] = None) -> ColoredGraph:
         raise ValueError("realignment moments need three nonempty color subsets")
     if len(M1) + len(M2) + len(M3) != len(colors):
         raise ValueError("M1, M2, M3 must be disjoint")
-    if D is None:
-        D = len(colors)
+    D = len(colors)
     if colors != set(range(D)):
         raise ValueError(f"M1|M2|M3 must partition the colors 0..{D - 1}")
     if k < 2 or k % 2:
@@ -170,30 +169,28 @@ def build_with_delta(
     """Connected graph with prescribed degree of compatibility delta >= 1.
 
     delta copies of the smallest unit-delta building block (a k=2
-    realignment moment with singleton link subsets) are chained by
-    delta - 1 flips of color-0 edges at the first white vertex of each
-    block.  The claim is brute-force checked whenever the result fits the
-    budget, and flagged unverified otherwise.
+    realignment moment with singleton link subsets, delta 0 at D = 3) are
+    chained by delta - 1 flips of color-0 edges at the first white vertex of
+    each block.  The claim is brute-force checked whenever the result fits
+    the budget, and flagged unverified otherwise.
     """
-    if D < 3:
-        raise ValueError("need D >= 3")
+    if D < 4:
+        raise ValueError("need D >= 4: the unit block has delta 0 at D = 3")
     if delta < 1:
         raise ValueError("need delta >= 1")
-    block = realignment({0}, {1}, set(range(2, D)), 2, D=D)
+    limit = resolve_kmax(kmax)
+    block = realignment({0}, {1}, set(range(2, D)), 2)
     if delta == 1:
         g = block
     else:
         g, _ = disjoint_union([block] * delta)
         for j in range(delta - 1):
             g = flip_edges(g, 0, 2 * j, 2 * (j + 1))
-    limit = DEFAULT_KMAX if kmax is None else int(kmax)
     verified = False
     if g.k <= limit:
         rep = degree_report(g, kmax=limit, workers=workers)
         if rep.delta != delta:
-            raise AssertionError(
-                f"construction produced delta={rep.delta}, expected {delta}"
-            )
+            raise AssertionError(f"construction produced delta={rep.delta}, expected {delta}")
         verified = True
     return DeltaBuildReport(graph=g, delta=delta, verified=verified)
 
@@ -225,33 +222,48 @@ def _links(value) -> list:
     return [_colors(link) for link in _array(value)]
 
 
-def generate_from_spec(spec: dict) -> ColoredGraph:
-    """Build a graph from a JSON family spec (1-based colors and labels)."""
+# kind -> (builder, fields); each field is named after a builder argument
+KINDS = {
+    "two_vertex": (two_vertex, ("D",)),
+    "melonic": (melonic, ("D", "script")),
+    "cyclic": (cyclic, ("D", "M", "k")),
+    "realignment": (realignment, ("M1", "M2", "M3", "k")),
+    "joint_realignment": (joint_realignment, ("D", "M3", "links")),
+    "fig7": (fig7, ()),
+    "random": (random_graph, ("D", "k", "seed")),
+    "with_delta": (lambda D, delta: build_with_delta(D, delta).graph, ("D", "delta")),
+}
+_READERS = {"M": _colors, "M1": _colors, "M2": _colors, "M3": _colors, "script": _script, "links": _links}
+
+
+def read_spec(spec: dict) -> tuple:
+    """(kind, fields) of a JSON family spec, the fields read into 0-based builder arguments."""
     if not isinstance(spec, dict):
         raise ValueError(f"family spec must be an object, got {type(spec).__name__}")
-
-    def field(key, convert=_int):
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    names = KINDS[kind][1]
+    unread = [key for key in spec if key != "kind" and key not in names]
+    if unread:
+        raise ValueError(f"family spec field {unread[0]!r} is not read by kind {kind!r}")
+    fields = {}
+    for key in names:
         if key not in spec:
             raise ValueError(f"family spec missing field {key!r}")
         try:
-            return convert(spec[key])
+            fields[key] = _READERS.get(key, _int)(spec[key])  # any other field is an integer
         except (TypeError, ValueError) as exc:
             raise ValueError(f"family spec field {key!r} is malformed: {exc}")
+    return kind, fields
 
-    kind = spec.get("kind")
-    if kind == "two_vertex":
-        return two_vertex(field("D"))
-    if kind == "melonic":
-        return melonic(field("D"), field("script", _script))
-    if kind == "cyclic":
-        return cyclic(field("D"), field("M", _colors), field("k"))
-    if kind == "realignment":
-        D = field("D") if "D" in spec else None
-        return realignment(field("M1", _colors), field("M2", _colors), field("M3", _colors), field("k"), D=D)
-    if kind == "joint_realignment":
-        return joint_realignment(field("D"), field("M3", _colors), field("links", _links))
-    if kind == "fig7":
-        return fig7()
-    if kind == "random":
-        return random_graph(field("D"), field("k"), field("seed"))
-    raise ValueError(f"unknown family kind {kind!r}")
+
+def generate_from_spec(spec: dict) -> ColoredGraph:
+    """Build the graph of a JSON family spec ``{"kind": KIND, field: value, ...}``, 1-based.
+
+    ``KINDS`` names the fields of each kind.  A spec that is not an object,
+    names no known kind, or has a field missing, malformed or not read by
+    its kind is refused with ValueError before anything is built.
+    """
+    kind, fields = read_spec(spec)
+    return KINDS[kind][0](**fields)

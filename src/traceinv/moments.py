@@ -25,13 +25,13 @@ from .graphs import (
 )
 from .search import (
     BudgetError,
-    DEFAULT_KMAX,
     _check_budget,
     _enumerate,
     _Searches,
     _tree_values,
     degree_report,
     mst_pair_f0,
+    resolve_kmax,
 )
 
 DEFAULT_PMAX = 5
@@ -384,12 +384,12 @@ def prop32_scaling_check(
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
+    limit = resolve_kmax(kmax)
     pair = mst_pair_f0(H, kmax=kmax, workers=workers)
     if not pair.nonfactorizing:
         raise ValueError("prop32_scaling_check requires a non-factorizing pair")
     exponent = -p * H.D * H.k
     union, _ = disjoint_union([H, conjugate(H)])
-    limit = DEFAULT_KMAX if kmax is None else int(kmax)
     if p * union.k <= limit:
         fam = family_of([union] * p)
         lead = leading_order(gaussian_moment(fam, kmax=kmax))
@@ -427,7 +427,7 @@ def _decide(family: GraphFamily, searches: _Searches) -> TieredVerdict:
     Each tier takes its maxima from the table, so a graph that several
     tiers (or the caller) ask about is walked once.
     """
-    limit = DEFAULT_KMAX if searches.kmax is None else int(searches.kmax)
+    limit = resolve_kmax(searches.kmax)
 
     # tier 1: sufficient bound on the sum of per-component degrees
     try:

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats
 from .moments import gaussian_moment
-from .search import BudgetError, DEFAULT_KMAX, mst_pair_f0, search_f0
+from .search import BudgetError, mst_pair_f0, resolve_kmax, search_f0
 
 DEFAULT_TRACE_CAP = 2**26  # complex entries per sample in the draw and in any intermediate
 BATCH_ENTRY_CAP = 2**16  # complex entries per array a block of samples holds (1 MiB)
@@ -301,7 +301,7 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None, worker
     maximally single-trace graphs only the leading ln N coefficient is
     available (the subleading constant needs the connected multiplicity).
     """
-    limit = DEFAULT_KMAX if kmax is None else int(kmax)
+    limit = resolve_kmax(kmax)
     pair = family_of([H, conjugate(H)], names=["H", "Hbar"])
     if 2 * H.k <= limit:
         poly = gaussian_moment(pair, kmax=limit)

@@ -37,10 +37,16 @@ class BudgetError(ValueError):
     """Raised when an exact computation would exceed the configured k_max."""
 
 
-def _check_budget(k: int, kmax: Optional[int]) -> int:
+def resolve_kmax(kmax: Optional[int]) -> int:
+    """The enumeration budget a kmax argument names: DEFAULT_KMAX for None, refused below 1."""
     limit = DEFAULT_KMAX if kmax is None else int(kmax)
     if limit < 1:
         raise ValueError("k_max must be >= 1")
+    return limit
+
+
+def _check_budget(k: int, kmax: Optional[int]) -> int:
+    limit = resolve_kmax(kmax)
     if k > limit:
         raise BudgetError(
             f"exact enumeration over S_{k} exceeds the budget k_max={limit}; "

@@ -357,3 +357,37 @@ def test_generate_with_delta(capsys):
     assert main(["generate", "with-delta", "--D", "4", "--delta", "2", "--no-timestamp"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["delta"] == 2 and out["delta_verified"] is True and out["k"] == 4
+
+
+def test_generate_out_before_kind_writes_the_file(tmp_path, capsys):
+    out_file = tmp_path / "g.json"
+    assert main(["generate", "--out", str(out_file), "cyclic", "--D", "3", "--M", "1", "--k", "2"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out_file.read_text())["sigma"] == cyclic(3, {0}, 2).to_json_dict()["sigma"]
+
+
+def test_generate_flags_before_kind_take_effect(capsys):
+    assert main(["generate", "--format", "pretty", "--no-timestamp", "fig7"]) == 0
+    assert capsys.readouterr().out.startswith("D: 6\nk: 9\n")
+    assert main(["generate", "--kmax", "1", "--no-timestamp", "with-delta", "--D", "4", "--delta", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["delta"] == 2 and out["delta_verified"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig7", "--D", "6"], "not read by kind 'fig7'"),
+        (["cyclic", "--D", "3", "--k", "3"], "missing field 'M'"),
+        (["realignment", "--M1", "1", "--M2", "2", "--k", "2"], "missing field 'M3'"),
+        (["moebius"], "unknown family kind 'moebius'"),
+        (["with-delta", "--D", "3", "--delta", "2"], "D >= 4"),
+        (["--kmax", "0", "with-delta", "--D", "4", "--delta", "1"], "k_max must be >= 1"),
+        (["melonic", "--D", "3", "--script", "[" * 100000 + "]" * 100000], "--script is malformed"),
+    ],
+)
+def test_generate_refusals_exit_2_with_one_error_line(capsys, argv, message):
+    assert main(["generate"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err

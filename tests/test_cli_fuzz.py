@@ -7,6 +7,10 @@ total, so every valid input is answered in milliseconds; ``quenched``
 walks the pair of a graph and its conjugate, at most ten whites.
 Cycle-string graphs may also declare any k up to 10^9, far over the
 budget, which must be refused before the loader builds anything.
+
+``generate`` argv draws a kind (or junk), mostly that kind's own fields,
+sometimes one foreign field, and the common flags before or after the kind.
+Integers stay in -2..8, since generate has no budget on the size it builds.
 """
 
 import contextlib
@@ -15,7 +19,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceinv.cli import main
@@ -84,4 +88,63 @@ def test_arbitrary_json_holds_the_exit_code_contract(command, payload):
     assert code in (0, 2, 3)
     assert "Traceback" not in err + out.getvalue()
     if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# the fields each generate kind reads
+KIND_FIELDS = {
+    "two-vertex": ["D"],
+    "melonic": ["D", "script"],
+    "cyclic": ["D", "M", "k"],
+    "realignment": ["M1", "M2", "M3", "k"],
+    "joint-realignment": ["D", "M3", "links"],
+    "fig7": [],
+    "random": ["D", "k", "seed"],
+    "with-delta": ["D", "delta"],
+}
+small_int = st.integers(-2, 8).map(str)
+fragments = st.sampled_from(["", "[", "[[1,", "{}", "null", "1,", "[[1, 2.5]]", '"x"']) | st.text(max_size=4)
+color_list = st.lists(st.integers(-2, 8), max_size=4).map(lambda cs: ",".join(map(str, cs)))
+nested = st.lists(st.lists(st.integers(-2, 8), max_size=3), max_size=4).map(json.dumps)
+FIELD_VALUES = {
+    **dict.fromkeys(["D", "k", "seed", "delta"], small_int),
+    **dict.fromkeys(["M", "M1", "M2", "M3"], color_list),
+    **dict.fromkeys(["script", "links"], nested),
+}
+
+
+@st.composite
+def generate_argv(draw):
+    """generate argv: a kind or junk, its fields (rarely one dropped, sometimes one foreign), --format anywhere."""
+    kind = draw(st.text(max_size=4) if not draw(st.integers(0, 3)) else st.sampled_from(sorted(KIND_FIELDS)))
+    names = [name for name in KIND_FIELDS.get(kind, []) if draw(st.integers(0, 9))]
+    if not draw(st.integers(0, 4)):
+        foreign = draw(st.sampled_from(sorted(FIELD_VALUES)))
+        names += [foreign] if foreign not in names else []
+    fields = []
+    for name in names:
+        value = FIELD_VALUES[name]
+        fields += [f"--{name}", draw(fragments if not draw(st.integers(0, 7)) else value)]
+    flags = ["--format", draw(st.sampled_from(["json", "json", "pretty", "pretty", "csv"])), "--no-timestamp"]
+    if draw(st.booleans()):
+        return [*flags, kind, *fields]
+    return [kind, *fields, *flags]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=generate_argv())
+@example(argv=["with-delta", "--D", "3", "--delta", "2"])
+def test_arbitrary_generate_argv_holds_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["generate", *argv])
+        except SystemExit as exc:  # argparse refuses a malformed option or value
+            code, parsed = exc.code, False
+        else:
+            parsed = True
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err + out.getvalue()
+    if code == 2 and parsed:
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,6 +15,7 @@ from traceinv import (
     treelike_report,
     two_vertex,
 )
+from traceinv import families
 from traceinv.families import generate_from_spec
 
 import oracles
@@ -184,6 +185,13 @@ def test_build_with_delta_validation():
         build_with_delta(4, 0)
 
 
+@pytest.mark.parametrize("delta", [1, 2, 3])
+def test_build_with_delta_refuses_d3(delta):
+    # the k=2 realignment block has delta 0 at D = 3, so no delta is reachable
+    with pytest.raises(ValueError, match="D >= 4"):
+        build_with_delta(3, delta)
+
+
 def test_generate_from_spec_kinds():
     assert generate_from_spec({"kind": "two_vertex", "D": 3}) == two_vertex(3)
     assert generate_from_spec({"kind": "melonic", "D": 3, "script": [[1, 1]]}) == melonic(
@@ -223,3 +231,37 @@ def test_generate_from_spec_kinds():
 def test_generate_from_spec_rejects_malformed_fields(spec):
     with pytest.raises(ValueError, match="spec"):
         generate_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "fig7", "D": 6}, "field 'D' is not read by kind 'fig7'"),
+        ({"kind": "cyclic", "D": 3, "M": [1], "k": 3, "seed": 1}, "field 'seed' is not read"),
+        ({"kind": "two_vertex", "D": 3, "k": 2}, "field 'k' is not read"),
+        # D is implied by the colors M1|M2|M3 partition
+        ({"kind": "realignment", "M1": [1], "M2": [2], "M3": [3], "k": 2, "D": 3}, "field 'D' is not read"),
+        ({"kind": "with_delta", "D": 4}, "missing field 'delta'"),
+        ({"kind": "cyclic", "D": 3, "k": 3}, "missing field 'M'"),
+        ({"D": 3}, "unknown family kind None"),
+        ({"kind": ["fig7"]}, "unknown family kind"),
+    ],
+)
+def test_generate_from_spec_refuses_unread_and_missing_fields(spec, message):
+    with pytest.raises(ValueError, match=message):
+        generate_from_spec(spec)
+
+
+def test_generate_from_spec_refuses_before_building(monkeypatch):
+    def fail(*args):
+        raise AssertionError("built a refused spec")
+
+    monkeypatch.setitem(families.KINDS, "random", (fail, ("D", "k", "seed")))
+    with pytest.raises(ValueError, match="not read"):
+        generate_from_spec({"kind": "random", "D": 3, "k": 4, "seed": 1, "delta": 2})
+    with pytest.raises(ValueError, match="missing"):
+        generate_from_spec({"kind": "random", "D": 3, "k": 4})
+
+
+def test_generate_from_spec_reads_with_delta():
+    assert generate_from_spec({"kind": "with_delta", "D": 4, "delta": 2}) == build_with_delta(4, 2).graph

@@ -24,8 +24,10 @@ from traceinv import (
     treelike_report,
     two_vertex,
 )
-from traceinv.families import random_graph
+from traceinv.families import build_with_delta, fig7, melonic, random_graph
 from traceinv.graphs import GraphFamily
+from traceinv.moments import decide_factorization, prop32_scaling_check
+from traceinv.sampling import quenched_entropy
 from traceinv import search as search_module
 from traceinv.search import _completions, _enumerate, _face_bound
 
@@ -76,6 +78,24 @@ def test_search_budget_refusal():
         search_f0(g)
     with pytest.raises(BudgetError, match="k_max=4"):
         search_f0(random_graph(3, 5, seed=1), kmax=4)
+
+
+@pytest.mark.parametrize("kmax", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kmax: search_f0(two_vertex(3), kmax=kmax),
+        lambda kmax: build_with_delta(4, 1, kmax=kmax),
+        # not maximally single-trace, so no budget-free shortcut applies
+        lambda kmax: quenched_entropy(melonic(3, [(0, 0)]), 4, kmax=kmax),
+        lambda kmax: prop32_scaling_check(fig7(), 1, kmax=kmax),
+        lambda kmax: decide_factorization(family_of([two_vertex(3)] * 2), kmax=kmax),
+    ],
+    ids=["search_f0", "build_with_delta", "quenched_entropy", "prop32_scaling_check", "decide_factorization"],
+)
+def test_budget_below_one_is_refused_everywhere(call, kmax):
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        call(kmax)
 
 
 def test_search_matches_brute_force():
