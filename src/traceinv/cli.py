@@ -109,8 +109,6 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
             report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is only available for row-based reports")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -126,20 +124,33 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
-def _read_graphs(path, kmax):
-    """The JSON of a graph or family file, refused if a graph in it declares k over the budget.
+def _load_json(path):
+    """The JSON value in a file; one nested deeper than the parser can recurse is refused."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read") from None
+
+
+def _check_declared_k(data, kmax) -> None:
+    """Refuse graph or family JSON in which a graph declares k over the budget.
 
     Cycle strings let a few bytes declare any k, and the loader builds
     k-element permutations from them, so a cycle-string graph's declared k
     is checked before anything is built.
     """
-    with open(path) as fh:
-        data = json.load(fh)
     members = data.get("members") if isinstance(data, dict) else None
     graphs = [m.get("graph") for m in members if isinstance(m, dict)] if isinstance(members, list) else [data]
     for g in graphs:
         if isinstance(g, dict) and "sigma_cycles" in g and is_int(g.get("k")):
             _check_budget(g["k"], kmax)
+
+
+def _read_graphs(path, kmax):
+    """The JSON of a graph or family file, refused if a graph in it declares k over the budget."""
+    data = _load_json(path)
+    _check_declared_k(data, kmax)
     return data
 
 
@@ -211,23 +222,25 @@ def _cmd_moment(args, connected=False) -> int:
     return 0
 
 
-def _experiment_config(path, default_kind, single_graph) -> tuple:
+def _experiment_config(path, default_kind, single_graph, kmax) -> tuple:
     """(family, kind, Ns, samples, seed, epsilon), validated, from an experiment config file.
 
     'seed', 'samples', 'N' and a 'graph' or 'family' are required; 'N' is
     one integer or a list of them.  'kind' defaults to default_kind and
-    'epsilon' to 0.5.  single_graph refuses a family of more than one member.
+    'epsilon' to 0.5.  single_graph refuses a family of more than one member;
+    a graph declaring k over kmax is refused before it is built.
     """
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
     for key in ("seed", "samples", "N"):
         if key not in cfg:
             raise ValueError(f"experiment config requires an explicit {key!r}")
     if "family" in cfg:
+        _check_declared_k(cfg["family"], kmax)
         family = family_from_json_dict(cfg["family"])
     elif "graph" in cfg:
+        _check_declared_k(cfg["graph"], kmax)
         family = GraphFamily((("G1", graph_from_json_dict(cfg["graph"])),))
     else:
         raise ValueError("experiment config needs a 'graph' or 'family' entry")
@@ -249,7 +262,7 @@ def _experiment_config(path, default_kind, single_graph) -> tuple:
 
 
 def _cmd_mc_moment(args) -> int:
-    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "gaussian", single_graph=False)
+    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "gaussian", single_graph=False, kmax=args.kmax)
     rows = []
     for N in Ns:
         est = sampling.mc_moment(family, kind, N, samples, seed)
@@ -272,7 +285,7 @@ def _cmd_mc_moment(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, "haar", single_graph=True)
+    family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, "haar", single_graph=True, kmax=args.kmax)
     rep = sampling.concentration_experiment(
         family.members[0][1],
         Ns,
@@ -293,7 +306,7 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_entropy_slope(args) -> int:
-    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "haar", single_graph=True)
+    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "haar", single_graph=True, kmax=args.kmax)
     rep = sampling.entropy_slope_experiment(
         family.members[0][1],
         Ns,
@@ -367,6 +380,10 @@ def _cmd_counterexample(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command not in ("analyze", "mc-moment", "concentration", "entropy-slope"):
+        # refused before the work, which may be a long walk
+        print("error: csv output is only available for row-based reports", file=sys.stderr)
+        return 2
     handlers = {
         "analyze": _cmd_analyze,
         "factorize": _cmd_factorize,

@@ -7,6 +7,17 @@ reproducible for a fixed seed independently of batching.
 Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
 draws a block of samples small enough to stay in cache, contracts it with
 each graph's compiled plan, and hands the block's trace values back.
+
+A family whose members are all matrix-like for one split of the colors
+(M, M^c) takes a spectral path instead: every color in M has one
+permutation alpha and every other color one permutation beta, as in
+``cyclic(D, M, k)``, ``two_vertex`` and every D = 2 graph, so the trace
+depends only on the singular values of the N^|M| x N^(D-|M|) flattening of
+the tensor.  Those are drawn from the bidiagonal beta = 2 Laguerre model of
+Dumitriu and Edelman ("Matrix models for beta ensembles", J. Math. Phys.
+43, 2002): 2n - 1 gamma variables per sample, n the smaller side of the
+flattening, instead of 2 N^D normals.  Every other family runs the full
+draw and contraction.
 """
 
 from __future__ import annotations
@@ -230,7 +241,8 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     entries (at least one sample), so it is drawn and contracted in cache.
     The draws depend only on rng, not on the block size.  Every plan is
     checked against the memory cap, draw and intermediates alike, before
-    the first draw.
+    the first draw.  Graphs that are all matrix-like for one color split
+    take the spectral path (_spectral_blocks) after that check.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -238,6 +250,10 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
         raise ValueError("need N >= 2")
     for g in graphs:
         _check_cap(g, N, DEFAULT_TRACE_CAP)
+    form = _matrix_form(graphs)
+    if form is not None:
+        yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
+        return
     widest = max(_contraction_plan(g)[2] for g in graphs)
     block = max(1, BATCH_ENTRY_CAP // N**widest)
     # one scratch per graph, reused by every block: fresh arrays for each
@@ -251,6 +267,90 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
             # not in place: numpy's in-place complex multiply rounds a
             # one-element array differently from a longer one
             prod = prod * _batch_trace(g, batch, work)
+        yield prod
+
+
+def _matrix_form(graphs):
+    """(|M|, cycle lengths) when every graph is matrix-like for one color split (M, M^c), else None.
+
+    A graph is matrix-like for the split when every color in M has one
+    permutation alpha and every other color one permutation beta.  Its
+    trace is then the product, over the cycles l of alpha^-1 beta, of
+    Tr[(X X^dagger)^l], X the N^|M| x N^(D-|M|) flattening of the tensor;
+    the lengths of all graphs are listed together, since their traces
+    multiply.  M holds color 0.  A graph whose colors all share one
+    permutation fits every split; a family of only those takes M = {0}.
+    """
+    D = graphs[0].D
+    split = None
+    for g in graphs:
+        same = frozenset(c for c in range(D) if g.sigma[c] == g.sigma[0])
+        if len(same) == D:
+            continue
+        if len(set(g.sigma)) > 2 or split not in (None, same):
+            return None
+        split = same
+    split = split or frozenset({0})
+    beta_color = min(set(range(D)) - split)
+    lengths = []
+    for g in graphs:
+        cycles = perms.cycles(perms.compose(perms.inverse(g.sigma[0]), g.sigma[beta_color]))
+        lengths += [len(c) for c in cycles]
+    return len(split), lengths
+
+
+def _power_sums(d, e, top):
+    """[Tr (B B^T)^l for l = 1..top], B lower bidiagonal with squared diagonal d and squared subdiagonal e.
+
+    d is (count, n) and e (count, n - 1).  B B^T is tridiagonal, with
+    diagonal d_i + e_(i-1) and off-diagonal sqrt(d_i e_i), so its powers are
+    banded: band[:, top + o, c] holds (B B^T)^j [c - o, c].  Every term is
+    positive, so nothing cancels.
+    """
+    count, n = d.shape
+    diag = d.copy()
+    diag[:, 1:] += e
+    off = np.sqrt(d[:, :-1] * e)[:, None, :]
+    band = np.zeros((count, 2 * top + 1, n))
+    band[:, top] = 1.0
+    sums = []
+    for _ in range(top):
+        band, prev = band * diag[:, None, :], band
+        band[:, 1:, 1:] += prev[:, :-1, :-1] * off
+        band[:, :-1, :-1] += prev[:, 1:, 1:] * off
+        sums.append(band[:, top].sum(axis=1))
+    return sums
+
+
+def _spectral_blocks(kind, D, N, samples, rng, rows, lengths):
+    """Product of Tr[(X X^dagger)^l] over lengths on `samples` fresh draws, one block at a time.
+
+    X is the n x m flattening of a Gaussian or Haar tensor with N^rows
+    rows, n <= m its smaller side.  The eigenvalues of X X^dagger, in units
+    of one entry's variance, are those of B B^T for the lower bidiagonal B
+    of the beta = 2 Laguerre model (Dumitriu and Edelman, J. Math. Phys. 43,
+    2002): B_ii^2 ~ Gamma(m - i) and B_(i+1,i)^2 ~ Gamma(n - 1 - i), all
+    independent.  Each sample draws its 2n - 1 gammas as one row, so the
+    stream does not depend on the block size.  Gaussian rows are scaled by
+    the entry variance 1/N^D; Haar rows by 1/Tr(X X^dagger), their sum,
+    which divides the product by p_1^(total k).  A block holds as many
+    samples as keep the band powers of _power_sums within BATCH_ENTRY_CAP
+    entries.
+    """
+    if kind not in ("gaussian", "haar"):
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    small = min(rows, D - rows)
+    n, m = N**small, N ** (D - small)
+    shapes = np.concatenate([m - np.arange(n), n - 1 - np.arange(n - 1)]).astype(float)
+    top = max(lengths)
+    block = max(1, BATCH_ENTRY_CAP // (n * (2 * top + 1)))
+    for start in range(0, samples, block):
+        g = rng.standard_gamma(shapes, size=(min(block, samples - start), 2 * n - 1))
+        g /= g.sum(axis=1, keepdims=True) if kind == "haar" else N**D
+        sums = _power_sums(g[:, :n], g[:, n:], top)
+        prod = np.ones(len(g))
+        for l in lengths:
+            prod = prod * sums[l - 1]
         yield prod
 
 

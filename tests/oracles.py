@@ -10,6 +10,21 @@ import itertools
 import numpy as np
 
 
+def cycle_lengths(p):
+    """Sorted lengths of the cycles of p, by walking each from its smallest element."""
+    left = set(range(len(p)))
+    lengths = []
+    while left:
+        x = min(left)
+        n = 0
+        while x in left:
+            left.remove(x)
+            x = p[x]
+            n += 1
+        lengths.append(n)
+    return sorted(lengths)
+
+
 def cycle_count_naive(p):
     left = set(range(len(p)))
     count = 0

@@ -391,3 +391,50 @@ def test_generate_refusals_exit_2_with_one_error_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze", "moment", "mc-moment", "concentration"])
+def test_json_nested_past_the_parser_exits_2_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "with-delta", "--D", "4", "--delta", "5"],
+        ["counterexample"],
+        ["factorize", "family.json"],
+        ["moment", "family.json"],
+        ["cumulant", "family.json"],
+        ["quenched", "graph.json", "--N", "4"],
+        ["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "2", "--D", "3", "--k", "2"],
+    ],
+)
+def test_csv_on_a_command_without_rows_is_refused_before_the_work(monkeypatch, capsys, argv):
+    from traceinv import cli, families, sampling
+
+    calls = []
+    for module, name in ((families, "build_with_delta"), (cli, "_Searches"), (cli, "_read_graphs"),
+                         (sampling, "annealed_coefficients")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
+    assert main(argv + ["--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    assert captured.err == "error: csv output is only available for row-based reports\n"
+
+
+@pytest.mark.parametrize("command", ["mc-moment", "concentration", "entropy-slope"])
+@pytest.mark.parametrize("nest", ["graph", "family"])
+def test_config_graph_declaring_k_over_kmax_is_refused_before_building(tmp_path, capsys, command, nest):
+    path = tmp_path / "cfg.json"
+    for k, code in ((1000000, 2), (3, 0)):
+        graph = {"D": 3, "k": k, "sigma_cycles": ["", "(1 2 3)", "(1 2 3)"]}
+        entry = graph if nest == "graph" else {"members": [{"name": "G", "graph": graph}]}
+        path.write_text(json.dumps({nest: entry, "N": [2, 3, 4], "samples": 10, "seed": 1}))
+        assert main([command, str(path), "--no-timestamp"]) == code
+        err = capsys.readouterr().err
+        assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1 and "k_max=11" in err)

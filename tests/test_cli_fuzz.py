@@ -8,6 +8,11 @@ walks the pair of a graph and its conjugate, at most ten whites.
 Cycle-string graphs may also declare any k up to 10^9, far over the
 budget, which must be refused before the loader builds anything.
 
+Experiment configs for ``mc-moment``, ``concentration`` and
+``entropy-slope`` carry such a graph or family, N of 2..4 and at most 30
+samples, or one entry dropped or broken, so every valid config is answered
+in milliseconds.
+
 ``generate`` argv draws a kind (or junk), mostly that kind's own fields,
 sometimes one foreign field, and the common flags before or after the kind.
 Integers stay in -2..8, since generate has no budget on the size it builds.
@@ -86,6 +91,50 @@ def test_arbitrary_json_holds_the_exit_code_contract(command, payload):
             code = main([command[0], path, *command[1:], "--no-timestamp"])
     err = err.getvalue()
     assert code in (0, 2, 3)
+    assert "Traceback" not in err + out.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def configs(draw):
+    """Experiment config JSON over a small graph or family: valid, or with one entry dropped or broken."""
+    k, D = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    valid = {"D": D, "sigma": draw(st.lists(st.permutations(range(1, k + 1)), min_size=D, max_size=D))}
+    cfg = {
+        "N": draw(st.lists(st.integers(2, 4), min_size=3, max_size=4) | st.integers(2, 4)),
+        "samples": draw(st.integers(2, 30)),
+        "seed": draw(st.integers(0, 2**40)),
+    }
+    entry = draw(st.sampled_from(["graph", "family"]))
+    if draw(st.integers(0, 2)):
+        cfg[entry] = valid if entry == "graph" else {"members": [{"graph": valid}] * draw(st.integers(1, 2))}
+    else:
+        cfg[entry] = draw(graphs(3) | cycle_graphs(3) if entry == "graph" else families())
+    if draw(st.booleans()):
+        cfg["kind"] = draw(st.sampled_from(["gaussian", "haar"]) | junk)
+    if draw(st.booleans()):
+        cfg["epsilon"] = draw(st.floats(-1, 2) | junk)
+    flaw = draw(st.sampled_from([None, None, None, *sorted(cfg)]))
+    if flaw is not None and draw(st.booleans()):
+        del cfg[flaw]
+    elif flaw is not None:
+        cfg[flaw] = draw(junk | st.integers(-1, 1))
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["mc-moment", "concentration", "entropy-slope"]), payload=configs())
+def test_arbitrary_experiment_config_holds_the_exit_code_contract(command, payload):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, "--no-timestamp"])
+    err = err.getvalue()
+    assert code in (0, 2)
     assert "Traceback" not in err + out.getvalue()
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from traceinv import (
     DenseTensor,
     MemoryCapError,
     annealed_coefficients,
+    build_graph,
     concentration_experiment,
     conjugate,
     cyclic,
@@ -132,11 +134,28 @@ def test_batch_trace_matches_naive_oracle(request, name):
         assert vals[i] == pytest.approx(oracles.trace_naive(g, DenseTensor(g.D, 2, batch[i])), rel=1e-12)
 
 
-def test_mc_moment_refuses_over_cap_draw_before_drawing(monkeypatch):
-    # two_vertex(3) contracts to a scalar at once, so only its 4^3-entry draw is over the cap
+class RecordingRng:
+    """A generator that records the name of every method drawn from it."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def _record_draws(monkeypatch):
     calls = []
-    real_draw = sampling._draw_batch
-    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: calls.append(a) or real_draw(*a))
+    real = sampling.make_rng
+    monkeypatch.setattr(sampling, "make_rng", lambda seed: RecordingRng(real(seed), calls))
+    return calls
+
+
+def test_mc_moment_refuses_over_cap_draw_before_drawing(monkeypatch):
+    # two_vertex(3) contracts to a scalar at once, so only its 4^3-entry draw
+    # is over the cap; the spectral path would draw 2*4 - 1 gammas instead
+    calls = _record_draws(monkeypatch)
     monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 10)
     with pytest.raises(MemoryCapError):
         mc_moment(family_of([two_vertex(3)]), "gaussian", 4, 10, seed=1)
@@ -145,12 +164,122 @@ def test_mc_moment_refuses_over_cap_draw_before_drawing(monkeypatch):
 
 def test_mc_moment_refuses_over_cap_plan_before_drawing(monkeypatch):
     # fig7's widest intermediate has 20 open indices: 3^20 entries exceed the cap
-    calls = []
-    real_draw = sampling._draw_batch
-    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: calls.append(a) or real_draw(*a))
+    calls = _record_draws(monkeypatch)
     with pytest.raises(MemoryCapError):
         mc_moment(family_of([fig7()]), "gaussian", 3, 2, seed=1)
     assert calls == []
+
+
+def _cyc_pair():
+    cyc = cyclic(3, {0}, 2)
+    return [cyc, conjugate(cyc)]
+
+
+@pytest.mark.parametrize(
+    "graphs, form",
+    [
+        ([cyclic(3, {0}, 2)], (1, [2])),
+        ([cyclic(3, {2}, 4)], (2, [4])),  # color 0 sits with the shifted colors
+        ([cyclic(4, {0, 1}, 2)], (2, [2])),
+        ([cyclic(5, {1, 3}, 3)], (3, [3])),
+        ([two_vertex(3)], (1, [1])),
+        ([two_vertex(2), two_vertex(2)], (1, [1, 1])),
+        ([conjugate(cyclic(3, {0}, 3))], (1, [3])),
+        (_cyc_pair(), (1, [2, 2])),
+        ([two_vertex(3), cyclic(3, {1}, 3)], (2, [1, 3])),  # a uniform member fits any split
+        ([cyclic(2, {0}, 1)], (1, [1])),
+    ],
+)
+def test_matrix_form_of_matrix_like_families(graphs, form):
+    assert sampling._matrix_form(graphs) == form
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_matrix_form_of_every_d2_graph(seed):
+    g = random_graph(2, 6, seed=seed)
+    white_of = {b: s for s, b in enumerate(g.sigma[0])}
+    cycles = oracles.cycle_lengths([white_of[b] for b in g.sigma[1]])
+    for h in (g, conjugate(g)):
+        rows, lengths = sampling._matrix_form([h])
+        assert rows == 1 and sorted(lengths) == cycles
+
+
+MST3 = build_graph(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # three distinct permutations
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        [MST3],
+        [fig7()],
+        [cyclic(3, {0}, 2), MST3],  # one member general
+        [cyclic(4, {0}, 2), cyclic(4, {1}, 2)],  # matrix-like for two different splits
+        [random_graph(3, 4, seed=44)],
+    ],
+    ids=["mst3", "fig7", "mixed", "two-splits", "random-d3"],
+)
+def test_matrix_form_refuses_general_families(graphs):
+    assert sampling._matrix_form(graphs) is None
+
+
+def test_only_general_families_draw_full_tensors(monkeypatch, mst3):
+    calls = []
+    real_draw = sampling._draw_batch
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: calls.append(a) or real_draw(*a))
+    mc_moment(family_of(_cyc_pair()), "gaussian", 4, 10, seed=1)
+    assert calls == []
+    mixed = [cyclic(3, {0}, 2), mst3]
+    est = mc_moment(family_of(mixed), "gaussian", 4, 10, seed=1)
+    assert len(calls) == 1
+    assert est.mean == pytest.approx(oracles.per_sample_traces(mixed, "gaussian", 4, 10, make_rng(1)).mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, top", [(2, 1), (3, 4), (6, 7)])
+def test_power_sums_match_dense_powers(n, top):
+    rng = make_rng(n)
+    d, e = rng.gamma(2.0, size=(5, n)), rng.gamma(2.0, size=(5, n - 1))
+    sums = sampling._power_sums(d, e, top)
+    for i in range(5):
+        B = np.diag(np.sqrt(d[i])) + np.diag(np.sqrt(e[i]), -1)
+        L = B @ B.T
+        for l in range(1, top + 1):
+            assert sums[l - 1][i] == pytest.approx(np.trace(np.linalg.matrix_power(L, l)), rel=1e-12)
+
+
+SPECTRAL_CASES = [
+    ("cyclic3", [cyclic(3, {0}, 2)], 4),
+    ("cyclic3", [cyclic(3, {0}, 2)], 8),
+    ("cyclic3-k3", [cyclic(3, {1}, 3)], 3),
+    ("cyclic4", [cyclic(4, {0, 1}, 2)], 3),
+    ("pair", _cyc_pair(), 4),
+    ("d2", [random_graph(2, 4, seed=45)], 5),
+]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "haar"])
+@pytest.mark.parametrize("name, graphs, N", SPECTRAL_CASES, ids=[f"{c[0]}-N{c[2]}" for c in SPECTRAL_CASES])
+def test_spectral_path_matches_exact_moment(name, graphs, N, kind):
+    fam = family_of(graphs)
+    exact = float(gaussian_moment(fam).eval_at(N))
+    if kind == "haar":
+        exact *= float(haar_factor(fam.total_k, fam.D, N))
+    est = mc_moment(fam, kind, N, 20_000, seed=50 + N)
+    assert est.mean.imag == 0.0
+    assert abs(est.mean.real - exact) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "haar"])
+@pytest.mark.parametrize("name, graphs, N", SPECTRAL_CASES, ids=[f"{c[0]}-N{c[2]}" for c in SPECTRAL_CASES])
+def test_spectral_path_matches_full_draw(name, graphs, N, kind):
+    # independent samples of both paths: equal means and equal laws
+    samples = 1500
+    spectral = np.concatenate(list(sampling._trace_blocks(graphs, kind, N, samples, make_rng(60 + N))))
+    full = oracles.per_sample_traces(graphs, kind, N, samples, make_rng(70 + N))
+    assert np.abs(full.imag).max() < 1e-12 * np.abs(full.real).max()
+    full = full.real
+    z = (spectral.mean() - full.mean()) / math.sqrt((spectral.var(ddof=1) + full.var(ddof=1)) / samples)
+    assert abs(z) < 4
+    assert ks_2samp(spectral, full).pvalue > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -172,10 +301,12 @@ def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
 
 
 def _seeded_results(mst3, cyc):
+    # mst3 takes the general path, cyc and its pair the spectral one
     return (
         mc_moment(family_of([mst3]), "gaussian", 4, 300, seed=3),
         mc_moment(family_of([mst3]), "haar", 3, 300, seed=4),
         mc_moment(family_of([mst3, conjugate(mst3)]), "gaussian", 4, 200, seed=5),
+        mc_moment(family_of([cyc, conjugate(cyc)]), "haar", 8, 300, seed=10),
         concentration_experiment(cyc, [4, 8, 16], 0.5, 200, seed=6),
         entropy_slope_experiment(cyc, [4, 8, 16], 200, seed=7),
         sphere_min_sample(mst3, 4, 200, seed=8),
@@ -192,7 +323,8 @@ def test_seeded_results_do_not_depend_on_block_size(monkeypatch, mst3, cyc2_d3):
 
 @pytest.mark.parametrize("kind", ["gaussian", "haar"])
 def test_mc_moment_matches_per_sample_oracle(mst3, kind):
-    for graphs, N in (([mst3], 4), ([mst3, conjugate(mst3)], 3), ([cyclic(3, {0}, 2)], 8)):
+    # general-path families only: the spectral path draws another stream
+    for graphs, N in (([mst3], 4), ([mst3, conjugate(mst3)], 3), ([mst3], 8)):
         samples = 150
         est = mc_moment(family_of(graphs), kind, N, samples, seed=N)
         vals = oracles.per_sample_traces(graphs, kind, N, samples, make_rng(N))
@@ -201,10 +333,10 @@ def test_mc_moment_matches_per_sample_oracle(mst3, kind):
         assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
-def test_entropy_slope_matches_per_sample_oracle(cyc2_d3):
-    rep = entropy_slope_experiment(cyc2_d3, [4, 8, 16], 120, seed=9)
+def test_entropy_slope_matches_per_sample_oracle(mst3):
+    rep = entropy_slope_experiment(mst3, [4, 8, 16], 120, seed=9)
     for N, mean, _ in rep.rows:
-        vals = oracles.per_sample_traces([cyc2_d3], "haar", N, 120, make_rng([9, N]))
+        vals = oracles.per_sample_traces([mst3], "haar", N, 120, make_rng([9, N]))
         assert mean == pytest.approx(float(np.mean(-np.log(np.abs(vals)))), rel=1e-12)
 
 
