@@ -158,7 +158,7 @@ def _cmd_analyze(args) -> int:
     G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
     _check_budget(G.k, args.kmax)  # before graph_stats, whose cost grows with k
     stats = graph_stats(G)
-    rep = search_f0(G, kmax=args.kmax, workers=args.threads, prune=True)
+    rep = search_f0(G, kmax=args.kmax, prune=True)
     deg = degree_report(G, f0_max=rep.f0_max)
     report = {
         "k": stats.k,
@@ -180,7 +180,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_factorize(args) -> int:
     family = family_file_from_json_dict(_read_graphs(args.family, args.kmax))
-    verdict = decide_factorization(family, kmax=args.kmax, workers=args.threads)
+    verdict = decide_factorization(family, kmax=args.kmax)
     report = {
         "factorizes": verdict.factorizes,
         "tier": verdict.tier,
@@ -202,7 +202,7 @@ def _cmd_generate(args) -> int:
                 raise ValueError(f"--{key} is malformed: {exc}")
     if spec["kind"] == "with_delta":
         _, fields = families.read_spec(spec)
-        built = families.build_with_delta(**fields, kmax=args.kmax, workers=args.threads)
+        built = families.build_with_delta(**fields, kmax=args.kmax)
         report = dict(built.graph.to_json_dict(), delta=built.delta, delta_verified=built.verified)
     else:
         report = families.generate_from_spec(spec).to_json_dict()
@@ -294,7 +294,6 @@ def _cmd_concentration(args) -> int:
         seed,
         kind=kind,
         kmax=args.kmax,
-        workers=args.threads,
     )
     _emit(
         rep.to_json_dict(),
@@ -314,7 +313,6 @@ def _cmd_entropy_slope(args) -> int:
         seed,
         kind=kind,
         kmax=args.kmax,
-        workers=args.threads,
     )
     _emit(
         rep.to_json_dict(),
@@ -327,7 +325,7 @@ def _cmd_entropy_slope(args) -> int:
 
 def _cmd_quenched(args) -> int:
     G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
-    rep = sampling.quenched_entropy(G, args.N, kmax=args.kmax, workers=args.threads)
+    rep = sampling.quenched_entropy(G, args.N, kmax=args.kmax)
     _emit({"N": args.N, "value": rep.value, "method": rep.method}, args)
     return 0
 
@@ -352,7 +350,7 @@ def _cmd_annealed(args) -> int:
 def _cmd_counterexample(args) -> int:
     H = families.fig7()
     # the verdict reads fig7's search from the same table instead of walking it again
-    searches = _Searches(args.kmax, args.threads)
+    searches = _Searches(args.kmax)
     rep = searches.graph(H)
     deg = degree_report(H, f0_max=rep.f0_max)
     pair = mst_pair_f0(H, f0_max=rep.f0_max)

@@ -163,9 +163,7 @@ class DeltaBuildReport:
     verified: bool
 
 
-def build_with_delta(
-    D: int, delta: int, kmax: Optional[int] = None, workers: int = 1
-) -> DeltaBuildReport:
+def build_with_delta(D: int, delta: int, kmax: Optional[int] = None) -> DeltaBuildReport:
     """Connected graph with prescribed degree of compatibility delta >= 1.
 
     delta copies of the smallest unit-delta building block (a k=2
@@ -188,7 +186,7 @@ def build_with_delta(
             g = flip_edges(g, 0, 2 * j, 2 * (j + 1))
     verified = False
     if g.k <= limit:
-        rep = degree_report(g, kmax=limit, workers=workers)
+        rep = degree_report(g, kmax=limit)
         if rep.delta != delta:
             raise AssertionError(f"construction produced delta={rep.delta}, expected {delta}")
         verified = True

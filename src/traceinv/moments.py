@@ -273,7 +273,7 @@ class FactorizationVerdict:
 
 
 def factorization_verdict(
-    family: GraphFamily, kmax: Optional[int] = None, pmax: int = DEFAULT_PMAX, workers: int = 1
+    family: GraphFamily, kmax: Optional[int] = None, pmax: int = DEFAULT_PMAX
 ) -> FactorizationVerdict:
     """Exhaustive check that the fully split partition dominates.
 
@@ -281,7 +281,7 @@ def factorization_verdict(
     partition, margin = sum_i F0max(G_i) - sum_{B in pi} F0max_connected(B);
     factorization holds exactly when every margin is positive.
     """
-    return _factorization_verdict(family, pmax, _Searches(kmax, workers))
+    return _factorization_verdict(family, pmax, _Searches(kmax))
 
 
 def _factorization_verdict(family: GraphFamily, pmax: int, searches: _Searches) -> FactorizationVerdict:
@@ -321,11 +321,9 @@ class Thm41Report:
     delta_sum: Fraction  # equivalent form: passes iff delta_sum < D(D-1)/2
 
 
-def thm41_check(
-    family: GraphFamily, kmax: Optional[int] = None, workers: int = 1
-) -> Thm41Report:
+def thm41_check(family: GraphFamily, kmax: Optional[int] = None) -> Thm41Report:
     """Sufficient factorization bound over the union's connected components."""
-    return _thm41(family, _Searches(kmax, workers))
+    return _thm41(family, _Searches(kmax))
 
 
 def _thm41(family: GraphFamily, searches: _Searches) -> Thm41Report:
@@ -373,9 +371,7 @@ class Prop32Report:
     note: str
 
 
-def prop32_scaling_check(
-    H: ColoredGraph, p: int, kmax: Optional[int] = None, workers: int = 1
-) -> Prop32Report:
+def prop32_scaling_check(H: ColoredGraph, p: int, kmax: Optional[int] = None) -> Prop32Report:
     """Predicted leading exponent of the p-th moment of Tr over {H, conj H}.
 
     Requires a maximally single-trace, non-factorizing H; the prediction is
@@ -385,7 +381,7 @@ def prop32_scaling_check(
     if p < 1:
         raise ValueError("order p must be >= 1")
     limit = resolve_kmax(kmax)
-    pair = mst_pair_f0(H, kmax=kmax, workers=workers)
+    pair = mst_pair_f0(H, kmax=kmax)
     if not pair.nonfactorizing:
         raise ValueError("prop32_scaling_check requires a non-factorizing pair")
     exponent = -p * H.D * H.k
@@ -416,9 +412,10 @@ def decide_factorization(
     Tier 1 tries the per-component degree bound, tier 2 the tree-like
     criterion, tier 3 the exhaustive partition comparison, and tier 4 the
     conjugate-pair shortcut for maximally single-trace graphs.  Each report
-    names the tier that decided it.
+    names the tier that decided it.  workers is accepted and ignored: every
+    walk runs in one process.
     """
-    return _decide(family, _Searches(kmax, workers))
+    return _decide(family, _Searches(kmax))
 
 
 def _decide(family: GraphFamily, searches: _Searches) -> TieredVerdict:

@@ -57,17 +57,7 @@ def cycles(p) -> list:
 
 
 def cycle_count(p) -> int:
-    k = len(p)
-    seen = 0
-    cnt = 0
-    for x in range(k):
-        if not (seen >> x) & 1:
-            cnt += 1
-            y = x
-            while not (seen >> y) & 1:
-                seen |= 1 << y
-                y = p[y]
-    return cnt
+    return len(cycles(p))
 
 
 def transposition(k: int, a: int, b: int) -> tuple:

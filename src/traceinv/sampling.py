@@ -394,13 +394,15 @@ class QuenchedReport:
     method: str  # "exact" | "mst-leading"
 
 
-def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None, workers: int = 1) -> QuenchedReport:
+def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None) -> QuenchedReport:
     """Quenched average -1/2 ln <Tr_{H union conj(H)}> at numeric N.
 
     Exact when the pair fits in the enumeration budget; for larger
     maximally single-trace graphs only the leading ln N coefficient is
     available (the subleading constant needs the connected multiplicity).
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     limit = resolve_kmax(kmax)
     pair = family_of([H, conjugate(H)], names=["H", "Hbar"])
     if 2 * H.k <= limit:
@@ -408,7 +410,7 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None, worker
         val = poly.eval_at(N)
         return QuenchedReport(value=-0.5 * math.log(float(val)), method="exact")
     if graph_stats(H).is_mst:
-        rep = mst_pair_f0(H, kmax=limit, workers=workers)
+        rep = mst_pair_f0(H, kmax=limit)
         s_union = rep.f0_union - 2 * H.D * H.k
         return QuenchedReport(value=-0.5 * s_union * math.log(N), method="mst-leading")
     raise BudgetError(
@@ -431,7 +433,6 @@ def quenched_annealed_report(
     mu_c: float,
     Lambda: float,
     kmax: Optional[int] = None,
-    workers: int = 1,
 ) -> dict:
     """Juxtapose the quenched average with the annealed estimates at N.
 
@@ -439,7 +440,7 @@ def quenched_annealed_report(
     limit alpha_inf ln N + beta_inf; no claim is made about exchanging the
     two limits.
     """
-    quenched = quenched_entropy(H, N, kmax=kmax, workers=workers)
+    quenched = quenched_entropy(H, N, kmax=kmax)
     coeffs = annealed_coefficients(regime, mu_c, Lambda, H.D, H.k)
     ln_n = math.log(N)
     return {
@@ -485,7 +486,6 @@ def concentration_experiment(
     seed: int,
     kind: str = "haar",
     kmax: Optional[int] = None,
-    workers: int = 1,
 ) -> ConcentrationReport:
     """Empirical coverage of ||Tr|/(mu N^s) - 1| < epsilon per N.
 
@@ -493,7 +493,7 @@ def concentration_experiment(
     moment.  Assumes the graph satisfies the factorization criterion; the
     coverage trend is reported, not enforced.
     """
-    rep = search_f0(G, kmax=kmax, workers=workers, prune=True)
+    rep = search_f0(G, kmax=kmax, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity
     rows = []
@@ -543,13 +543,12 @@ def entropy_slope_experiment(
     seed: int,
     kind: str = "haar",
     kmax: Optional[int] = None,
-    workers: int = 1,
 ) -> EntropyReport:
     """Fit of the mean entropy against ln N, with its exact reference line."""
     Ns = [int(n) for n in Ns]
-    if len(Ns) < 3:
-        raise ValueError("need at least 3 values of N for the fit")
-    rep = search_f0(G, kmax=kmax, workers=workers, prune=True)
+    if len(set(Ns)) < 3:
+        raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
+    rep = search_f0(G, kmax=kmax, prune=True)
     rows = []
     for N in Ns:
         blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]))
@@ -628,12 +627,17 @@ def annealed_coefficients(
     their Lambda -> infinity limits, with beta_inf evaluated by quadrature.
     """
     mu = float(mu_c)
-    if mu <= 0:
-        raise ValueError("need mu_c > 0")
-    if Lambda <= 0:
-        raise ValueError("need Lambda > 0")
+    if not math.isfinite(mu) or mu <= 0:
+        raise ValueError(f"need a finite mu_c > 0, got {mu_c!r}")
+    if not math.isfinite(Lambda) or Lambda <= 0:
+        raise ValueError(f"need a finite Lambda > 0, got {Lambda!r}")
+    if D < 2 or k < 1:
+        raise ValueError(f"need D >= 2 and k >= 1, got D={D}, k={k}")
+    try:
+        a = Lambda**-2.0
+    except OverflowError:
+        raise ValueError(f"need Lambda^-2 to be finite, got Lambda={Lambda!r}") from None
     rho, mass_below, lnx_piece = _limit_density(regime, mu)
-    a = Lambda**-2.0
     mass = mass_below(a)
     mid = max(1.0, 2.0 * a)
     # the integral of rho ln x beyond mid, shared by beta and beta_inf

@@ -365,8 +365,8 @@ def search_f0(
     prune cuts the branches above the last six whites that cannot reach
     the best score found so far, so explored (the completions of the kept
     prefixes) and nodes drop while f0_max, multiplicity and optima are
-    unchanged.  workers is accepted and has no effect: every walk runs in
-    one process.
+    unchanged.  workers is accepted and ignored: every walk runs in one
+    process.
     """
     _check_budget(G.k, kmax)
     return _run_search(G.sigma, G.k, None, 0, prune, max_optima)
@@ -375,7 +375,6 @@ def search_f0(
 def search_f0_connected(
     family: GraphFamily,
     kmax: Optional[int] = None,
-    workers: int = 1,
     prune: bool = False,
     max_optima: Optional[int] = None,
 ) -> SearchReport:
@@ -398,14 +397,13 @@ class _Searches:
     """
 
     kmax: Optional[int]
-    workers: int
-    table: dict = field(default_factory=dict)
+    table: dict = field(default_factory=dict, init=False)
 
     def graph(self, G: ColoredGraph) -> SearchReport:
         _check_budget(G.k, self.kmax)
         key = (G.sigma, None)
         if key not in self.table:
-            self.table[key] = search_f0(G, kmax=self.kmax, workers=self.workers, prune=True)
+            self.table[key] = search_f0(G, kmax=self.kmax, prune=True)
         return self.table[key]
 
     def connected(self, family: GraphFamily) -> SearchReport:
@@ -415,7 +413,7 @@ class _Searches:
         _check_budget(union.k, self.kmax)
         key = (union.sigma, tuple(family.member_of_label()))
         if key not in self.table:
-            self.table[key] = search_f0_connected(family, kmax=self.kmax, workers=self.workers, prune=True)
+            self.table[key] = search_f0_connected(family, kmax=self.kmax, prune=True)
         return self.table[key]
 
 
@@ -477,9 +475,7 @@ class DegreeReport:
         return int(2 * self.delta)
 
 
-def degree_report(
-    G: ColoredGraph, kmax: Optional[int] = None, workers: int = 1, f0_max: Optional[int] = None
-) -> DegreeReport:
+def degree_report(G: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> DegreeReport:
     """Reduced Gurau degree and degree of compatibility, exact.
 
     f0_max may be supplied to skip the enumeration.
@@ -488,7 +484,7 @@ def degree_report(
     D, k, F = G.D, G.k, stats.F_total
     omega2 = (D - 1) * stats.kappa + (D - 1) * (D - 2) * k // 2 - F
     if f0_max is None:
-        f0_max = search_f0(G, kmax=kmax, workers=workers, prune=True).f0_max
+        f0_max = search_f0(G, kmax=kmax, prune=True).f0_max
     delta = Fraction(D * (D - 1) * k, 4) + Fraction(F, 2) - Fraction((D - 1) * f0_max, 2)
     return DegreeReport(omega2=omega2, delta=delta, compatible=delta == 0)
 
@@ -510,9 +506,7 @@ class MstPairReport:
     f0_single: int
 
 
-def mst_pair_f0(
-    H: ColoredGraph, kmax: Optional[int] = None, workers: int = 1, f0_max: Optional[int] = None
-) -> MstPairReport:
+def mst_pair_f0(H: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> MstPairReport:
     """F0-maximum of {H, conjugate(H)} without searching S_{2k}.
 
     Valid for maximally single-trace H only: the mirror pairing yields
@@ -522,7 +516,7 @@ def mst_pair_f0(
     if not graph_stats(H).is_mst:
         raise ValueError("mst_pair_f0 requires a maximally single-trace graph")
     if f0_max is None:
-        f0_max = search_f0(H, kmax=kmax, workers=workers, prune=True).f0_max
+        f0_max = search_f0(H, kmax=kmax, prune=True).f0_max
     f0_union = max(2 * f0_max, H.D * H.k)
     return MstPairReport(
         f0_union=f0_union,
@@ -531,20 +525,14 @@ def mst_pair_f0(
     )
 
 
-def cayley_delta(
-    G: ColoredGraph,
-    nu,
-    kmax: Optional[int] = None,
-    workers: int = 1,
-    f0_max: Optional[int] = None,
-) -> Fraction:
+def cayley_delta(G: ColoredGraph, nu, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> Fraction:
     """Degree of compatibility as a sum of Cayley-distance triangle defects.
 
     Only valid at a dominant pairing; non-dominant nu is refused.
     """
     nu = perms.check_perm(nu)
     if f0_max is None:
-        f0_max = search_f0(G, kmax=kmax, workers=workers, prune=True).f0_max
+        f0_max = search_f0(G, kmax=kmax, prune=True).f0_max
     if pairing_f0(G, nu) != f0_max:
         raise ValueError("cayley_delta requires a dominant pairing")
     k = G.k
@@ -570,16 +558,14 @@ class TreelikeReport:
     tree_value: int  # D + sum_i (F0_i - D)
 
 
-def treelike_report(
-    family: GraphFamily, kmax: Optional[int] = None, workers: int = 1
-) -> TreelikeReport:
+def treelike_report(family: GraphFamily, kmax: Optional[int] = None) -> TreelikeReport:
     """Tree-like classification of the connected dominant pairings.
 
     has_treelike holds when the connected maximum equals the value shared
     by all tree-like completions; each connected optimum is then tagged by
     the maximal two-cut property, member by member.
     """
-    member_reports, connected, tree_value = _tree_values(family, _Searches(kmax, workers))
+    member_reports, connected, tree_value = _tree_values(family, _Searches(kmax))
     has_treelike = connected.f0_max == tree_value
     member_optima = [rep.optima for rep in member_reports]
     classified = tuple(

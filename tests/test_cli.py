@@ -111,6 +111,7 @@ def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, pay
         ("concentration", {"epsilon": [0.5]}),
         ("entropy-slope", {"kind": ["haar"]}),
         ("mc-moment", {"samples": True}),
+        ("entropy-slope", {"N": [2, 2, 2]}),
     ],
 )
 def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, command, entries):
@@ -267,9 +268,10 @@ def test_over_budget_union_is_refused_without_walking(walks):
     assert decide_factorization(pair, kmax=9).tier == "mst-pair"
     assert len(walks) == 2
     # a report already in the table is refused under a lower budget, as a walk would be
-    filled = search._Searches(9, 1)
+    filled = search._Searches(9)
     filled.graph(H)
-    lower = search._Searches(8, 1, dict(filled.table))
+    lower = search._Searches(8)
+    lower.table.update(filled.table)
     with pytest.raises(BudgetError):
         lower.graph(H)
     assert _decide(pair, lower).tier == "undecidable"
@@ -334,6 +336,46 @@ def test_annealed_command(capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["alpha_inf"] == 27.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mu", "nan", "--lambda", "10", "--D", "6", "--k", "9"],
+        ["--mu", "1", "--lambda", "inf", "--D", "6", "--k", "9"],
+        ["--mu", "inf", "--lambda", "10", "--D", "6", "--k", "9"],
+        ["--mu", "1", "--lambda", "10", "--D", "0", "--k", "-3"],
+        ["--mu", "1", "--lambda", "10", "--D", "6", "--k", "0"],
+    ],
+)
+def test_annealed_non_finite_or_degenerate_input_exits_2(capsys, argv):
+    assert main(["annealed", "--regime", "exponential", *argv, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("N", ["0", "-1"])
+def test_quenched_N_below_1_exits_2(tmp_path, capsys, N):
+    path = _write_graph(tmp_path, two_vertex(3))
+    assert main(["quenched", path, "--N", N, "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"N={N}" in err
+
+
+def test_threads_flag_does_not_change_output(tmp_path, capsys):
+    H = fig7()
+    commands = [
+        ["analyze", _write_graph(tmp_path, H)],
+        ["factorize", _write_family(tmp_path, [H, conjugate(H)])],
+        ["counterexample"],
+    ]
+    for argv in commands:
+        outs = []
+        for extra in ([], ["--threads", "2"]):
+            assert main([*argv, *extra, "--no-timestamp"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 def test_entropy_slope_command(tmp_path, capsys):

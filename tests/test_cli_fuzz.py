@@ -16,6 +16,11 @@ in milliseconds.
 ``generate`` argv draws a kind (or junk), mostly that kind's own fields,
 sometimes one foreign field, and the common flags before or after the kind.
 Integers stay in -2..8, since generate has no budget on the size it builds.
+
+``annealed`` argv draws a regime (or junk), mu and lambda among them nan,
+inf, 0 and negatives, and D and k in -2..8; ``counterexample`` argv draws
+--kmax in -1..12.  An argv that exits 0 with JSON output must print strict
+JSON: Python's NaN and Infinity are refused.
 """
 
 import contextlib
@@ -180,20 +185,64 @@ def generate_argv(draw):
     return [kind, *fields, *flags]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(argv=generate_argv())
-@example(argv=["with-delta", "--D", "3", "--delta", "2"])
-def test_arbitrary_generate_argv_holds_the_exit_code_contract(argv):
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _check_argv(argv):
+    """Run argv and check the exit-code contract, and strict JSON on a JSON success."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["generate", *argv])
+            code = main(argv)
         except SystemExit as exc:  # argparse refuses a malformed option or value
             code, parsed = exc.code, False
         else:
             parsed = True
-    err = err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3)
-    assert "Traceback" not in err + out.getvalue()
+    assert "Traceback" not in err + out
     if code == 2 and parsed:
         assert err.startswith("error: ") and err.count("\n") == 1
+    formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+    if code == 0 and formats[-1:] in ([], ["json"]):
+        json.loads(out, parse_constant=_refuse_constant)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=generate_argv())
+@example(argv=["with-delta", "--D", "3", "--delta", "2"])
+def test_arbitrary_generate_argv_holds_the_exit_code_contract(argv):
+    _check_argv(["generate", *argv])
+
+
+format_flags = st.sampled_from([[], ["--format", "json"], ["--format", "pretty"], ["--format", "csv"]])
+odd_reals = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]) | st.floats(-3, 20).map(str)
+
+
+@st.composite
+def annealed_argv(draw):
+    """annealed argv: a regime (rarely junk), mu and lambda (sometimes odd), D and k (sometimes too small)."""
+    regime = draw(st.text(max_size=4) if not draw(st.integers(0, 4)) else st.sampled_from(["exponential", "gamma"]))
+    reals = [draw(odd_reals if not draw(st.integers(0, 2)) else st.floats(0.05, 20).map(str)) for _ in range(2)]
+    argv = ["annealed", "--regime", regime, "--mu", reals[0], "--lambda", reals[1]]
+    for flag, least in (("--D", 2), ("--k", 1)):  # sometimes below the least valid value
+        argv += [flag, draw(small_int if not draw(st.integers(0, 2)) else st.integers(least, 8).map(str))]
+    return argv + draw(format_flags) + ["--no-timestamp"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=annealed_argv())
+@example(argv=["annealed", "--regime", "exponential", "--mu", "nan", "--lambda", "10", "--D", "6", "--k", "9"])
+@example(argv=["annealed", "--regime", "exponential", "--mu", "1", "--lambda", "inf", "--D", "6", "--k", "9"])
+@example(argv=["annealed", "--regime", "exponential", "--mu", "inf", "--lambda", "10", "--D", "6", "--k", "9"])
+@example(argv=["annealed", "--regime", "exponential", "--mu", "1", "--lambda", "10", "--D", "0", "--k", "-3"])
+@example(argv=["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "1e-300", "--D", "2", "--k", "1"])
+def test_arbitrary_annealed_argv_holds_the_exit_code_contract(argv):
+    _check_argv(argv)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kmax=st.integers(-1, 12), fmt=format_flags)
+def test_arbitrary_counterexample_argv_holds_the_exit_code_contract(kmax, fmt):
+    _check_argv(["counterexample", "--kmax", str(kmax), *fmt, "--no-timestamp"])

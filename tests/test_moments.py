@@ -202,7 +202,7 @@ def test_thm41_two_vertex_pair(twov3):
 def test_thm41_fig7_pair_inconclusive():
     H = fig7()
     fam = family_of([H, conjugate(H)])
-    rep = thm41_check(fam, workers=2)
+    rep = thm41_check(fam)
     assert not rep.passes
     assert rep.delta_sum == 20
 

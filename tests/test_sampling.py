@@ -438,6 +438,12 @@ def test_entropy_slope_needs_three_points(twov3):
         entropy_slope_experiment(twov3, [2, 4], samples=10, seed=30)
 
 
+@pytest.mark.parametrize("Ns", [[2, 2, 2], [4, 2, 4], [2, 4, 2, 4]])
+def test_entropy_slope_needs_three_distinct_points(twov3, Ns):
+    with pytest.raises(ValueError, match="distinct"):
+        entropy_slope_experiment(twov3, Ns, samples=10, seed=30)
+
+
 def test_annealed_exponential_closed_forms():
     rep = annealed_coefficients("exponential", 1.0, 1.0, 6, 9)
     assert rep.alpha == pytest.approx(27 * (2 - math.exp(-1)), abs=1e-8)
@@ -485,6 +491,31 @@ def test_quenched_annealed_report(twov3):
         rep["alpha"] * math.log(8) + rep["beta"]
     )
     assert rep["alpha_inf"] == 1.5  # D k / 2
+
+
+@pytest.mark.parametrize(
+    "mu_c, Lambda, D, k",
+    [
+        (math.nan, 10.0, 6, 9),
+        (math.inf, 10.0, 6, 9),
+        (1.0, math.inf, 6, 9),
+        (1.0, math.nan, 6, 9),
+        (1.0, -math.inf, 6, 9),
+        (1.0, 1e-300, 6, 9),
+        (1.0, 10.0, 0, -3),
+        (1.0, 10.0, 1, 9),
+        (1.0, 10.0, 6, 0),
+    ],
+)
+def test_annealed_refuses_non_finite_and_degenerate_inputs(mu_c, Lambda, D, k):
+    with pytest.raises(ValueError, match="need"):
+        annealed_coefficients("exponential", mu_c, Lambda, D, k)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_quenched_refuses_N_below_1(twov3, N):
+    with pytest.raises(ValueError, match=f"N={N}"):
+        quenched_entropy(twov3, N)
 
 
 def test_annealed_validation():

@@ -157,18 +157,14 @@ def test_connected_search_mst3_pair(mst3):
 
 
 def test_connected_search_prune_and_workers_agree(twov3, cyc2_d3):
-    # workers has no effect on either walk; in the last family no pairing
-    # with nu(0)=0 connects, since the k=1 member is then matched to itself
+    # in the last family no pairing with nu(0)=0 connects, since the k=1
+    # member is then matched to itself
     fams = [family_of([cyc2_d3, twov3, cyc2_d3]), family_of([twov3, cyc2_d3, twov3, cyc2_d3])]
     fams += [f for f in _connected_families() if f.total_k >= 6]
     fams.append(family_of([twov3, random_graph(3, 5, seed=1400)]))
     for fam in fams:
         serial = search_f0_connected(fam)
-        parallel = search_f0_connected(fam, workers=2)
         pruned = search_f0_connected(fam, prune=True)
-        split = search_f0_connected(fam, prune=True, workers=2)
-        assert serial == parallel
-        assert pruned == split
         assert (serial.f0_max, serial.multiplicity, serial.optima) == (
             pruned.f0_max,
             pruned.multiplicity,
