@@ -79,14 +79,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -60,12 +60,6 @@ def cycle_count(p) -> int:
     return len(cycles(p))
 
 
-def transposition(k: int, a: int, b: int) -> tuple:
-    img = list(range(k))
-    img[a], img[b] = img[b], img[a]
-    return tuple(img)
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma, gammainc, gammaincc
 
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats
@@ -380,11 +381,11 @@ def renyi_entropy(G: ColoredGraph, S: DenseTensor, floor: float = ZERO_FLOOR) ->
     return -math.log(a)
 
 
-def regularized_entropy(H: ColoredGraph, S: DenseTensor, Lambda: float, N: int) -> float:
-    """Entropy capped at (D k /2) ln N + ln Lambda; always finite."""
+def regularized_entropy(H: ColoredGraph, S: DenseTensor, Lambda: float) -> float:
+    """Entropy capped at (D k /2) ln N + ln Lambda, N = S.N; always finite."""
     if Lambda <= 0:
         raise ValueError("need Lambda > 0")
-    cap = 0.5 * H.D * H.k * math.log(N) + math.log(Lambda)
+    cap = 0.5 * H.D * H.k * math.log(S.N) + math.log(Lambda)
     return min(renyi_entropy(H, S), cap)
 
 
@@ -578,38 +579,8 @@ class AnnealedCoefficients:
     beta_inf: float
 
 
-def _limit_density(regime: str, mu: float):
-    """Density of the rescaled-invariant limit law, plus near-zero pieces.
-
-    Returns (rho, mass_below, lnx_piece) where mass_below(a) integrates rho
-    on [0, a] and lnx_piece(a, b) integrates rho(x) ln x on [a, b] with the
-    x = t^2 substitution that removes the gamma-regime root singularity.
-    """
-    if regime == "exponential":
-        def rho(x):
-            return math.exp(-x / mu) / mu
-    elif regime == "gamma":
-        def rho(x):
-            return math.exp(-x / mu) / math.sqrt(math.pi * mu * x)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-
-    def smooth(t):  # 2 t rho(t^2), finite at t = 0 in both regimes
-        if regime == "exponential":
-            return 2.0 * t * math.exp(-t * t / mu) / mu
-        return 2.0 * math.exp(-t * t / mu) / math.sqrt(math.pi * mu)
-
-    def mass_below(a):
-        val, err = quad(smooth, 0.0, math.sqrt(a))
-        _check_quad(err)
-        return val
-
-    def lnx_piece(a, b):
-        val, err = quad(lambda t: smooth(t) * 2.0 * math.log(t), math.sqrt(a), math.sqrt(b))
-        _check_quad(err)
-        return val
-
-    return rho, mass_below, lnx_piece
+# shape s of the Gamma(s, scale mu_c) limit law of the rescaled invariant
+_LIMIT_SHAPE = {"exponential": 1.0, "gamma": 0.5}
 
 
 def _check_quad(err):
@@ -622,9 +593,17 @@ def annealed_coefficients(
 ) -> AnnealedCoefficients:
     """ln N and constant coefficients of the regularized annealed entropy.
 
-    alpha = (Dk/2)(1 + P[X < Lambda^-2]) and beta collects the capped and
-    logarithmic pieces of the limit density; alpha_inf and beta_inf are
-    their Lambda -> infinity limits, with beta_inf evaluated by quadrature.
+    The rescaled invariant's limit law is Gamma(s, scale mu_c): s = 1 in the
+    exponential regime (density e^(-x/mu)/mu) and s = 1/2 in the gamma
+    regime (density e^(-x/mu)/sqrt(pi mu x)).  With U ~ Gamma(s, 1), P its
+    regularized lower incomplete gamma function and c = Lambda^-2/mu_c,
+
+        alpha = (Dk/2)(1 + P(s, c)),   beta = -1/2 (ln mu_c + E[ln max(U, c)]),
+
+    and their Lambda -> infinity limits are alpha_inf = Dk/2 and
+    beta_inf = -1/2 (ln mu_c + digamma(s)).  E[ln max(U, c)] is one
+    quadrature on the unit scale: digamma(s) + int_0^c P(s, u)/u du for
+    c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.
     """
     mu = float(mu_c)
     if not math.isfinite(mu) or mu <= 0:
@@ -634,18 +613,30 @@ def annealed_coefficients(
     if D < 2 or k < 1:
         raise ValueError(f"need D >= 2 and k >= 1, got D={D}, k={k}")
     try:
-        a = Lambda**-2.0
+        Lambda**-2.0
     except OverflowError:
         raise ValueError(f"need Lambda^-2 to be finite, got Lambda={Lambda!r}") from None
-    rho, mass_below, lnx_piece = _limit_density(regime, mu)
-    mass = mass_below(a)
-    mid = max(1.0, 2.0 * a)
-    # the integral of rho ln x beyond mid, shared by beta and beta_inf
-    far, err = quad(lambda x: rho(x) * math.log(x), mid, np.inf, limit=200)
+    if regime not in _LIMIT_SHAPE:
+        raise ValueError(f"unknown regime {regime!r}")
+    s = _LIMIT_SHAPE[regime]
+    psi = float(digamma(s))
+    ln_mu = math.log(mu)
+    ln_c = -2.0 * math.log(Lambda) - ln_mu  # in logs: c itself may be out of range
+    c = math.exp(min(ln_c, 700.0))  # Q(s, e^700) is already 0
+    if c <= 1.0:  # u = t^2 keeps the integrand finite at 0
+        base, lo, hi = psi, 0.0, math.sqrt(c)
+        def integrand(t):
+            return 2.0 * gammainc(s, t * t) / t
+    else:
+        base, lo, hi = ln_c, c, math.inf
+        def integrand(u):
+            return gammaincc(s, u) / u
+    # quad's default epsabs (1.5e-8) leaves errors near 1e-10 in beta
+    val, err = quad(integrand, lo, hi, epsabs=1e-13)
     _check_quad(err)
     return AnnealedCoefficients(
-        alpha=0.5 * D * k * (1.0 + mass),
-        beta=-0.5 * (lnx_piece(a, mid) + far) + math.log(Lambda) * mass,
+        alpha=0.5 * D * k * (1.0 + float(gammainc(s, c))),
+        beta=-0.5 * (ln_mu + base + val),
         alpha_inf=0.5 * D * k,
-        beta_inf=-0.5 * (lnx_piece(0.0, mid) + far),
+        beta_inf=-0.5 * (ln_mu + psi),
     )

@@ -238,6 +238,7 @@ def annealed_argv(draw):
 @example(argv=["annealed", "--regime", "exponential", "--mu", "inf", "--lambda", "10", "--D", "6", "--k", "9"])
 @example(argv=["annealed", "--regime", "exponential", "--mu", "1", "--lambda", "10", "--D", "0", "--k", "-3"])
 @example(argv=["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "1e-300", "--D", "2", "--k", "1"])
+@example(argv=["annealed", "--regime", "gamma", "--mu", "1e20", "--lambda", "10", "--D", "6", "--k", "9"])
 def test_arbitrary_annealed_argv_holds_the_exit_code_contract(argv):
     _check_argv(argv)
 

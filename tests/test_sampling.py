@@ -380,13 +380,13 @@ def test_renyi_pair_doubles(mst3):
 def test_regularized_entropy(twov3):
     S = sample_tensor("haar", 3, 2, make_rng(26))
     # R = 0 stays below any positive cap
-    assert regularized_entropy(twov3, S, Lambda=5.0, N=2) == pytest.approx(0.0, abs=1e-12)
+    assert regularized_entropy(twov3, S, Lambda=5.0) == pytest.approx(0.0, abs=1e-12)
     zero = DenseTensor(6, 2, np.zeros((2,) * 6, dtype=complex))
     H = fig7()
     cap = 27 * math.log(2)
-    assert regularized_entropy(H, zero, Lambda=1.0, N=2) == pytest.approx(cap)
+    assert regularized_entropy(H, zero, Lambda=1.0) == pytest.approx(cap)
     with pytest.raises(ValueError):
-        regularized_entropy(twov3, S, Lambda=0.0, N=2)
+        regularized_entropy(twov3, S, Lambda=0.0)
 
 
 def test_quenched_two_vertex(twov3):
@@ -471,6 +471,16 @@ def test_annealed_lambda_tail_monotone():
         assert gap < prev_beta_gap or gap < 1e-6
         prev_alpha, prev_beta_gap = rep.alpha, gap
     assert rep_inf.alpha == pytest.approx(27.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("regime", ["exponential", "gamma"])
+@pytest.mark.parametrize("mu_c", [1e-300, 1e-20, 1e-3, 1.0, 7.0, 1e20, 1e300])
+@pytest.mark.parametrize("Lambda", [1e-150, 1e-3, 1.0, 10.0, 1e20, 1e300])
+def test_annealed_matches_the_mpmath_reference(regime, mu_c, Lambda):
+    rep = annealed_coefficients(regime, mu_c, Lambda, 6, 9)
+    got = (rep.alpha, rep.beta, rep.alpha_inf, rep.beta_inf)
+    for value, ref in zip(got, oracles.annealed_reference(regime, mu_c, Lambda, 6, 9)):
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_sphere_min_sample_two_vertex(twov3):
