@@ -34,7 +34,7 @@ from .search import (
     resolve_kmax,
 )
 
-DEFAULT_PMAX = 5
+PMAX = 5  # most members whose partition lattice is walked
 
 
 class LaurentPoly:
@@ -180,7 +180,7 @@ def _wick_sum(family: GraphFamily, connected: bool, kmax) -> LaurentPoly:
     union = family.union()
     _check_budget(union.k, kmax)
     member_of = family.member_of_label() if connected else None
-    hist, _, _, _ = _enumerate(union.sigma, union.k, member_of, family.p, False, 0)
+    hist, _, _, _ = _enumerate(union.sigma, member_of, False, False)
     return LaurentPoly({f0 - union.D * union.k: n for f0, n in hist.items()})
 
 
@@ -202,13 +202,11 @@ def connected_cumulant(family: GraphFamily, kmax: Optional[int] = None) -> Laure
     return _wick_sum(family, True, kmax)
 
 
-def cumulant_consistency(
-    family: GraphFamily, kmax: Optional[int] = None, pmax: int = DEFAULT_PMAX
-) -> LaurentPoly:
+def cumulant_consistency(family: GraphFamily, kmax: Optional[int] = None) -> LaurentPoly:
     """Residual of the moment-cumulant formula; identically zero on contract."""
     p = family.p
-    if p > pmax:
-        raise BudgetError(f"partition lattice for p={p} exceeds the budget p_max={pmax}")
+    if p > PMAX:
+        raise BudgetError(f"partition lattice for p={p} exceeds the budget p_max={PMAX}")
     moment = gaussian_moment(family, kmax=kmax)
     cumulants = {}
     total = LaurentPoly.zero()
@@ -265,22 +263,20 @@ class FactorizationVerdict:
         }
 
 
-def factorization_verdict(
-    family: GraphFamily, kmax: Optional[int] = None, pmax: int = DEFAULT_PMAX
-) -> FactorizationVerdict:
+def factorization_verdict(family: GraphFamily, kmax: Optional[int] = None) -> FactorizationVerdict:
     """Exhaustive check that the fully split partition dominates.
 
     For every partition pi of the members other than the singletons
     partition, margin = sum_i F0max(G_i) - sum_{B in pi} F0max_connected(B);
     factorization holds exactly when every margin is positive.
     """
-    return _factorization_verdict(family, pmax, _Searches(kmax))
+    return _factorization_verdict(family, _Searches(kmax))
 
 
-def _factorization_verdict(family: GraphFamily, pmax: int, searches: _Searches) -> FactorizationVerdict:
+def _factorization_verdict(family: GraphFamily, searches: _Searches) -> FactorizationVerdict:
     p = family.p
-    if p > pmax:
-        raise BudgetError(f"partition lattice for p={p} exceeds the budget p_max={pmax}")
+    if p > PMAX:
+        raise BudgetError(f"partition lattice for p={p} exceeds the budget p_max={PMAX}")
     if p > 1:
         # the one-block partition searches the whole union; refuse before any search
         _check_budget(family.total_k, searches.kmax)
@@ -337,8 +333,11 @@ def limit_moments_prop34(mu_c, p: int, regime: str) -> dict:
     """Limit cumulant and moment of order p for the two solved regimes.
 
     exponential: the limit law of the rescaled invariant when the
-    conjugate-pair channel strictly dominates; gamma: the half-integer
-    shape law of the degenerate case.  Exact in Fraction arithmetic.
+    conjugate-pair channel strictly dominates, Gamma(1, scale mu_c);
+    gamma: the half-integer shape law of the degenerate case,
+    Gamma(1/2, scale 2 mu_c).  Both have mean mu_c; annealed_coefficients
+    reads the gamma regime's mu_c as a scale instead, a law of mean mu_c/2.
+    Exact in Fraction arithmetic.
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
@@ -440,7 +439,7 @@ def _decide(family: GraphFamily, searches: _Searches) -> TieredVerdict:
 
     # tier 3: exhaustive comparison over the partition lattice
     try:
-        verdict = _factorization_verdict(family, DEFAULT_PMAX, searches)
+        verdict = _factorization_verdict(family, searches)
         return TieredVerdict(verdict.factorizes, "exhaustive", {"worst_margin": verdict.worst[1]})
     except BudgetError:
         pass

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,17 +191,17 @@ def _pair_contract(a, lab_a, b, lab_b, lab_out, scratch, step):
     return cm.reshape((am.shape[0],) + (a.shape[-1],) * len(lab_out))
 
 
-def _check_cap(G: ColoredGraph, N: int, memory_cap: int) -> None:
-    """Refuse a graph whose draw or plan intermediate would exceed memory_cap entries per sample."""
+def _check_cap(G: ColoredGraph, N: int) -> None:
+    """Refuse a graph whose draw or a plan intermediate exceeds DEFAULT_TRACE_CAP entries per sample."""
     widest = _contraction_plan(G)[2]  # counts the vertex operands, so the draw too
-    if N**widest > memory_cap:
+    if N**widest > DEFAULT_TRACE_CAP:
         raise MemoryCapError(
             f"a tensor with {widest} open indices needs {N**widest} entries "
-            f"per sample, cap is {memory_cap}"
+            f"per sample, cap is {DEFAULT_TRACE_CAP}"
         )
 
 
-def evaluate_trace(G: ColoredGraph, S: DenseTensor, memory_cap: int = DEFAULT_TRACE_CAP) -> complex:
+def evaluate_trace(G: ColoredGraph, S: DenseTensor) -> complex:
     """Contract the trace-invariant of G on the sample S.
 
     The trace of a block of one sample; refuses if the sample or an
@@ -208,7 +209,7 @@ def evaluate_trace(G: ColoredGraph, S: DenseTensor, memory_cap: int = DEFAULT_TR
     """
     if S.D != G.D:
         raise ValueError(f"tensor has D={S.D}, graph has D={G.D}")
-    _check_cap(G, S.N, memory_cap)
+    _check_cap(G, S.N)
     return complex(_batch_trace(G, S.entries[None])[0])
 
 
@@ -250,7 +251,7 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     if N < 2:
         raise ValueError("need N >= 2")
     for g in graphs:
-        _check_cap(g, N, DEFAULT_TRACE_CAP)
+        _check_cap(g, N)
     form = _matrix_form(graphs)
     if form is not None:
         yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
@@ -373,10 +374,10 @@ def mc_moment(
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
-def renyi_entropy(G: ColoredGraph, S: DenseTensor, floor: float = ZERO_FLOOR) -> float:
-    """-ln |Tr_G|; +inf when the trace vanishes below the floor."""
+def renyi_entropy(G: ColoredGraph, S: DenseTensor) -> float:
+    """-ln |Tr_G|; +inf when the trace vanishes below ZERO_FLOOR."""
     a = abs(evaluate_trace(G, S))
-    if a < floor:
+    if a < ZERO_FLOOR:
         return math.inf
     return -math.log(a)
 
@@ -407,9 +408,13 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None) -> Que
     limit = resolve_kmax(kmax)
     pair = family_of([H, conjugate(H)], names=["H", "Hbar"])
     if 2 * H.k <= limit:
-        poly = gaussian_moment(pair, kmax=limit)
-        val = poly.eval_at(N)
-        return QuenchedReport(value=-0.5 * math.log(float(val)), method="exact")
+        val = gaussian_moment(pair, kmax=limit).eval_at(N)
+        if float(val) >= sys.float_info.min:
+            ln_val = math.log(float(val))
+        else:  # float(val) would lose val: scale it into [1/2, 2) by a power of two first
+            e = val.numerator.bit_length() - val.denominator.bit_length()
+            ln_val = math.log(val * 2**-e) + e * math.log(2)
+        return QuenchedReport(value=-0.5 * ln_val, method="exact")
     if graph_stats(H).is_mst:
         rep = mst_pair_f0(H, kmax=limit)
         s_union = rep.f0_union - 2 * H.D * H.k
@@ -594,9 +599,11 @@ def annealed_coefficients(
     """ln N and constant coefficients of the regularized annealed entropy.
 
     The rescaled invariant's limit law is Gamma(s, scale mu_c): s = 1 in the
-    exponential regime (density e^(-x/mu)/mu) and s = 1/2 in the gamma
-    regime (density e^(-x/mu)/sqrt(pi mu x)).  With U ~ Gamma(s, 1), P its
-    regularized lower incomplete gamma function and c = Lambda^-2/mu_c,
+    exponential regime (density e^(-x/mu)/mu, mean mu_c) and s = 1/2 in the
+    gamma regime (density e^(-x/mu)/sqrt(pi mu x), mean mu_c/2; there
+    limit_moments_prop34 takes Gamma(1/2, scale 2 mu_c), of mean mu_c).
+    With U ~ Gamma(s, 1), P its regularized lower incomplete gamma function
+    and c = Lambda^-2/mu_c,
 
         alpha = (Dk/2)(1 + P(s, c)),   beta = -1/2 (ln mu_c + E[ln max(U, c)]),
 

@@ -73,22 +73,6 @@ class SearchReport:
     explored: int  # pairings scored (leaves)
     nodes: int  # partial pairings expanded below the root
 
-    @property
-    def truncated(self) -> bool:
-        return self.multiplicity > len(self.optima)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "f0_max": self.f0_max,
-            "multiplicity": self.multiplicity,
-            "optima": [[b + 1 for b in nu] for nu in self.optima],
-            "explored": self.explored,
-            "nodes": self.nodes,
-        }
-        if self.truncated:
-            out["truncated"] = True
-        return out
-
 
 def _connects(member_of, p, edges) -> bool:
     """Whether the color-0 edges (white, black) connect all p members."""
@@ -175,7 +159,7 @@ def _joining(masks, P, whole):
     return reach == whole
 
 
-def _enumerate(sigmas, k, member_of, p, prune, max_optima):
+def _enumerate(sigmas, member_of, prune, optimal):
     """Walk the pairings nu of S_k depth first, in lexicographic order.
 
     White s is matched at depth s.  For each color c the color-0 and
@@ -186,9 +170,10 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     at sigma_c(s).
 
     member_of, when given, keeps only the pairings whose color-0 edges
-    connect the p members.  blocks[i] is the bitmask of the members joined
-    to member i by the edges placed so far; matching s to b merges the
-    blocks of their members and backtracking splits them again.
+    connect the p = max(member_of) + 1 members.  blocks[i] is the bitmask
+    of the members joined to member i by the edges placed so far; matching
+    s to b merges the blocks of their members and backtracking splits them
+    again.
 
     The walk stops at depth k - m, m = min(k, 6), and scores all m!
     completions of each prefix at once.  The open paths of color c form a
@@ -212,11 +197,13 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     Returns (hist, optima, explored, nodes): hist maps a score to the
     number of kept pairings scored with it, so max(hist) and its count
     are exact in both modes and hist is the full score histogram without
-    prune; optima are the pairings with the best score, lexicographic, at
-    most max_optima of them; explored counts the pairings scored, m! per
-    kept prefix, and nodes the partial pairings of 1..k - m whites expanded.
+    prune; optima are all the pairings with the best score, lexicographic,
+    when optimal and none otherwise; explored counts the pairings scored,
+    m! per kept prefix, and nodes the partial pairings of 1..k - m whites
+    expanded.
     """
-    D = len(sigmas)
+    D, k = len(sigmas), len(sigmas[0])
+    p = 1 if member_of is None else max(member_of) + 1
     ends = [list(range(k)) for _ in sigmas]
     steps = [tuple(zip(ends, (sig[s] for sig in sigmas))) for s in range(k)]
     tails = [[sig[s + 1:] for sig in sigmas] for s in range(k)]  # color-c blacks of whites after s
@@ -226,7 +213,7 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     best = -1
     explored = 0
     nodes = 0
-    connecting = member_of is not None and p > 1  # one member is always connected
+    connecting = p > 1  # one member is always connected
     blocks = [1 << i for i in range(p)]
     whole = (1 << p) - 1
     m = min(k, TABLE_WHITES)
@@ -286,10 +273,9 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
         if top > best:
             best = top
             optima.clear()
-        if top == best >= 0 and max_optima != 0:
+        if top == best >= 0 and optimal:
             # prefixes and completions are both in lexicographic order
-            room = None if max_optima is None else max_optima - len(optima)
-            j, r = np.divmod(np.flatnonzero(scores == best)[:room], len(P))
+            j, r = np.divmod(np.flatnonzero(scores == best), len(P))
             blacks = np.nonzero(free_at)[1].reshape(B, m)  # the free blacks of each prefix, increasing
             completions = np.take_along_axis(blacks[j], P[r], axis=1)
             optima.extend(map(tuple, np.concatenate([head[j], completions], axis=1).tolist()))
@@ -347,20 +333,14 @@ def _enumerate(sigmas, k, member_of, p, prune, max_optima):
     return {f0: int(n) for f0, n in enumerate(hist) if n}, optima, explored, nodes
 
 
-def _run_search(sigmas, k, member_of, p, prune, max_optima) -> SearchReport:
-    hist, optima, explored, nodes = _enumerate(sigmas, k, member_of, p, prune, max_optima)
+def _run_search(sigmas, member_of, prune) -> SearchReport:
+    hist, optima, explored, nodes = _enumerate(sigmas, member_of, prune, True)
     best = max(hist)
     return SearchReport(best, hist[best], tuple(optima), explored, nodes)
 
 
-def search_f0(
-    G: ColoredGraph,
-    kmax: Optional[int] = None,
-    workers: int = 1,
-    prune: bool = False,
-    max_optima: Optional[int] = None,
-) -> SearchReport:
-    """Exact maximum of pairing_f0 over all k! pairings.
+def search_f0(G: ColoredGraph, kmax: Optional[int] = None, workers: int = 1, prune: bool = False) -> SearchReport:
+    """Exact maximum of pairing_f0 over all k! pairings, with every optimum.
 
     prune cuts the branches above the last six whites that cannot reach
     the best score found so far, so explored (the completions of the kept
@@ -369,20 +349,17 @@ def search_f0(
     process.
     """
     _check_budget(G.k, kmax)
-    return _run_search(G.sigma, G.k, None, 0, prune, max_optima)
+    return _run_search(G.sigma, None, prune)
 
 
-def search_f0_connected(
-    family: GraphFamily,
-    kmax: Optional[int] = None,
-    prune: bool = False,
-    max_optima: Optional[int] = None,
-) -> SearchReport:
-    """Exact maximum restricted to pairings that connect the family members."""
+def search_f0_connected(family: GraphFamily, kmax: Optional[int] = None) -> SearchReport:
+    """Exact maximum restricted to pairings that connect the family members.
+
+    The walk is always pruned, and keeps every optimum.
+    """
     union = family.union()
     _check_budget(union.k, kmax)
-    member_of = family.member_of_label()
-    return _run_search(union.sigma, union.k, member_of, family.p, prune, max_optima)
+    return _run_search(union.sigma, family.member_of_label(), True)
 
 
 @dataclass
@@ -413,7 +390,7 @@ class _Searches:
         _check_budget(union.k, self.kmax)
         key = (union.sigma, tuple(family.member_of_label()))
         if key not in self.table:
-            self.table[key] = search_f0_connected(family, kmax=self.kmax, prune=True)
+            self.table[key] = search_f0_connected(family, kmax=self.kmax)
         return self.table[key]
 
 
@@ -525,15 +502,13 @@ def mst_pair_f0(H: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[in
     )
 
 
-def cayley_delta(G: ColoredGraph, nu, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> Fraction:
+def cayley_delta(G: ColoredGraph, nu, kmax: Optional[int] = None) -> Fraction:
     """Degree of compatibility as a sum of Cayley-distance triangle defects.
 
     Only valid at a dominant pairing; non-dominant nu is refused.
     """
     nu = perms.check_perm(nu)
-    if f0_max is None:
-        f0_max = search_f0(G, kmax=kmax, prune=True).f0_max
-    if pairing_f0(G, nu) != f0_max:
+    if pairing_f0(G, nu) != search_f0(G, kmax=kmax, prune=True).f0_max:
         raise ValueError("cayley_delta requires a dominant pairing")
     k = G.k
 

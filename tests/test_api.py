@@ -6,6 +6,17 @@ import traceinv
 
 # the two public keywords kept for callers; both are accepted and ignored
 TAKE_WORKERS = {"traceinv.search.search_f0", "traceinv.moments.decide_factorization"}
+# (callable, keyword): options fixed at their one value in use, so no longer parameters
+FIXED_OPTIONS = [
+    ("traceinv.search.search_f0", "max_optima"),
+    ("traceinv.search.search_f0_connected", "max_optima"),
+    ("traceinv.search.search_f0_connected", "prune"),
+    ("traceinv.search.cayley_delta", "f0_max"),
+    ("traceinv.moments.cumulant_consistency", "pmax"),
+    ("traceinv.moments.factorization_verdict", "pmax"),
+    ("traceinv.sampling.evaluate_trace", "memory_cap"),
+    ("traceinv.sampling.renyi_entropy", "floor"),
+]
 
 
 def _defined_callables():
@@ -22,11 +33,11 @@ def _defined_callables():
                         yield f"{module.__name__}.{name}.{attr}", member
 
 
-def _takes_workers(obj) -> bool:
+def _parameters(obj):
     try:
-        return "workers" in inspect.signature(obj).parameters
+        return inspect.signature(obj).parameters
     except (TypeError, ValueError):  # callables without a signature
-        return False
+        return {}
 
 
 def test_every_export_is_checked():
@@ -35,5 +46,10 @@ def test_every_export_is_checked():
 
 
 def test_only_the_kept_keywords_take_workers():
-    takers = {name for name, obj in _defined_callables() if _takes_workers(obj)}
+    takers = {name for name, obj in _defined_callables() if "workers" in _parameters(obj)}
     assert takers == TAKE_WORKERS
+
+
+def test_fixed_options_are_not_parameters():
+    params = {name: _parameters(obj) for name, obj in _defined_callables()}
+    assert [(name, kw) for name, kw in FIXED_OPTIONS if kw in params[name]] == []

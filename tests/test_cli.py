@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,9 @@ from traceinv import (
     decide_factorization,
     family_of,
     fig7,
+    gaussian_moment,
+    leading_order,
+    random_graph,
     search_f0_connected,
     two_vertex,
 )
@@ -38,8 +42,6 @@ def test_analyze_two_vertex(tmp_path, capsys):
 
 
 def test_analyze_budget_error_names_kmax(tmp_path, capsys):
-    from traceinv.families import random_graph
-
     path = _write_graph(tmp_path, random_graph(3, 12, seed=0))
     assert main(["analyze", path]) == 2
     assert "k_max=11" in capsys.readouterr().err
@@ -231,9 +233,9 @@ def walks(monkeypatch):
     seen = []
     walk = search._enumerate
 
-    def counted(sigmas, k, member_of, *rest):
+    def counted(sigmas, member_of, *rest):
         seen.append((sigmas, None if member_of is None else tuple(member_of)))
-        return walk(sigmas, k, member_of, *rest)
+        return walk(sigmas, member_of, *rest)
 
     monkeypatch.setattr(search, "_enumerate", counted)
     return seen
@@ -314,6 +316,17 @@ def test_quenched_command(tmp_path, capsys):
     assert main(["quenched", path, "--N", "4", "--no-timestamp"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == "exact"
+
+
+def test_quenched_command_below_the_float_range(tmp_path, capsys):
+    H = random_graph(3, 4, seed=1)
+    path = _write_graph(tmp_path, H)
+    N = 10**400
+    assert main(["quenched", path, "--N", str(N), "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lead = leading_order(gaussian_moment(family_of([H, conjugate(H)])))
+    assert out["N"] == N and out["method"] == "exact"
+    assert out["value"] == pytest.approx(-0.5 * (lead.s * math.log(N) + math.log(lead.mu)), rel=1e-12)
 
 
 def test_annealed_command(capsys):

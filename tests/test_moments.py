@@ -136,7 +136,7 @@ def test_consistency_examples(twov3, mst3, melon2, cyc2_d3):
 
 def test_consistency_budget(twov3):
     with pytest.raises(BudgetError, match="p_max"):
-        cumulant_consistency(family_of([twov3] * 6), pmax=5)
+        cumulant_consistency(family_of([twov3] * 6))
 
 
 def test_haar_factor_values():

@@ -18,6 +18,7 @@ from traceinv import (
     family_of,
     gaussian_moment,
     haar_factor,
+    leading_order,
     make_rng,
     mc_moment,
     quenched_entropy,
@@ -105,10 +106,11 @@ def test_trace_pair_is_squared_modulus(mst3, melon2):
         assert val.imag == pytest.approx(0.0, abs=1e-12)
 
 
-def test_trace_memory_cap(mst3):
+def test_trace_memory_cap(mst3, monkeypatch):
     S = sample_tensor("gaussian", 3, 4, make_rng(14))
+    monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 3)
     with pytest.raises(MemoryCapError):
-        evaluate_trace(mst3, S, memory_cap=3)
+        evaluate_trace(mst3, S)
 
 
 def test_batch_trace_matches_single(cyc2_d3, mst3):
@@ -402,6 +404,16 @@ def test_quenched_mst3_exact(mst3):
     rep = quenched_entropy(mst3, 4)
     assert rep.method == "exact"
     assert rep.value == pytest.approx(-0.5 * math.log(float(poly.eval_at(4))))
+
+
+def test_quenched_exact_below_the_float_range():
+    # the moment is about 9 N^-8: at N = 10^400 it is far below the smallest float
+    H = random_graph(3, 4, seed=1)
+    lead = leading_order(gaussian_moment(family_of([H, conjugate(H)])))
+    N = 10**400
+    rep = quenched_entropy(H, N)
+    assert rep.method == "exact"
+    assert rep.value == pytest.approx(-0.5 * (lead.s * math.log(N) + math.log(lead.mu)), rel=1e-12)
 
 
 def test_quenched_fig7_leading():

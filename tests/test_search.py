@@ -69,7 +69,6 @@ def test_search_mst3(mst3):
     rep = search_f0(mst3)
     assert rep.f0_max == 6 and rep.multiplicity == 3
     assert set(rep.optima) == {(1, 0, 2), (2, 1, 0), (0, 2, 1)}
-    assert not rep.truncated
 
 
 def test_search_budget_refusal():
@@ -106,12 +105,6 @@ def test_search_matches_brute_force():
         rep = search_f0(g)
         assert (rep.f0_max, rep.multiplicity) == (best, count)
         assert set(rep.optima) == opts
-
-
-def test_search_max_optima_truncation(mst3):
-    rep = search_f0(mst3, max_optima=1)
-    assert rep.multiplicity == 3 and len(rep.optima) == 1 and rep.truncated
-    assert rep.to_json_dict()["truncated"] is True
 
 
 def test_search_conjugation_invariance():
@@ -163,8 +156,7 @@ def test_connected_search_prune_and_workers_agree(twov3, cyc2_d3):
     fams += [f for f in _connected_families() if f.total_k >= 6]
     fams.append(family_of([twov3, random_graph(3, 5, seed=1400)]))
     for fam in fams:
-        serial = search_f0_connected(fam)
-        pruned = search_f0_connected(fam, prune=True)
+        serial, pruned = _walks(fam)
         assert (serial.f0_max, serial.multiplicity, serial.optima) == (
             pruned.f0_max,
             pruned.multiplicity,
@@ -366,7 +358,7 @@ def test_cayley_delta_matches_degree_on_all_optima():
         rep = search_f0(g)
         deg = degree_report(g, f0_max=rep.f0_max)
         for nu in rep.optima:
-            assert cayley_delta(g, nu, f0_max=rep.f0_max) == deg.delta
+            assert cayley_delta(g, nu) == deg.delta
 
 
 def test_cayley_delta_refuses_non_dominant(mst3):
@@ -415,8 +407,8 @@ def test_scan_and_bnb_internals_agree_on_family(twov3, mst3):
     fam = family_of([twov3, mst3])
     union = fam.union()
     member_of = fam.member_of_label()
-    scan_hist, scan_optima, _, _ = _enumerate(union.sigma, union.k, member_of, 2, False, None)
-    bnb_hist, bnb_optima, _, _ = _enumerate(union.sigma, union.k, member_of, 2, True, None)
+    scan_hist, scan_optima, _, _ = _enumerate(union.sigma, member_of, False, True)
+    bnb_hist, bnb_optima, _, _ = _enumerate(union.sigma, member_of, True, True)
     best = max(scan_hist)
     assert best == max(bnb_hist) and scan_hist[best] == bnb_hist[best]
     assert sorted(scan_optima) == bnb_optima
@@ -445,10 +437,10 @@ def test_connected_walk_matches_brute_force():
         member_of = fam.member_of_label()
         brute_hist = oracles.brute_histogram(union.sigma, member_of)
         best, count, opts = oracles.brute_f0_connected(union.sigma, member_of)
-        hist, optima, explored, _ = _enumerate(union.sigma, union.k, member_of, fam.p, False, None)
+        hist, optima, explored, _ = _enumerate(union.sigma, member_of, False, True)
         assert hist == brute_hist
         assert optima == sorted(opts) and explored == math.factorial(union.k)
-        hist, optima, _, _ = _enumerate(union.sigma, union.k, member_of, fam.p, True, None)
+        hist, optima, _, _ = _enumerate(union.sigma, member_of, True, True)
         assert (max(hist), hist[max(hist)]) == (best, count)
         assert optima == sorted(opts)
 
@@ -457,11 +449,9 @@ def test_pruned_walk_cuts_prefixes_at_k10():
     # fig7 at k = 9 keeps every prefix: nothing is cut above depth 3 there
     g = random_graph(3, 10, seed=3400)
     full = search_f0(g)
-    for max_optima in (None, 1, 2):
-        rep = search_f0(g, prune=True, max_optima=max_optima)
-        assert rep.explored < math.factorial(10) and rep.nodes < full.nodes
-        assert (rep.f0_max, rep.multiplicity) == (full.f0_max, full.multiplicity)
-        assert rep.optima == full.optima[:max_optima]
+    rep = search_f0(g, prune=True)
+    assert rep.explored < math.factorial(10) and rep.nodes < full.nodes
+    assert (rep.f0_max, rep.multiplicity, rep.optima) == (full.f0_max, full.multiplicity, full.optima)
 
 
 def test_pruned_search_with_workers_cuts_prefixes_at_k11():
@@ -505,11 +495,11 @@ def test_table_walk_histograms_match_brute_force():
     cases = [random_graph(D, k, seed=4000 + 10 * k + D) for k in (7, 8) for D in range(2, 7)]
     cases.append(random_graph(2, 9, seed=4092))
     for g in cases:
-        hist, optima, explored, nodes = _enumerate(g.sigma, g.k, None, 0, False, None)
+        hist, optima, explored, nodes = _enumerate(g.sigma, None, False, True)
         assert hist == oracles.brute_histogram(g.sigma)
         assert explored == math.factorial(g.k)
         assert nodes == sum(math.perm(g.k, s) for s in range(1, g.k - 5))
-        pruned = _enumerate(g.sigma, g.k, None, 0, True, None)
+        pruned = _enumerate(g.sigma, None, True, True)
         assert optima == pruned[1] and pruned[0][max(pruned[0])] == hist[max(hist)]
 
 
@@ -536,15 +526,15 @@ def test_table_walk_connected_histograms_match_brute_force(monkeypatch):
             fam = family_of([random_graph(D, k, seed=4200 + 10 * n + i) for i, k in enumerate(ks)])
             union = fam.union()
             member_of = fam.member_of_label()
-            walk = _enumerate(union.sigma, union.k, member_of, fam.p, False, None)
+            walk = _enumerate(union.sigma, member_of, False, True)
             hist, optima, explored, _ = walk
             assert hist == oracles.brute_histogram(union.sigma, member_of)
             assert explored == math.factorial(union.k)
-            pruned = _enumerate(union.sigma, union.k, member_of, fam.p, True, None)
+            pruned = _enumerate(union.sigma, member_of, True, True)
             assert optima == pruned[1] and pruned[0][max(pruned[0])] == hist[max(hist)]
             # three prefixes per batch: hist and optima do not depend on the batching
             monkeypatch.setattr(search_module, "_BATCH_SCORES", 3 * 720)
-            assert _enumerate(union.sigma, union.k, member_of, fam.p, False, None) == walk
+            assert _enumerate(union.sigma, member_of, False, True) == walk
             monkeypatch.setattr(search_module, "_BATCH_SCORES", batch)
     assert (1, True, True) in seen
     assert any(not some for _, _, some in seen)
@@ -555,17 +545,13 @@ def test_exhaustive_fig7_optima_match_brute_force(fig7_graph, monkeypatch):
     rep = search_f0(fig7_graph)
     assert (rep.f0_max, rep.multiplicity, rep.explored) == (best, count, 362880) == (26, 13, 362880)
     assert list(rep.optima) == sorted(opts)
-    for cap in (0, 1, 5, 13, 20):
-        capped = search_f0(fig7_graph, max_optima=cap)
-        assert (capped.multiplicity, capped.optima) == (13, rep.optima[:cap])
     pruned = search_f0(fig7_graph, prune=True)
     assert (pruned.f0_max, pruned.multiplicity, list(pruned.optima)) == (best, count, sorted(opts))
     # five prefixes per batch: the optima come from many batches, in order
     monkeypatch.setattr(search_module, "_BATCH_SCORES", 5 * 720)
     assert search_f0(fig7_graph) == rep
-    assert search_f0(fig7_graph, max_optima=5).optima == rep.optima[:5]
-    small = search_f0(fig7_graph, prune=True, max_optima=5)
-    assert (small.multiplicity, small.optima) == (13, rep.optima[:5])
+    small = search_f0(fig7_graph, prune=True)
+    assert (small.multiplicity, small.optima) == (13, rep.optima)
 
 
 def test_face_bound_caps_every_completion():
@@ -592,7 +578,7 @@ def _seeded_search_cases():
     """Graphs with D = 2..6 and k = 1..10, and connected families of total k <= 9.
 
     k = 9 and 10 walks queue 504 and 5,040 prefixes, so a pruned walk cuts
-    and caps its optima across batches there.  In two k = 10 graphs the
+    and collects its optima across batches there.  In two k = 10 graphs the
     last six whites are melons (every color joins white s to black s), so
     an optimal prefix meets the bound of closed faces plus D per free white
     exactly, and only ties keep it.
@@ -610,16 +596,19 @@ def _seeded_search_cases():
     return cases
 
 
+def _walks(case):
+    """(exhaustive, pruned) reports of a graph's search, or of a family's connected search."""
+    if isinstance(case, GraphFamily):
+        return search_module._run_search(case.union().sigma, case.member_of_label(), False), search_f0_connected(case)
+    return search_f0(case), search_f0(case, prune=True)
+
+
 def test_pruned_search_matches_exhaustive_on_seeded_cases():
     cases = _seeded_search_cases()
     assert len(cases) >= 70
     cut = 0
     for case in cases:
-        search = search_f0_connected if isinstance(case, GraphFamily) else search_f0
-        full = search(case)
-        for max_optima in (None, 1, 2):
-            rep = search(case, prune=True, max_optima=max_optima)
-            assert (rep.f0_max, rep.multiplicity) == (full.f0_max, full.multiplicity)
-            assert rep.optima == full.optima[:max_optima]
+        full, rep = _walks(case)
+        assert (rep.f0_max, rep.multiplicity, rep.optima) == (full.f0_max, full.multiplicity, full.optima)
         cut += rep.explored < full.explored
     assert cut >= 5
