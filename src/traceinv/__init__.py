@@ -59,21 +59,15 @@ from .families import (
     two_vertex,
 )
 from .sampling import (
-    DenseTensor,
     MCEstimate,
     MemoryCapError,
     annealed_coefficients,
     concentration_experiment,
     entropy_slope_experiment,
-    evaluate_trace,
     make_rng,
     mc_moment,
     quenched_annealed_report,
     quenched_entropy,
-    regularized_entropy,
-    renyi_entropy,
-    sample_tensor,
-    sphere_min_sample,
 )
 
 __version__ = "0.1.0"

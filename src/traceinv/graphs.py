@@ -8,6 +8,7 @@ JSON and cycle strings use 1-based vertex labels.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -223,6 +224,7 @@ class GraphStats:
     is_planar3: bool
 
 
+@functools.lru_cache(maxsize=1024)  # graphs are frozen; gurau_bound callers ask once per pairing
 def graph_stats(G: ColoredGraph) -> GraphStats:
     D, k = G.D, G.k
     mat = [[0] * D for _ in range(D)]

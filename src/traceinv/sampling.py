@@ -1,4 +1,4 @@
-"""Seeded tensor sampling, numeric trace evaluation, and the entropy experiments.
+"""Seeded Monte Carlo moments, the entropy experiments and the annealed coefficients.
 
 Gaussian tensors have i.i.d. complex entries of variance 1/N^D; Haar
 tensors are Gaussian draws normalized to the unit sphere.  Draws are
@@ -7,6 +7,8 @@ reproducible for a fixed seed independently of batching.
 Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
 draws a block of samples small enough to stay in cache, contracts it with
 each graph's compiled plan, and hands the block's trace values back.
+There is no per-sample entry point: ``mc_moment`` and the experiments are
+the public paths, and a single sample is a block of one.
 
 A family whose members are all matrix-like for one split of the colors
 (M, M^c) takes a spectral path instead: every color in M has one
@@ -47,42 +49,17 @@ class MemoryCapError(ValueError):
     """Raised when a contraction would exceed the configured memory cap."""
 
 
-@dataclass(eq=False)
-class DenseTensor:
-    D: int
-    N: int
-    entries: np.ndarray  # complex, shape (N,) * D
-
-    def __post_init__(self):
-        expected = (self.N,) * self.D
-        if self.entries.shape != expected:
-            raise ValueError(f"entries shape {self.entries.shape} != {expected}")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
 def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_tensor(kind: str, D: int, N: int, rng: np.random.Generator) -> DenseTensor:
-    """One Gaussian or Haar tensor draw."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    entries = _draw_batch(kind, D, N, 1, rng)[0]
-    return DenseTensor(D=D, N=N, entries=entries)
-
-
 def _draw_batch(kind, D, N, count, rng) -> np.ndarray:
-    """count tensors, shape (count,) + (N,)*D; one RNG row per sample."""
+    """count tensors, shape (count,) + (N,)*D; one RNG row per sample.  _trace_blocks checks kind."""
     m = N**D
     raw = rng.standard_normal((count, 2 * m))
     z = (raw[:, :m] + 1j * raw[:, m:]) / math.sqrt(2 * m)
     if kind == "haar":
         z = z / np.linalg.norm(z, axis=1, keepdims=True)
-    elif kind != "gaussian":
-        raise ValueError(f"unknown tensor kind {kind!r}")
     return z.reshape((count,) + (N,) * D)
 
 
@@ -201,18 +178,6 @@ def _check_cap(G: ColoredGraph, N: int) -> None:
         )
 
 
-def evaluate_trace(G: ColoredGraph, S: DenseTensor) -> complex:
-    """Contract the trace-invariant of G on the sample S.
-
-    The trace of a block of one sample; refuses if the sample or an
-    intermediate would exceed the memory cap.
-    """
-    if S.D != G.D:
-        raise ValueError(f"tensor has D={S.D}, graph has D={G.D}")
-    _check_cap(G, S.N)
-    return complex(_batch_trace(G, S.entries[None])[0])
-
-
 def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = None) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
@@ -241,15 +206,18 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     A block holds as many samples as keep every array it touches, the draw
     and the widest plan intermediate alike, within BATCH_ENTRY_CAP complex
     entries (at least one sample), so it is drawn and contracted in cache.
-    The draws depend only on rng, not on the block size.  Every plan is
-    checked against the memory cap, draw and intermediates alike, before
-    the first draw.  Graphs that are all matrix-like for one color split
-    take the spectral path (_spectral_blocks) after that check.
+    The draws depend only on rng, not on the block size.  The sample
+    count, N and kind are checked, and every plan against the memory cap,
+    draw and intermediates alike, before the first draw.  Graphs that are
+    all matrix-like for one color split take the spectral path
+    (_spectral_blocks) after those checks.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if N < 2:
         raise ValueError("need N >= 2")
+    if kind not in ("gaussian", "haar"):
+        raise ValueError(f"unknown tensor kind {kind!r}")
     for g in graphs:
         _check_cap(g, N)
     form = _matrix_form(graphs)
@@ -339,8 +307,6 @@ def _spectral_blocks(kind, D, N, samples, rng, rows, lengths):
     samples as keep the band powers of _power_sums within BATCH_ENTRY_CAP
     entries.
     """
-    if kind not in ("gaussian", "haar"):
-        raise ValueError(f"unknown tensor kind {kind!r}")
     small = min(rows, D - rows)
     n, m = N**small, N ** (D - small)
     shapes = np.concatenate([m - np.arange(n), n - 1 - np.arange(n - 1)]).astype(float)
@@ -372,22 +338,6 @@ def mc_moment(
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).sum() / (samples - 1)) / math.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
-
-
-def renyi_entropy(G: ColoredGraph, S: DenseTensor) -> float:
-    """-ln |Tr_G|; +inf when the trace vanishes below ZERO_FLOOR."""
-    a = abs(evaluate_trace(G, S))
-    if a < ZERO_FLOOR:
-        return math.inf
-    return -math.log(a)
-
-
-def regularized_entropy(H: ColoredGraph, S: DenseTensor, Lambda: float) -> float:
-    """Entropy capped at (D k /2) ln N + ln Lambda, N = S.N; always finite."""
-    if Lambda <= 0:
-        raise ValueError("need Lambda > 0")
-    cap = 0.5 * H.D * H.k * math.log(S.N) + math.log(Lambda)
-    return min(renyi_entropy(H, S), cap)
 
 
 @dataclass(frozen=True)
@@ -423,13 +373,6 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None) -> Que
         f"quenched average needs enumeration over S_{2 * H.k} (budget {limit}) "
         "and the graph is not maximally single-trace"
     )
-
-
-def sphere_min_sample(G: ColoredGraph, N: int, samples: int, seed: int) -> float:
-    """Smallest |Tr_G| over Haar draws: a non-rigorous upper bound on the
-    sphere minimum, offered as a diagnostic only."""
-    blocks = _trace_blocks([G], "haar", N, samples, make_rng(seed))
-    return min(float(np.abs(tr).min()) for tr in blocks)
 
 
 def quenched_annealed_report(
@@ -497,8 +440,11 @@ def concentration_experiment(
 
     The reference scale comes from the exact leading order of the Gaussian
     moment.  Assumes the graph satisfies the factorization criterion; the
-    coverage trend is reported, not enforced.
+    coverage trend is reported, not enforced.  epsilon must be finite and
+    > 0: at 0 or below every coverage is 0, at infinity every one is 1.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
     rep = search_f0(G, kmax=kmax, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity

@@ -178,22 +178,22 @@ def union_component_count(sigmas, nu):
     return comps
 
 
-def trace_naive(G, S):
-    """Sum over every assignment of one index per edge."""
-    k, D, N = G.k, G.D, S.N
+def trace_naive(G, T):
+    """Sum over every assignment of one index per edge, T the entries of one tensor."""
+    k, D, N = G.k, G.D, T.shape[0]
     inv = []
     for sig in G.sigma:
         m = [0] * k
         for s in range(k):
             m[sig[s]] = s
         inv.append(m)
-    conj = np.conj(S.entries)
+    conj = np.conj(T)
     total = 0j
     for assign in itertools.product(range(N), repeat=D * k):
         idx = lambda c, s: assign[c * k + s]
         term = 1 + 0j
         for s in range(k):
-            term *= S.entries[tuple(idx(c, s) for c in range(D))]
+            term *= T[tuple(idx(c, s) for c in range(D))]
         for t in range(k):
             term *= conj[tuple(idx(c, inv[c][t]) for c in range(D))]
         total += term
@@ -204,19 +204,17 @@ def per_sample_traces(graphs, kind, N, samples, rng):
     """Product of the graphs' traces on each of `samples` draws.
 
     All samples come from one draw call, and each is contracted on its own
-    by evaluate_trace (a block of one), so no block of several samples is
-    involved.
+    as a one-sample slice of it, so no block of several samples is involved.
     """
-    from traceinv import DenseTensor, evaluate_trace
-    from traceinv.sampling import _draw_batch
+    from traceinv.sampling import _batch_trace, _check_cap, _draw_batch
 
-    D = graphs[0].D
-    batch = _draw_batch(kind, D, N, samples, rng)
+    for g in graphs:
+        _check_cap(g, N)
+    batch = _draw_batch(kind, graphs[0].D, N, samples, rng)
     vals = np.ones(samples, dtype=complex)
     for i in range(samples):
-        S = DenseTensor(D, N, batch[i])
         for g in graphs:
-            vals[i] *= evaluate_trace(g, S)
+            vals[i] *= _batch_trace(g, batch[i : i + 1])[0]
     return vals
 
 

@@ -3,6 +3,7 @@ import inspect
 import pkgutil
 
 import traceinv
+from traceinv import sampling
 
 # the two public keywords kept for callers; both are accepted and ignored
 TAKE_WORKERS = {"traceinv.search.search_f0", "traceinv.moments.decide_factorization"}
@@ -14,9 +15,9 @@ FIXED_OPTIONS = [
     ("traceinv.search.cayley_delta", "f0_max"),
     ("traceinv.moments.cumulant_consistency", "pmax"),
     ("traceinv.moments.factorization_verdict", "pmax"),
-    ("traceinv.sampling.evaluate_trace", "memory_cap"),
-    ("traceinv.sampling.renyi_entropy", "floor"),
 ]
+# the per-sample API: every sampled question goes through mc_moment or an experiment
+REMOVED = ["DenseTensor", "sample_tensor", "evaluate_trace", "renyi_entropy", "regularized_entropy", "sphere_min_sample"]
 
 
 def _defined_callables():
@@ -53,3 +54,7 @@ def test_only_the_kept_keywords_take_workers():
 def test_fixed_options_are_not_parameters():
     params = {name: _parameters(obj) for name, obj in _defined_callables()}
     assert [(name, kw) for name, kw in FIXED_OPTIONS if kw in params[name]] == []
+
+
+def test_removed_names_stay_removed():
+    assert [name for name in REMOVED if hasattr(traceinv, name) or hasattr(sampling, name)] == []

@@ -114,6 +114,10 @@ def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, pay
         ("entropy-slope", {"kind": ["haar"]}),
         ("mc-moment", {"samples": True}),
         ("entropy-slope", {"N": [2, 2, 2]}),
+        ("concentration", {"epsilon": float("nan")}),  # json.load reads NaN and Infinity
+        ("concentration", {"epsilon": float("inf")}),
+        ("concentration", {"epsilon": 0}),
+        ("concentration", {"epsilon": -1}),
     ],
 )
 def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, command, entries):

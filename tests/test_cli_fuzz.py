@@ -11,7 +11,8 @@ budget, which must be refused before the loader builds anything.
 Experiment configs for ``mc-moment``, ``concentration`` and
 ``entropy-slope`` carry such a graph or family, N of 2..4 and at most 30
 samples, or one entry dropped or broken, so every valid config is answered
-in milliseconds.
+in milliseconds.  Their epsilon may be NaN, Infinity, 0 or negative, which
+json.load accepts; a config that runs must print strict JSON.
 
 ``generate`` argv draws a kind (or junk), mostly that kind's own fields,
 sometimes one foreign field, and the common flags before or after the kind.
@@ -26,6 +27,7 @@ JSON: Python's NaN and Infinity are refused.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -119,7 +121,7 @@ def configs(draw):
     if draw(st.booleans()):
         cfg["kind"] = draw(st.sampled_from(["gaussian", "haar"]) | junk)
     if draw(st.booleans()):
-        cfg["epsilon"] = draw(st.floats(-1, 2) | junk)
+        cfg["epsilon"] = draw(st.floats(-1, 2) | st.sampled_from([math.nan, math.inf, 0, -1]) | junk)
     flaw = draw(st.sampled_from([None, None, None, *sorted(cfg)]))
     if flaw is not None and draw(st.booleans()):
         del cfg[flaw]
@@ -128,8 +130,14 @@ def configs(draw):
     return cfg
 
 
+VALID_CONFIG = {"graph": {"D": 3, "sigma": [[1, 2], [2, 1], [1, 2]]}, "N": [2, 3, 4], "samples": 10, "seed": 1}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(command=st.sampled_from(["mc-moment", "concentration", "entropy-slope"]), payload=configs())
+@example(command="concentration", payload={**VALID_CONFIG, "epsilon": math.nan})
+@example(command="concentration", payload={**VALID_CONFIG, "epsilon": math.inf})
+@example(command="concentration", payload={**VALID_CONFIG, "epsilon": -1})
 def test_arbitrary_experiment_config_holds_the_exit_code_contract(command, payload):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -138,11 +146,13 @@ def test_arbitrary_experiment_config_holds_the_exit_code_contract(command, paylo
             json.dump(payload, fh)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, "--no-timestamp"])
-    err = err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2)
-    assert "Traceback" not in err + out.getvalue()
+    assert "Traceback" not in err + out
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        json.loads(out, parse_constant=_refuse_constant)
 
 
 # the fields each generate kind reads
