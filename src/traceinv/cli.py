@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import sys
@@ -58,7 +59,9 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on its first call (the first main call), not at import."""
     parser = argparse.ArgumentParser(
         prog="traceinv",
         description="Exact and Monte Carlo analysis of tensor trace-invariants.",
@@ -376,8 +379,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.format == "csv" and args.command not in ("analyze", "mc-moment", "concentration", "entropy-slope"):
         # refused before the work, which may be a long walk
         print("error: csv output is only available for row-based reports", file=sys.stderr)

@@ -10,6 +10,22 @@ each graph's compiled plan, and hands the block's trace values back.
 There is no per-sample entry point: ``mc_moment`` and the experiments are
 the public paths, and a single sample is a block of one.
 
+A graph's plan is compiled once (``_compile``) and is one batched matmul
+per step.  Reuse: every white vertex is T and every black one conj(T), so
+two pairwise contractions of the same structure (operands, and the axis
+positions they share) give the same array; the plan contracts each
+structure once and prefers an already made one to new work, unless that
+widens its widest intermediate or adds FLOPs.  mst3's trace, Tr[(M^Gamma)^3] with M the color-0 Gram matrix, is so one Gram
+matmul, one N^6 product and one N^4 reduction.  In a family, a member
+equal to an earlier one reads that trace, and a member equal to an
+earlier one's conjugate reads its complex conjugate.  Layouts: np.matmul
+takes a transposed stack without a copy, so an operand is read as it is
+stored when its shared axes fill one end of it, in the order its partner
+reads them; each intermediate's axis order is chosen at compile time to
+make that so as often as it can, and whatever is left is copied.  The
+last reduction is a per-sample matmul too, so a sample's value does not
+depend on the block it is in.
+
 A family whose members are all matrix-like for one split of the colors
 (M, M^c) takes a spectral path instead: every color in M has one
 permutation alpha and every other color one permutation beta, as in
@@ -63,64 +79,216 @@ def _draw_batch(kind, D, N, count, rng) -> np.ndarray:
     return z.reshape((count,) + (N,) * D)
 
 
-def _vertex_operands(G: ColoredGraph):
-    """(vertex key, edge labels) for each white and black vertex.
+def _vertex_labels(G: ColoredGraph):
+    """Edge labels of each vertex in color order: white s is vertex 2s, black t vertex 2t + 1.
 
     The color-c edge at white s carries label c*k + s; black t sees the
     same label through sigma_c^-1.
     """
     k = G.k
     inv = [perms.inverse(p) for p in G.sigma]
-    ops = []
+    labels = []
     for s in range(k):
-        ops.append(((2 * s,), tuple(c * k + s for c in range(G.D)), False))
-    for t in range(k):
-        ops.append(((2 * t + 1,), tuple(c * k + inv[c][t] for c in range(G.D)), True))
-    return ops
+        labels.append(tuple(c * k + s for c in range(G.D)))
+        labels.append(tuple(c * k + inv[c][s] for c in range(G.D)))
+    return labels
+
+
+def _structure(a, b):
+    """(structure, first, second) of contracting the plan nodes a and b.
+
+    A node is (structure id, labels, array, vertices).  The structure is
+    (id of the first operand, id of the second, the (position, position)
+    pairs of their shared labels), the smaller of the two operand orders.
+    Every white vertex is T and every black one conj(T), so contractions of
+    one structure give one array, whose axes are the first operand's kept
+    labels, then the second's.
+    """
+    shared = set(a[1]) & set(b[1])
+    pairs = tuple((p, b[1].index(l)) for p, l in enumerate(a[1]) if l in shared)
+    flipped = tuple(sorted((q, p) for p, q in pairs))
+    if (b[0], a[0], flipped) < (a[0], b[0], pairs):
+        return (b[0], a[0], flipped), b, a
+    return (a[0], b[0], pairs), a, b
+
+
+def _end(order, shared):
+    """The shared labels as they stand in order when they fill its front or its back, else None."""
+    m = len(shared)
+    for part in (order[:m], order[len(order) - m:]):
+        if set(part) == shared:
+            return part
+    return None
+
+
+# FLOPs and copies are weighed in entries at this N when a plan is chosen;
+# the plan itself does not depend on N
+_PLAN_N = 8
+
+
+def _run_layouts(steps, first, choice):
+    """(entries copied per sample, program, layouts) of steps with output layouts `choice`.
+
+    Array r < first is a vertex, stored in color order; array first + n is
+    step n's output, stored as choice[n]: 0 or 1 for the product's own
+    axis order (the first operand's kept labels, then the second's, or the
+    reverse), else a permutation of the step's output labels, copied into.
+    An operand is read without a copy when its shared labels fill one end
+    of its axes in the order its partner reads them (np.matmul takes a
+    transposed stack as it is); otherwise the cheaper operand is copied.
+    """
+    layout = {}
+
+    def order(r, labels):
+        return labels if r < first else tuple(labels[p] for p in layout[r])
+
+    def size(labels):
+        return _PLAN_N ** len(labels)
+
+    cost, program = 0, []
+    for n, (a, b, lab_a, lab_b, lab_out) in enumerate(steps):
+        pa, pb = order(a, lab_a), order(b, lab_b)
+        shared = set(lab_a) & set(lab_b)
+        ends = _end(pa, shared), _end(pb, shared)
+        fallback = tuple(l for l in pa if l in shared)
+        sigma = min(
+            (o for o in (*ends, fallback) if o is not None),
+            key=lambda o: size(pa) * (ends[0] != o) + size(pb) * (ends[1] != o),
+        )
+        copies = ends[0] != sigma, ends[1] != sigma
+        cost += size(pa) * copies[0] + size(pb) * copies[1]
+        keep_a = tuple(l for l in pa if l not in shared)
+        keep_b = tuple(l for l in pb if l not in shared)
+        natural = (keep_a + keep_b, keep_b + keep_a)
+        c = choice[n]
+        out = natural[c] if isinstance(c, int) else tuple(lab_out[p] for p in c)
+        form = natural.index(out) if out in natural else 0
+        cost += size(out) * (out not in natural)
+        # each operand as (array, axes read as rows then columns, row axis count, copied)
+        ops = ((a, pa, keep_a, copies[0]), (b, pb, keep_b, copies[1]))
+        (lr, lp, lk, lc), (rr, rp, rk, rc) = ops if form == 0 else ops[::-1]
+        left = (lr, tuple(lp.index(l) for l in lk + sigma), len(lk), lc)
+        right = (rr, tuple(rp.index(l) for l in sigma + rk), len(sigma), rc)
+        stored = None if out == natural[form] else tuple(natural[form].index(l) for l in out)
+        program.append((left, right, stored))
+        layout[first + n] = tuple(lab_out.index(l) for l in out)
+    return cost, tuple(program), layout
+
+
+def _layout_candidates(steps, first, n, layout):
+    """Output layouts worth trying for step n: 0 and 1, and per use of the output the ones it reads as stored.
+
+    For a use with another array, the shared labels at either end in the
+    order the other array holds them.  For a use of the output with itself
+    whose two readings share complementary axes (mst3's M times M), the
+    orders that put one reading's shared axes at the front and the other's
+    at the back, in the same label order.
+    """
+    r = first + n
+    found = [0, 1]
+    for a, b, lab_a, lab_b, _ in steps:
+        for mine, other, lm, lo in ((a, b, lab_a, lab_b), (b, a, lab_b, lab_a)):
+            if mine != r:
+                continue
+            shared = set(lm) & set(lo)
+            if other == r:
+                sigma = tuple(l for l in lm if l in shared)
+                pm, po = [lm.index(l) for l in sigma], [lo.index(l) for l in sigma]
+                rest = [p for p in range(len(lm)) if p not in pm]
+                if sorted(po) == rest:
+                    found += [tuple(pm + po), tuple(po + pm)]
+                continue
+            po = lo if other < first else tuple(lo[p] for p in layout[other])
+            sigma = _end(po, shared) or tuple(l for l in lm if l in shared)
+            pm = [lm.index(l) for l in sigma]
+            rest = [p for p in range(len(lm)) if p not in pm]
+            found += [tuple(rest + pm), tuple(pm + rest)]
+    return list(dict.fromkeys(found))
+
+
+def _tree(labels, reuse_first):
+    """(steps, roots): greedy pairwise contraction of vertex tensors with these labels.
+
+    Merges, again and again, the pair of nodes sharing labels that ranks
+    lowest by (a new structure, if reuse_first; open labels of the product;
+    vertices covered).  A pair whose structure (_structure) an earlier step
+    made costs nothing, so only new structures become steps
+    (i, j, labels_i, labels_j, labels_out): arrays 0..2k-1 are the vertices
+    and array 2k + n is step n's output.  The nodes left at the end are the
+    connected components' traces, read from the arrays in roots.
+    """
+    first = len(labels)
+    nodes = [(r % 2, lab, r, (r,)) for r, lab in enumerate(labels)]
+    made = {}  # structure -> (its id, the array holding it); ids 0 and 1 are T and conj(T)
+    steps = []
+    while True:
+        cands = [
+            _structure(nodes[i], nodes[j]) + (i, j)
+            for i in range(len(nodes))
+            for j in range(i + 1, len(nodes))
+            if set(nodes[i][1]) & set(nodes[j][1])
+        ]
+        if not cands:
+            break
+
+        def rank(cand):
+            struct, a, b, _, _ = cand
+            opened = len(a[1]) + len(b[1]) - 2 * len(struct[2])
+            return (reuse_first and struct not in made, opened, sorted(a[3] + b[3]))
+
+        struct, a, b, i, j = min(cands, key=rank)
+        shared = set(a[1]) & set(b[1])
+        lab_out = tuple(l for l in a[1] + b[1] if l not in shared)
+        if struct not in made:
+            steps.append((a[2], b[2], a[1], b[1], lab_out))
+            made[struct] = (len(made) + 2, first + len(steps) - 1)
+        sid, ref = made[struct]
+        nodes[i] = (sid, lab_out, ref, tuple(sorted(a[3] + b[3])))
+        del nodes[j]
+    return tuple(steps), tuple(node[2] for node in nodes)
 
 
 @functools.lru_cache(maxsize=256)
-def _contraction_plan(G: ColoredGraph):
-    """Greedy pairwise contraction order for the vertex tensors of G.
+def _compile(G: ColoredGraph):
+    """(is_black, steps, max_open, roots, program): G's contraction, compiled once.
 
-    Repeatedly merges the pair of nodes whose intermediate has the fewest
-    open indices, ties broken by lowest vertex labels.  Returns
-    (is_black flags, steps, max open index count); each step is
-    (i, j, labels_i, labels_j, labels_out) against the evolving node list.
-    Compiled once per graph and cached, so a sampling loop pays for it once.
+    The tree (_tree) is the greedy one that takes a reused structure before
+    any new step, unless the greedy one that does not has a narrower widest
+    intermediate, or as wide with fewer FLOPs.  Then each output's axis
+    order is chosen by descent on the entries a block copies per sample
+    (_run_layouts), starting from every output stored in its product's own
+    order.  program holds, per step, the two matmul operands (array, axes,
+    row axis count, copied) and the permutation the product is copied
+    into, or None.
     """
-    ops = _vertex_operands(G)
-    nodes = [(key, labels) for key, labels, _ in ops]
-    steps = []
-    max_open = max(len(l) for _, l in nodes)
-    while True:
-        best = None
-        for i in range(len(nodes)):
-            key_i, lab_i = nodes[i]
-            set_i = set(lab_i)
-            for j in range(i + 1, len(nodes)):
-                key_j, lab_j = nodes[j]
-                shared = set_i.intersection(lab_j)
-                if not shared:
-                    continue
-                out_ndim = len(lab_i) + len(lab_j) - 2 * len(shared)
-                cand = (out_ndim, tuple(sorted(key_i + key_j)))
-                if best is None or cand < best[0]:
-                    best = (cand, i, j)
-        if best is None:
-            break
-        _, i, j = best
-        key_i, lab_i = nodes[i]
-        key_j, lab_j = nodes[j]
-        shared = set(lab_i) & set(lab_j)
-        lab_out = tuple(l for l in lab_i if l not in shared) + tuple(
-            l for l in lab_j if l not in shared
-        )
-        steps.append((i, j, lab_i, lab_j, lab_out))
-        nodes[i] = (tuple(sorted(key_i + key_j)), lab_out)
-        del nodes[j]
-        max_open = max(max_open, len(lab_out))
-    return tuple(is_black for _, _, is_black in ops), tuple(steps), max_open
+    labels = _vertex_labels(G)
+    first = len(labels)
+
+    def widest(steps):
+        return max([G.D] + [len(s[4]) for s in steps])
+
+    def widest_then_flops(tree):
+        return widest(tree[0]), sum(_PLAN_N ** len(set(s[2]) | set(s[3])) for s in tree[0])
+
+    steps, roots = min(_tree(labels, True), _tree(labels, False), key=widest_then_flops)
+    choice = [0] * len(steps)
+    cost, program, layout = _run_layouts(steps, first, choice)
+    improved = True
+    while improved:
+        improved = False
+        for n in range(len(steps)):
+            for c in _layout_candidates(steps, first, n, layout):
+                trial = choice[:n] + [c] + choice[n + 1:]
+                t_cost, t_program, t_layout = _run_layouts(steps, first, trial)
+                if t_cost < cost:
+                    cost, program, layout, choice, improved = t_cost, t_program, t_layout, trial, True
+    is_black = tuple(r % 2 == 1 for r in range(first))
+    return is_black, steps, widest(steps), roots, program
+
+
+def _contraction_plan(G: ColoredGraph):
+    """(is_black flags, steps, max open index count) of G's compiled plan (_compile)."""
+    return _compile(G)[:3]
 
 
 def _buffer(scratch, key, shape):
@@ -131,41 +299,21 @@ def _buffer(scratch, key, shape):
     return buf
 
 
-def _merges(t, lo, hi):
-    """Whether axes lo..hi-1 of t merge into one axis without a copy (numpy's reshape rule)."""
-    axes = [i for i in range(lo, hi) if t.shape[i] != 1]
-    return all(t.strides[i] == t.strides[j] * t.shape[j] for i, j in zip(axes, axes[1:]))
+def _matrices(arrays, operand, scratch, key):
+    """An operand (array, axes, rows, copied) as a (B, rows, cols) stack of matrices.
 
-
-def _as_matrices(x, labels, rows, cols, scratch, key):
-    """x with its label axes ordered rows + cols, as a (B, rows, cols) stack of matrices.
-
-    A view when numpy's reshape would give one; otherwise the same C-ordered
-    copy, written into scratch[key] instead of fresh memory.
+    The plan makes the uncopied ones views; a copied one is written into
+    scratch[key] instead of fresh memory.
     """
+    ref, axes, rows, copied = operand
+    x = arrays[ref]
+    t = x.transpose((0,) + tuple(p + 1 for p in axes))
+    if copied:
+        buf = _buffer(scratch, key, t.shape)
+        np.copyto(buf, t)
+        t = buf
     n = x.shape[-1]
-    t = np.transpose(x, [0] + [labels.index(l) + 1 for l in rows + cols])
-    shape = (x.shape[0], n ** len(rows), n ** len(cols))
-    if _merges(t, 1, 1 + len(rows)) and _merges(t, 1 + len(rows), t.ndim):
-        return t.reshape(shape)
-    buf = _buffer(scratch, key, shape)
-    np.copyto(buf.reshape(t.shape), t)
-    return buf
-
-
-def _pair_contract(a, lab_a, b, lab_b, lab_out, scratch, step):
-    """Contract two batched operands over their shared labels via batched matmul.
-
-    Operand copies and the product live in scratch under keys of this step,
-    so a loop over equal-sized blocks reuses memory that is already paged in.
-    """
-    shared = [l for l in lab_a if l in set(lab_b)]
-    keep_a = [l for l in lab_a if l not in shared]
-    keep_b = [l for l in lab_b if l not in shared]
-    am = _as_matrices(a, lab_a, keep_a, shared, scratch, (step, "a"))
-    bm = _as_matrices(b, lab_b, shared, keep_b, scratch, (step, "b"))
-    cm = np.matmul(am, bm, out=_buffer(scratch, (step, "c"), am.shape[:2] + bm.shape[2:]))
-    return cm.reshape((am.shape[0],) + (a.shape[-1],) * len(lab_out))
+    return t.reshape(x.shape[0], n**rows, n ** (len(axes) - rows))
 
 
 def _check_cap(G: ColoredGraph, N: int) -> None:
@@ -181,22 +329,30 @@ def _check_cap(G: ColoredGraph, N: int) -> None:
 def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = None) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
-    Runs G's greedy plan over the whole batch at once; the caller checks the
-    plan against the memory cap.  Intermediates are written into scratch
-    (see _pair_contract), which _trace_blocks keeps per graph across blocks;
-    the returned traces never alias it.
+    Runs G's compiled program (_compile) over the whole batch at once, one
+    batched matmul per step; the caller checks the plan against the memory
+    cap.  Products and copies are written into scratch, which _trace_blocks
+    keeps per graph across blocks; the returned traces never alias it.
     """
-    is_black, steps, _ = _contraction_plan(G)
-    conj = np.conj(batch)
-    arrays = [conj if black else batch for black in is_black]
+    is_black, _, _, roots, program = _compile(G)
+    B, N = batch.shape[0], batch.shape[-1]
     scratch = {} if scratch is None else scratch
-    for step, (i, j, lab_i, lab_j, lab_out) in enumerate(steps):
-        arrays[i] = _pair_contract(arrays[i], lab_i, arrays[j], lab_j, lab_out, scratch, step)
-        del arrays[j]
+    conj = np.conj(batch, out=_buffer(scratch, "conj", batch.shape))
+    arrays = [conj if black else batch for black in is_black]
+    for n, (left, right, stored) in enumerate(program):
+        lm = _matrices(arrays, left, scratch, (n, "l"))
+        rm = _matrices(arrays, right, scratch, (n, "r"))
+        prod = np.matmul(lm, rm, out=_buffer(scratch, (n, "p"), lm.shape[:2] + rm.shape[2:]))
+        prod = prod.reshape((B,) + (N,) * (left[2] + len(right[1]) - right[2]))
+        if stored is not None:
+            buf = _buffer(scratch, (n, "s"), prod.shape)
+            np.copyto(buf, prod.transpose((0,) + tuple(p + 1 for p in stored)))
+            prod = buf
+        arrays.append(prod)
     # disconnected components finish as independent traces
-    out = np.ones(batch.shape[0], dtype=complex)
-    for arr in arrays:
-        out = out * arr.reshape(arr.shape[0])
+    out = np.ones(B, dtype=complex)
+    for r in roots:
+        out = out * arrays[r].reshape(B)
     return out
 
 
@@ -226,17 +382,29 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
         return
     widest = max(_contraction_plan(g)[2] for g in graphs)
     block = max(1, BATCH_ENTRY_CAP // N**widest)
+    # a member equal to an earlier one, or to its conjugate, reads that
+    # member's trace (conjugated: Tr_conj(G) = conj Tr_G) instead of contracting
+    source = []
+    for i, g in enumerate(graphs):
+        g_bar = conjugate(g)
+        source.append(next(((j, h != g) for j, h in enumerate(graphs[:i]) if h in (g, g_bar)), None))
     # one scratch per graph, reused by every block: fresh arrays for each
     # block would be paged in anew whenever the allocator hands the freed
     # ones back to the system
     scratch = [{} for _ in graphs]
     for start in range(0, samples, block):
         batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
-        prod = _batch_trace(graphs[0], batch, scratch[0])
-        for g, work in zip(graphs[1:], scratch[1:]):
+        traces = []
+        for g, work, src in zip(graphs, scratch, source):
+            if src is None:
+                traces.append(_batch_trace(g, batch, work))
+            else:
+                traces.append(np.conj(traces[src[0]]) if src[1] else traces[src[0]])
+        prod = traces[0]
+        for tr in traces[1:]:
             # not in place: numpy's in-place complex multiply rounds a
             # one-element array differently from a longer one
-            prod = prod * _batch_trace(g, batch, work)
+            prod = prod * tr
         yield prod
 
 

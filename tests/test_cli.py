@@ -497,3 +497,51 @@ def test_config_graph_declaring_k_over_kmax_is_refused_before_building(tmp_path,
         assert main([command, str(path), "--no-timestamp"]) == code
         err = capsys.readouterr().err
         assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1 and "k_max=11" in err)
+
+
+def _run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one main call; argparse's usage errors exit through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_main_call_of_a_process(tmp_path, capsys):
+    from traceinv import cli
+
+    graph = _write_graph(tmp_path, cyclic(3, {0}, 2))
+    calls = [
+        ["analyze", graph, "--no-timestamp"],
+        ["analyze", graph, "--format", "csv"],
+        ["analyze"],  # usage error: the graph is missing
+        ["moment", graph, "--no-timestamp", "--format", "pretty"],
+        ["moment", graph, "--format", "csv"],  # refused: no rows
+        ["annealed", "--regime", "gamma", "--mu", "2", "--lambda", "3", "--D", "3", "--k", "2", "--no-timestamp"],
+        ["generate", "cyclic", "--D", "3", "--M", "1", "--k", "2", "--no-timestamp"],
+        ["analyze", graph, "--no-timestamp"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_run_main(argv, capsys))
+    cli.build_parser.cache_clear()
+    assert [_run_main(argv, capsys) for argv in calls] == fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0, 0, 0]
+
+
+def test_importing_the_cli_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+
+    import traceinv
+
+    src = os.path.dirname(os.path.dirname(traceinv.__file__))
+    code = "import traceinv.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "0"

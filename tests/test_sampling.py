@@ -112,6 +112,82 @@ def test_batch_trace_matches_naive_oracle(request, name):
             assert vals[i] == pytest.approx(oracles.trace_naive(g, batch[i]), rel=1e-12)
 
 
+# two seeds per D in 2-4 and k <= 4; one at D*k = 16, where a sample has 2^16 assignments
+RANDOM_CASES = [(D, k, 10 * D + k + extra) for D in (2, 3, 4) for k in (1, 2, 3, 4) for extra in (0, 5) if D * k < 16 or not extra]
+
+
+@pytest.mark.parametrize("D, k, seed", RANDOM_CASES)
+def test_compiled_plan_matches_naive_oracle_on_random_graphs(D, k, seed):
+    g = random_graph(D, k, seed=seed)
+    for N in (2, 3) if D * k <= 8 else (2,):
+        batch = _draw_batch("gaussian", D, N, 1 if D * k == 16 else 2, make_rng(seed))
+        vals = _batch_trace(g, batch)
+        for i, sample in enumerate(batch):
+            assert vals[i] == pytest.approx(oracles.trace_naive(g, sample), rel=1e-12)
+
+
+def test_compiled_plan_matches_einsum_oracle(mst3):
+    batch = _draw_batch("gaussian", 3, 4, 3, make_rng(17))
+    for g in (mst3, conjugate(mst3)):
+        vals = _batch_trace(g, batch)
+        for i, sample in enumerate(batch):
+            assert vals[i] == pytest.approx(oracles.trace_einsum(g, sample), rel=1e-12)
+
+
+def test_compiled_plan_with_a_permuting_copy_matches_einsum_oracle():
+    # its one stored copy permutes the axes by a permutation that is not its own inverse
+    g = random_graph(4, 4, seed=38)
+    assert any(s is not None and any(s[s[i]] != i for i in range(len(s))) for _, _, s in sampling._compile(g)[4])
+    for N in (2, 3):
+        batch = _draw_batch("gaussian", 4, N, 2, make_rng(20))
+        vals = _batch_trace(g, batch)
+        for i, sample in enumerate(batch):
+            assert vals[i] == pytest.approx(oracles.trace_einsum(g, sample), rel=1e-12)
+
+
+def test_mst3_plan_is_three_matmuls_and_one_copy(mst3):
+    # Tr[(M^Gamma)^3], M the color-0 Gram matrix: the N^5 Gram, one N^6
+    # product and an N^4 reduction; the partial transpose of M is the only copy
+    _, steps, max_open, _, program = sampling._compile(mst3)
+    assert [len(set(a) | set(b)) for _, _, a, b, _ in steps] == [5, 6, 4]
+    assert max_open == 4
+    copies = [op[3] for left, right, _ in program for op in (left, right)]
+    stored = [s for _, _, s in program if s is not None]
+    assert not any(copies) and len(stored) == 1
+
+
+@pytest.mark.parametrize("name", ["mst3", "random-d3-k4", "random-d4-k3", "pair"])
+def test_uncopied_operands_are_views(monkeypatch, mst3, name):
+    g = {"mst3": mst3, "random-d3-k4": random_graph(3, 4, seed=34), "random-d4-k3": random_graph(4, 3, seed=35),
+         "pair": disjoint_union([mst3, conjugate(mst3)])[0]}[name]
+    real = sampling._matrices
+    read = []
+
+    def checked(arrays, operand, scratch, key):
+        out = real(arrays, operand, scratch, key)
+        read.append(operand[3] or np.shares_memory(out, arrays[operand[0]]))
+        return out
+
+    monkeypatch.setattr(sampling, "_matrices", checked)
+    _batch_trace(g, _draw_batch("gaussian", g.D, 3, 4, make_rng(18)))
+    assert read and all(read)
+
+
+@pytest.mark.parametrize("second", [conjugate, lambda g: g], ids=["conjugate", "equal"])
+@pytest.mark.parametrize("name", ["mst3", "random-d4-k4"])  # mst3's trace is real, this one's is not
+def test_mc_moment_contracts_a_repeated_member_once_per_block(monkeypatch, mst3, name, second):
+    g = mst3 if name == "mst3" else random_graph(4, 4, seed=40)
+    contracted, drawn = [], []
+    real_trace, real_draw = sampling._batch_trace, sampling._draw_batch
+    monkeypatch.setattr(sampling, "_batch_trace", lambda h, *a: contracted.append(h) or real_trace(h, *a))
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: drawn.append(a) or real_draw(*a))
+    graphs = [g, second(g)]
+    est = mc_moment(family_of(graphs), "gaussian", 3, 2000, seed=19)
+    assert len(drawn) > 1 and contracted == [g] * len(drawn)
+    vals = oracles.per_sample_traces(graphs, "gaussian", 3, 2000, make_rng(19))
+    assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+
+
 class RecordingRng:
     """A generator that records the name of every method drawn from it."""
 
