@@ -97,49 +97,36 @@ NAIVE_GRAPHS = {
     "random-d2-k3": random_graph(2, 3, seed=31),
     "random-d2-k4": random_graph(2, 4, seed=32),
     "random-d3-k2": random_graph(3, 2, seed=33),
+    # two seeds per D in 2-4 and k <= 4, one at D*k = 16
+    **{
+        f"random-d{D}-k{k}-s{seed}": random_graph(D, k, seed=seed)
+        for D in (2, 3, 4)
+        for k in (1, 2, 3, 4)
+        for seed in (10 * D + k, 10 * D + k + 5)[: 1 if D * k == 16 else 2]
+    },
 }
 
 
 @pytest.mark.parametrize("name", ["twov3", "melon2", "cyc2_d3", *NAIVE_GRAPHS])
 def test_batch_trace_matches_naive_oracle(request, name):
     # every fixture graph with D*k <= 8, a two-component union and seeded
-    # random graphs; N = 3 wherever its 3^(D k) assignments stay few
+    # random graphs; N = 3 wherever its 3^(D k) assignments stay few, and
+    # one sample at D*k = 16, where a sample has 2^16 assignments
     g = NAIVE_GRAPHS[name] if name in NAIVE_GRAPHS else request.getfixturevalue(name)
     for N in (2, 3) if g.D * g.k <= 8 else (2,):
-        batch = _draw_batch("gaussian", g.D, N, 4, make_rng(16))
-        vals = _batch_trace(g, batch)
-        for i in range(4):
-            assert vals[i] == pytest.approx(oracles.trace_naive(g, batch[i]), rel=1e-12)
-
-
-# two seeds per D in 2-4 and k <= 4; one at D*k = 16, where a sample has 2^16 assignments
-RANDOM_CASES = [(D, k, 10 * D + k + extra) for D in (2, 3, 4) for k in (1, 2, 3, 4) for extra in (0, 5) if D * k < 16 or not extra]
-
-
-@pytest.mark.parametrize("D, k, seed", RANDOM_CASES)
-def test_compiled_plan_matches_naive_oracle_on_random_graphs(D, k, seed):
-    g = random_graph(D, k, seed=seed)
-    for N in (2, 3) if D * k <= 8 else (2,):
-        batch = _draw_batch("gaussian", D, N, 1 if D * k == 16 else 2, make_rng(seed))
+        batch = _draw_batch("gaussian", g.D, N, 4 if g.D * g.k < 16 else 1, make_rng(16))
         vals = _batch_trace(g, batch)
         for i, sample in enumerate(batch):
             assert vals[i] == pytest.approx(oracles.trace_naive(g, sample), rel=1e-12)
 
 
-def test_compiled_plan_matches_einsum_oracle(mst3):
-    batch = _draw_batch("gaussian", 3, 4, 3, make_rng(17))
-    for g in (mst3, conjugate(mst3)):
-        vals = _batch_trace(g, batch)
-        for i, sample in enumerate(batch):
-            assert vals[i] == pytest.approx(oracles.trace_einsum(g, sample), rel=1e-12)
-
-
-def test_compiled_plan_with_a_permuting_copy_matches_einsum_oracle():
-    # its one stored copy permutes the axes by a permutation that is not its own inverse
-    g = random_graph(4, 4, seed=38)
-    assert any(s is not None and any(s[s[i]] != i for i in range(len(s))) for _, _, s in sampling._compile(g)[4])
-    for N in (2, 3):
-        batch = _draw_batch("gaussian", 4, N, 2, make_rng(20))
+@pytest.mark.parametrize("name", ["mst3", "conjugate-mst3", "permuting-copy"])
+def test_batch_trace_matches_einsum_oracle(mst3, name):
+    g = {"mst3": mst3, "conjugate-mst3": conjugate(mst3), "permuting-copy": random_graph(4, 4, seed=38)}[name]
+    if name == "permuting-copy":  # its one stored copy permutes the axes by a permutation that is not its own inverse
+        assert any(s is not None and any(s[s[i]] != i for i in range(len(s))) for _, _, s in sampling._compile(g)[4])
+    for N in (2, 3, 4):
+        batch = _draw_batch("gaussian", g.D, N, 3, make_rng(17))
         vals = _batch_trace(g, batch)
         for i, sample in enumerate(batch):
             assert vals[i] == pytest.approx(oracles.trace_einsum(g, sample), rel=1e-12)
