@@ -28,7 +28,7 @@ from .graphs import (
     is_int,
 )
 from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
-from .search import _check_budget, _Searches, degree_report, mst_pair_f0, search_f0
+from .search import DEFAULT_KMAX, _check_budget, _Searches, degree_report, mst_pair_f0, search_f0
 
 
 # generate's spec fields and the reader of each option's text (colors comma-separated, 1-based)
@@ -42,7 +42,7 @@ _FIELDS = {
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kmax", type=int, default=None, help="enumeration budget (default 11)")
+    common.add_argument("--kmax", type=int, default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
     common.add_argument(
         "--threads",
         type=int,

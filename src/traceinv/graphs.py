@@ -42,7 +42,7 @@ class ColoredGraph:
 
     def face_count(self, i: int, j: int) -> int:
         """Number of faces with colors i and j (0-based color indices)."""
-        return perms.cycle_count(perms.compose(self.sigma[i], perms.inverse(self.sigma[j])))
+        return perms.cycle_count(self.sigma[i], perms.inverse(self.sigma[j]))
 
     def n_components(self) -> int:
         return len(component_labels(self))
@@ -371,40 +371,27 @@ def boundary_graph(G: ColoredGraph, matches: dict) -> BoundaryReport:
         matched_black[b] = w
     free_whites = sorted(set(range(k)) - set(matches))
     free_blacks = sorted(set(range(k)) - set(matched_black))
-    white_pos = {w: i for i, w in enumerate(free_whites)}
     black_pos = {b: i for i, b in enumerate(free_blacks)}
 
     internal = 0
     boundary_sigma = []
     for p in G.sigma:
-        # open 0c-paths start at free whites and end at free blacks
-        images = [None] * len(free_whites)
+        # open 0c-paths run from a free white to a free black
+        images = []
+        on_path = set()
         for w in free_whites:
             b = p[w]
             while b in matched_black:
-                b = p[matched_black[b]]
-            images[white_pos[w]] = black_pos[b]
+                v = matched_black[b]
+                on_path.add(v)
+                b = p[v]
+            images.append(black_pos[b])
         boundary_sigma.append(tuple(images))
-        # closed 0c-cycles visit matched whites only
-        seen = set()
-        for w0 in matches:
-            if w0 in seen:
-                continue
-            w = w0
-            closed = True
-            cyc = []
-            while w not in seen:
-                seen.add(w)
-                cyc.append(w)
-                b = p[w]
-                if b not in matched_black:
-                    closed = False
-                    break
-                w = matched_black[b]
-            if closed and w == w0:
-                internal += 1
-            # a walk that left the matched set, or merged into an earlier
-            # path, marks its whites as seen either way
+        # every matched white off those paths lies on a closed 0c-face, so
+        # w -> matched_black[p[w]] permutes them, one cycle per face
+        closed = [w for w in matches if w not in on_path]
+        pos = {w: i for i, w in enumerate(closed)}
+        internal += perms.cycle_count([matched_black[p[w]] for w in closed], pos)
     if free_whites:
         boundary = ColoredGraph(D=G.D, k=len(free_whites), sigma=tuple(boundary_sigma))
     else:

@@ -252,16 +252,6 @@ class FactorizationVerdict:
     per_partition: tuple  # (partition, margin) for every partition != 0_p
     worst: tuple  # the (partition, margin) with the smallest margin
 
-    def to_json_dict(self) -> dict:
-        return {
-            "factorizes": self.factorizes,
-            "per_partition": [
-                {"partition": [list(b) for b in pi], "margin": m}
-                for pi, m in self.per_partition
-            ],
-            "worst": {"partition": [list(b) for b in self.worst[0]], "margin": self.worst[1]},
-        }
-
 
 def factorization_verdict(family: GraphFamily, kmax: Optional[int] = None) -> FactorizationVerdict:
     """Exhaustive check that the fully split partition dominates.

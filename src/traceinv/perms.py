@@ -56,8 +56,24 @@ def cycles(p) -> list:
     return out
 
 
-def cycle_count(p) -> int:
-    return len(cycles(p))
+def cycle_count(p, q=None) -> int:
+    """Number of cycles of x -> q[p[x]] on 0..len(p)-1, or of p when q is None.
+
+    q, a sequence or a dict, carries p's images back onto 0..len(p)-1.
+    cyc(q p) = cyc(p q), so cycle_count(a, inverse(b)) counts the cycles
+    of a b^-1.  One walk; no composition is built.
+    """
+    n = len(p)
+    q = range(n) if q is None else q
+    seen = [False] * n
+    count = 0
+    for x in range(n):
+        if not seen[x]:
+            count += 1
+            while not seen[x]:
+                seen[x] = True
+                x = q[p[x]]
+    return count
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -356,6 +356,18 @@ def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = N
     return out
 
 
+def _check_draws(graphs, kind: str, N: int, samples: int) -> None:
+    """Refuse what _trace_blocks cannot draw: under 2 samples, N under 2, an unknown kind, a plan over the cap."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if kind not in ("gaussian", "haar"):
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    for g in graphs:
+        _check_cap(g, N)
+
+
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     """Product of the graphs' traces on `samples` fresh draws, one block at a time.
 
@@ -368,14 +380,7 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     all matrix-like for one color split take the spectral path
     (_spectral_blocks) after those checks.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if kind not in ("gaussian", "haar"):
-        raise ValueError(f"unknown tensor kind {kind!r}")
-    for g in graphs:
-        _check_cap(g, N)
+    _check_draws(graphs, kind, N, samples)
     form = _matrix_form(graphs)
     if form is not None:
         yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
@@ -613,15 +618,20 @@ def concentration_experiment(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
+    Ns = [int(n) for n in Ns]
+    if not Ns:
+        raise ValueError("need at least one value of N")
+    for N in Ns:  # before the walk, which can take far longer than a refusal
+        _check_draws([G], kind, N, samples)
     rep = search_f0(G, kmax=kmax, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity
     rows = []
     for N in Ns:
         scale = mu * float(N) ** s
-        blocks = _trace_blocks([G], kind, int(N), samples, make_rng([seed, int(N)]))
+        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]))
         hit = sum(int(np.count_nonzero(np.abs(np.abs(tr) / scale - 1.0) < epsilon)) for tr in blocks)
-        rows.append((int(N), hit / samples))
+        rows.append((N, hit / samples))
     envelope = float(np.mean([(1.0 - c) * n for n, c in rows]))
     return ConcentrationReport(
         rows=tuple(rows),
@@ -668,6 +678,8 @@ def entropy_slope_experiment(
     Ns = [int(n) for n in Ns]
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
+    for N in Ns:  # before the walk, which can take far longer than a refusal
+        _check_draws([G], kind, N, samples)
     rep = search_f0(G, kmax=kmax, prune=True)
     rows = []
     for N in Ns:

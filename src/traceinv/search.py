@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import perms
-from .graphs import ColoredGraph, GraphFamily, graph_stats, union_find
+from .graphs import ColoredGraph, GraphFamily, component_labels, graph_stats, union_find
 
 DEFAULT_KMAX = 11
 TABLE_WHITES = 6  # every walk scores this many last whites from a table
@@ -62,7 +62,7 @@ def pairing_f0(G: ColoredGraph, nu) -> int:
         raise ValueError(f"pairing has size {len(nu)}, graph has k={G.k}")
     inv = perms.inverse(nu)
     # sigma_c nu^-1 and nu^-1 sigma_c are conjugate, so their cycle counts agree
-    return sum(perms.cycle_count(perms.compose(inv, sig)) for sig in G.sigma)
+    return sum(perms.cycle_count(sig, inv) for sig in G.sigma)
 
 
 @dataclass(frozen=True)
@@ -79,36 +79,38 @@ def _connects(member_of, p, edges) -> bool:
     return len(set(union_find(p, ((member_of[s], member_of[b]) for s, b in edges)))) == 1
 
 
+def _cayley_bound(D: int, k: int, faces: int) -> int:
+    """floor(D k / 2 + faces / (D - 1)): most color-0 faces over D bijections pi_c on k points.
+
+    faces is the sum of cyc(pi_c pi_d^-1) over the color pairs c < d.  A
+    completion nu closes cyc(nu^-1 pi_c) faces of color c, and by the
+    triangle inequality of the Cayley distance cyc(nu^-1 pi_c) +
+    cyc(nu^-1 pi_d) <= k + cyc(pi_d^-1 pi_c); summed over the pairs, each
+    color counts D - 1 times.
+    """
+    return (D * (D - 1) * k + 2 * faces) // (2 * (D - 1))
+
+
 def _face_bound(paths, enough=None) -> int:
     """Most faces that any completion of a partial pairing can still close.
 
     paths[c][i] is the free black at the far end of the open c-path from
-    free white i, so paths[c] is a bijection pi_c from the k' free whites
-    to the free blacks, and a completion nu' closes cyc(nu'^-1 pi_c) faces
-    of color c.  By the triangle inequality of the Cayley distance,
-    cyc(nu'^-1 pi_c) + cyc(nu'^-1 pi_d) <= k' + cyc(pi_d^-1 pi_c) for every
-    pair of colors; summed over the D(D-1)/2 pairs, each color counts D-1
-    times.  No color closes more than k' faces, either.  With enough, the
-    sum stops as soon as the bound is sure to reach it, and the value
-    returned is then at least enough instead of the bound.
+    free white i, so paths[c] is a bijection pi_c from the n free whites
+    to the free blacks.  The bound is _cayley_bound of the pi_c, that is
+    gurau_bound(B, kappa(B)) of the boundary graph B, capped at D n.  With
+    enough, the sum stops as soon as the bound is sure to reach it, and
+    the value returned is then at least enough instead of the bound.
     """
     D, n = len(paths), len(paths[0])
-    total = D * (D - 1) // 2 * n
-    stop = None if enough is None else enough * (D - 1)
+    faces = 0
+    stop = None if enough is None else (D - 1) * enough - D * (D - 1) // 2 * n
     for d in range(1, D):
         back = {b: i for i, b in enumerate(paths[d])}
         for c in range(d):
-            pc = paths[c]
-            seen = [False] * n
-            for i in range(n):
-                if not seen[i]:
-                    total += 1
-                    while not seen[i]:
-                        seen[i] = True
-                        i = back[pc[i]]
-        if stop is not None and total >= stop:
-            break
-    return min(D * n, total // (D - 1))
+            faces += perms.cycle_count(paths[c], back)
+            if stop is not None and faces >= stop:
+                return min(D * n, _cayley_bound(D, n, faces))
+    return min(D * n, _cayley_bound(D, n, faces))
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,11 +433,8 @@ def gamma_tree_check(family: GraphFamily, nu) -> GammaTreeReport:
     nu = perms.check_perm(nu)
     if len(nu) != union.k:
         raise ValueError(f"pairing has size {len(nu)}, union has k={union.k}")
-    k = union.k
-    # whites 0..k-1, blacks k..2k-1
-    edges = [(s, k + p_[s]) for p_ in union.sigma + (nu,) for s in range(k)]
-    roots = union_find(2 * k, edges)
-    kappa_hat = len({roots[s] for s in range(k)})
+    completed = ColoredGraph(D=union.D + 1, k=union.k, sigma=union.sigma + (nu,))
+    kappa_hat = len(component_labels(completed))
     kappa_g = sum(g.n_components() for g in family.graphs())
     return GammaTreeReport(is_tree=kappa_hat == kappa_g - family.p + 1, kappa_hat=kappa_hat)
 
@@ -471,9 +470,7 @@ def gurau_bound(G: ColoredGraph, kappa_hat: int) -> int:
     stats = graph_stats(G)
     if not 1 <= kappa_hat <= stats.kappa:
         raise ValueError(f"kappa_hat={kappa_hat} out of range 1..{stats.kappa}")
-    D = G.D
-    bound = Fraction(D * G.k, 2) + Fraction(stats.F_total, D - 1) - D * (stats.kappa - kappa_hat)
-    return bound.numerator // bound.denominator
+    return _cayley_bound(G.D, G.k, stats.F_total) - G.D * (stats.kappa - kappa_hat)
 
 
 @dataclass(frozen=True)
@@ -510,18 +507,12 @@ def cayley_delta(G: ColoredGraph, nu, kmax: Optional[int] = None) -> Fraction:
     nu = perms.check_perm(nu)
     if pairing_f0(G, nu) != search_f0(G, kmax=kmax, prune=True).f0_max:
         raise ValueError("cayley_delta requires a dominant pairing")
-    k = G.k
 
     def dist(a, b):
-        return k - perms.cycle_count(perms.compose(a, perms.inverse(b)))
+        return G.k - perms.cycle_count(a, perms.inverse(b))
 
-    total = Fraction(0)
-    D = G.D
-    for i in range(D):
-        for j in range(i + 1, D):
-            si, sj = G.sigma[i], G.sigma[j]
-            total += Fraction(dist(si, nu) + dist(nu, sj) - dist(si, sj), 2)
-    return total
+    pairs = itertools.combinations(G.sigma, 2)
+    return sum((Fraction(dist(si, nu) + dist(nu, sj) - dist(si, sj), 2) for si, sj in pairs), Fraction(0))
 
 
 @dataclass(frozen=True)

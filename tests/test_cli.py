@@ -16,7 +16,7 @@ from traceinv import (
     search_f0_connected,
     two_vertex,
 )
-from traceinv import search
+from traceinv import sampling, search
 from traceinv.cli import main
 from traceinv.moments import _decide
 
@@ -127,6 +127,19 @@ def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, comma
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["concentration", "entropy-slope"])
+@pytest.mark.parametrize("entries", [{"samples": 1}, {"N": [2, 3, 1]}, {"kind": "x"}])
+def test_bad_draw_config_exits_2_before_any_walk(tmp_path, capsys, monkeypatch, command, entries):
+    walks = []
+    monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: walks.append(args))
+    cfg = {"graph": cyclic(3, {0}, 2).to_json_dict(), "N": [2, 3, 4], "samples": 10, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, **entries)))
+    assert main([command, str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert walks == []
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,20 @@ def test_boundary_mst3_against_path_oracle(mst3):
             assert rep.black_map[rep.boundary.sigma[c][new_w]] == end_black
 
 
+def test_boundary_against_path_oracle_on_random_partial_pairings():
+    # partial pairings close faces and leave open paths in the same color
+    rng = random.Random(17)
+    for trial in range(200):
+        g = random_graph(rng.randint(2, 5), rng.randint(2, 8), seed=700 + trial)
+        whites = rng.sample(range(g.k), rng.randint(1, g.k - 1))
+        matches = dict(zip(whites, rng.sample(range(g.k), len(whites))))
+        rep = boundary_graph(g, matches)
+        internal, external = _boundary_oracle(g, matches)
+        assert rep.internal_f0 == internal
+        for c, sig in enumerate(rep.boundary.sigma):
+            assert [rep.black_map[b] for b in sig] == [external[c][w] for w in rep.white_map]
+
+
 def test_boundary_rejects_non_injective(mst3):
     with pytest.raises(ValueError, match="injective"):
         boundary_graph(mst3, {0: 1, 2: 1})

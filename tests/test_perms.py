@@ -40,6 +40,20 @@ def test_cycle_count_matches_naive():
         assert perms.cycle_count(p) == oracles.cycle_count_naive(p)
 
 
+def test_cycle_count_of_pair_matches_naive():
+    # cycle_count(p, q) counts the cycles of x -> q[p[x]] without composing
+    rng = random.Random(13)
+    for _ in range(200):
+        k = rng.randint(1, 10)
+        p, q = perms.random_permutation(rng, k), perms.random_permutation(rng, k)
+        assert perms.cycle_count(p, q) == oracles.cycle_count_naive(perms.compose(q, p))
+        # q as a dict over labels that are not 0..k-1
+        labels = rng.sample(range(3 * k + 5), k)
+        to_label = tuple(labels[y] for y in p)
+        back = {labels[y]: q[y] for y in range(k)}
+        assert perms.cycle_count(to_label, back) == oracles.cycle_count_naive(perms.compose(q, p))
+
+
 def test_cycle_count_bounds():
     assert perms.cycle_count(perms.identity(5)) == 5
     assert perms.cycle_count((1, 2, 3, 4, 0)) == 1

@@ -351,6 +351,28 @@ def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
         run(cyc2_d3)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: concentration_experiment(g, [4, 8], 0.5, 1, seed=1),
+        lambda g: concentration_experiment(g, [4, 1], 0.5, 10, seed=1),
+        lambda g: concentration_experiment(g, [4, 8], 0.5, 10, seed=1, kind="x"),
+        lambda g: concentration_experiment(g, [4, 10**5], 0.5, 10, seed=1),
+        lambda g: concentration_experiment(g, [], 0.5, 10, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8], 1, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, 4, 1], 10, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8], 10, seed=1, kind="x"),
+    ],
+    ids=["conc-1-sample", "conc-N1", "conc-kind", "conc-over-cap", "conc-no-N", "slope-1-sample", "slope-N1", "slope-kind"],
+)
+def test_experiments_refuse_bad_draws_before_the_walk(monkeypatch, cyc2_d3, run):
+    walks = []
+    monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: walks.append(args))
+    with pytest.raises(ValueError, match="need|unknown|cap"):
+        run(cyc2_d3)
+    assert walks == []
+
+
 def _seeded_results(mst3, cyc):
     # mst3 takes the general path, cyc and its pair the spectral one
     return (

@@ -7,6 +7,7 @@ import pytest
 
 from traceinv import (
     BudgetError,
+    boundary_graph,
     build_graph,
     cayley_delta,
     conjugate,
@@ -15,6 +16,7 @@ from traceinv import (
     disjoint_union,
     family_of,
     gamma_tree_check,
+    graph_stats,
     gurau_bound,
     k_connectivity,
     mst_pair_f0,
@@ -572,6 +574,24 @@ def test_face_bound_caps_every_completion():
             early = _face_bound(paths, enough)
             assert early == bound if bound < enough else early >= enough
     assert tight >= 200
+
+
+def test_face_bound_is_gurau_bound_of_the_boundary_graph():
+    # the walk's bound on the open paths, the public boundary graph and gurau_bound agree
+    rng = random.Random(73)
+    for trial in range(300):
+        D, k = rng.randint(2, 5), rng.randint(1, 8)
+        g = random_graph(D, k, seed=6000 + trial)
+        whites = rng.sample(range(k), rng.randint(0, k - 1))
+        matches = dict(zip(whites, rng.sample(range(k), len(whites))))
+        rep = boundary_graph(g, matches)
+        B, n = rep.boundary, rep.boundary_k
+        paths = [[rep.black_map[b] for b in sig] for sig in B.sigma]
+        assert paths == oracles.open_path_ends(g.sigma, matches)
+        exact = min(D * n, gurau_bound(B, graph_stats(B).kappa))
+        assert _face_bound(paths) == exact
+        for enough in range(D * n + 2):
+            assert _face_bound(paths, enough) >= min(enough, exact)
 
 
 def _seeded_search_cases():
