@@ -1,7 +1,8 @@
 """Deterministic builders for the named graph families.
 
 Color indices and vertex labels are 0-based here; the JSON spec format
-(``generate_from_spec``) uses 1-based colors and labels.
+(``generate_from_spec``) uses 1-based colors and labels.  ``melonic`` and
+``build_with_delta`` edit image lists and validate the graph once: linear time.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import perms
-from .graphs import ColoredGraph, disjoint_union, flip_edges, is_int
+from .graphs import ColoredGraph, is_int
 from .search import degree_report, resolve_kmax
 
 
@@ -25,25 +26,23 @@ def melonic(D: int, script) -> ColoredGraph:
 
     Each script step (c, s) splits the color-c edge at white vertex s with
     a fresh white/black pair, joined to each other by every other color.
+    The steps edit the D image lists; the graph is built once, at the end.
     """
-    g = two_vertex(D)
+    images = [[0] for _ in range(D)]
+    k = 1
     for step, (c, s) in enumerate(script):
         if not 0 <= c < D:
             raise ValueError(f"script step {step}: color index {c} out of range 0..{D - 1}")
-        if not 0 <= s < g.k:
-            raise ValueError(f"script step {step}: white label {s} out of range 0..{g.k - 1}")
-        k = g.k
-        sigma = []
-        for d in range(D):
-            images = list(g.sigma[d])
+        if not 0 <= s < k:
+            raise ValueError(f"script step {step}: white label {s} out of range 0..{k - 1}")
+        for d, row in enumerate(images):
             if d == c:
-                images.append(images[s])  # new white takes over the old target
-                images[s] = k  # old white now ends on the new black
+                row.append(row[s])  # new white takes over the old target
+                row[s] = k  # old white now ends on the new black
             else:
-                images.append(k)  # fresh pair joined directly
-            sigma.append(tuple(images))
-        g = ColoredGraph(D=D, k=k + 1, sigma=tuple(sigma))
-    return g
+                row.append(k)  # fresh pair joined directly
+        k += 1
+    return ColoredGraph(D=D, k=k, sigma=images)
 
 
 def cyclic(D: int, M, k: int) -> ColoredGraph:
@@ -169,8 +168,9 @@ def build_with_delta(D: int, delta: int, kmax: Optional[int] = None) -> DeltaBui
     delta copies of the smallest unit-delta building block (a k=2
     realignment moment with singleton link subsets, delta 0 at D = 3) are
     chained by delta - 1 flips of color-0 edges at the first white vertex of
-    each block.  The claim is brute-force checked whenever the result fits
-    the budget, and flagged unverified otherwise.
+    each block, blocks j and j + 1 in turn: one cyclic shift of those edges.
+    The claim is brute-force checked whenever the result fits the budget,
+    and flagged unverified otherwise.
     """
     if D < 4:
         raise ValueError("need D >= 4: the unit block has delta 0 at D = 3")
@@ -178,12 +178,10 @@ def build_with_delta(D: int, delta: int, kmax: Optional[int] = None) -> DeltaBui
         raise ValueError("need delta >= 1")
     limit = resolve_kmax(kmax)
     block = realignment({0}, {1}, set(range(2, D)), 2)
-    if delta == 1:
-        g = block
-    else:
-        g, _ = disjoint_union([block] * delta)
-        for j in range(delta - 1):
-            g = flip_edges(g, 0, 2 * j, 2 * (j + 1))
+    sigma = [[2 * j + b for j in range(delta) for b in p] for p in block.sigma]
+    firsts = sigma[0][0::2]
+    sigma[0][0::2] = firsts[1:] + firsts[:1]
+    g = ColoredGraph(D=D, k=2 * delta, sigma=sigma)
     verified = False
     if g.k <= limit:
         rep = degree_report(g, kmax=limit)

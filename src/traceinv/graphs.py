@@ -3,7 +3,9 @@
 A graph with D colors and k white vertices is stored as D permutations of
 size k: the color-c edge at white vertex s ends on black vertex
 ``sigma[c][s]``.  Vertex labels and color indices are 0-based in code;
-JSON and cycle strings use 1-based vertex labels.
+JSON and cycle strings use 1-based vertex labels.  A ``GraphFamily`` lays
+out its disjoint union once, when it is made; ``disjoint_union`` is that
+layout.
 """
 
 from __future__ import annotations
@@ -124,31 +126,39 @@ class GraphFamily:
     """Ordered multiset of named member graphs, viewed inside their disjoint union.
 
     Member i occupies white labels [offsets[i], offsets[i] + k_i) of the
-    union, and likewise for black labels.
+    union, and likewise for black labels.  The layout (offsets, each label's
+    member, the union graph) is made once; a lone member is its own union.
     """
 
     members: tuple  # of (name, ColoredGraph)
     offsets: tuple = field(init=False)
+    _member_of: tuple = field(init=False, repr=False, compare=False)
+    _union: ColoredGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("family needs at least one member")
         members = tuple((str(name), g) for name, g in self.members)
         D = members[0][1].D
-        for name, g in members:
+        offsets, member_of = [], []
+        for i, (name, g) in enumerate(members):
             if g.D != D:
-                raise ValueError(f"member {name!r} has D={g.D}, expected {D}")
-        offsets = []
-        total = 0
-        for _, g in members:
-            offsets.append(total)
-            total += g.k
+                raise ValueError(f"mixed color counts: member {name!r} has D={g.D}, expected {D}")
+            offsets.append(len(member_of))
+            member_of.extend([i] * g.k)
+        if len(members) == 1:
+            union = members[0][1]
+        else:
+            sigma = [[off + b for off, (_, g) in zip(offsets, members) for b in g.sigma[c]] for c in range(D)]
+            union = ColoredGraph(D=D, k=len(member_of), sigma=sigma)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "_member_of", tuple(member_of))
+        object.__setattr__(self, "_union", union)
 
     @property
     def D(self) -> int:
-        return self.members[0][1].D
+        return self._union.D
 
     @property
     def p(self) -> int:
@@ -156,20 +166,17 @@ class GraphFamily:
 
     @property
     def total_k(self) -> int:
-        return sum(g.k for _, g in self.members)
+        return self._union.k
 
     def graphs(self) -> list:
         return [g for _, g in self.members]
 
     def member_of_label(self) -> list:
         """Member index of each white (equally, black) label of the union."""
-        out = []
-        for i, (_, g) in enumerate(self.members):
-            out.extend([i] * g.k)
-        return out
+        return list(self._member_of)
 
     def union(self) -> ColoredGraph:
-        return disjoint_union(self.graphs())[0]
+        return self._union
 
     def subfamily(self, indices) -> "GraphFamily":
         return GraphFamily(tuple(self.members[i] for i in indices))
@@ -299,27 +306,9 @@ def connected_components(G: ColoredGraph) -> list:
 
 
 def disjoint_union(parts) -> tuple:
-    """Disjoint union of graphs sharing the same D.
-
-    Returns (union graph, GraphFamily recording the block offsets).
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty union")
-    D = parts[0].D
-    for g in parts:
-        if g.D != D:
-            raise ValueError(f"mixed color counts in union: {g.D} != {D}")
-    sigma = []
-    for c in range(D):
-        images = []
-        offset = 0
-        for g in parts:
-            images.extend(offset + b for b in g.sigma[c])
-            offset += g.k
-        sigma.append(tuple(images))
-    union = ColoredGraph(D=D, k=sum(g.k for g in parts), sigma=tuple(sigma))
-    return union, family_of(parts)
+    """(union graph, family) of graphs sharing the same D: the family's own layout."""
+    family = family_of(list(parts))
+    return family.union(), family
 
 
 def conjugate(G: ColoredGraph) -> ColoredGraph:

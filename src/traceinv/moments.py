@@ -19,7 +19,6 @@ from .graphs import (
     GraphFamily,
     conjugate,
     connected_components,
-    disjoint_union,
     family_of,
     graph_stats,
 )
@@ -367,10 +366,8 @@ def prop32_scaling_check(H: ColoredGraph, p: int, kmax: Optional[int] = None) ->
     if not pair.nonfactorizing:
         raise ValueError("prop32_scaling_check requires a non-factorizing pair")
     exponent = -p * H.D * H.k
-    union, _ = disjoint_union([H, conjugate(H)])
-    if p * union.k <= limit:
-        fam = family_of([union] * p)
-        lead = leading_order(gaussian_moment(fam, kmax=kmax))
+    if 2 * p * H.k <= limit:  # the union of p copies of H and conj(H)
+        lead = leading_order(gaussian_moment(family_of([H, conjugate(H)] * p), kmax=kmax))
         return Prop32Report(
             exponent=exponent,
             verified=lead.s == exponent,

@@ -35,7 +35,8 @@ the tensor.  Those are drawn from the bidiagonal beta = 2 Laguerre model of
 Dumitriu and Edelman ("Matrix models for beta ensembles", J. Math. Phys.
 43, 2002): 2n - 1 gamma variables per sample, n the smaller side of the
 flattening, instead of 2 N^D normals.  Every other family runs the full
-draw and contraction.
+draw and contraction.  A spectral family compiles no plan: its memory
+cap check is its draw, N^D entries per sample.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma, gammainc, gammaincc
 
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats
@@ -316,16 +315,6 @@ def _matrices(arrays, operand, scratch, key):
     return t.reshape(x.shape[0], n**rows, n ** (len(axes) - rows))
 
 
-def _check_cap(G: ColoredGraph, N: int) -> None:
-    """Refuse a graph whose draw or a plan intermediate exceeds DEFAULT_TRACE_CAP entries per sample."""
-    widest = _contraction_plan(G)[2]  # counts the vertex operands, so the draw too
-    if N**widest > DEFAULT_TRACE_CAP:
-        raise MemoryCapError(
-            f"a tensor with {widest} open indices needs {N**widest} entries "
-            f"per sample, cap is {DEFAULT_TRACE_CAP}"
-        )
-
-
 def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = None) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
@@ -356,16 +345,27 @@ def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = N
     return out
 
 
-def _check_draws(graphs, kind: str, N: int, samples: int) -> None:
-    """Refuse what _trace_blocks cannot draw: under 2 samples, N under 2, an unknown kind, a plan over the cap."""
+def _check_draws(graphs, kind: str, N: int, samples: int):
+    """Refuse what _trace_blocks cannot draw; return the graphs' _matrix_form.
+
+    Refused: under 2 samples, N under 2, an unknown kind, an array over the
+    cap: a spectral family's draw (N^D entries; no plan is compiled), else
+    the widest array of each graph's plan, the draw included.
+    """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if N < 2:
         raise ValueError("need N >= 2")
     if kind not in ("gaussian", "haar"):
         raise ValueError(f"unknown tensor kind {kind!r}")
-    for g in graphs:
-        _check_cap(g, N)
+    form = _matrix_form(graphs)
+    for widest in [graphs[0].D] if form is not None else (_contraction_plan(g)[2] for g in graphs):
+        if N**widest > DEFAULT_TRACE_CAP:
+            raise MemoryCapError(
+                f"a tensor with {widest} open indices needs {N**widest} entries "
+                f"per sample, cap is {DEFAULT_TRACE_CAP}"
+            )
+    return form
 
 
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
@@ -374,14 +374,12 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     A block holds as many samples as keep every array it touches, the draw
     and the widest plan intermediate alike, within BATCH_ENTRY_CAP complex
     entries (at least one sample), so it is drawn and contracted in cache.
-    The draws depend only on rng, not on the block size.  The sample
-    count, N and kind are checked, and every plan against the memory cap,
-    draw and intermediates alike, before the first draw.  Graphs that are
+    The draws depend only on rng, not on the block size.  _check_draws
+    refuses what cannot be drawn before the first draw.  Graphs that are
     all matrix-like for one color split take the spectral path
-    (_spectral_blocks) after those checks.
+    (_spectral_blocks).
     """
-    _check_draws(graphs, kind, N, samples)
-    form = _matrix_form(graphs)
+    form = _check_draws(graphs, kind, N, samples)
     if form is not None:
         yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
         return
@@ -714,6 +712,13 @@ class AnnealedCoefficients:
 _LIMIT_SHAPE = {"exponential": 1.0, "gamma": 0.5}
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: scipy is most of the package's import time."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
 def _check_quad(err):
     if err > 1e-7:
         raise ValueError(f"quadrature did not converge (error estimate {err:.2e})")
@@ -751,6 +756,8 @@ def annealed_coefficients(
         raise ValueError(f"need Lambda^-2 to be finite, got Lambda={Lambda!r}") from None
     if regime not in _LIMIT_SHAPE:
         raise ValueError(f"unknown regime {regime!r}")
+    from scipy.special import digamma, gammainc, gammaincc
+
     s = _LIMIT_SHAPE[regime]
     psi = float(digamma(s))
     ln_mu = math.log(mu)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -379,10 +379,18 @@ class _Searches:
     table: dict = field(default_factory=dict, init=False)
 
     def graph(self, G: ColoredGraph) -> SearchReport:
+        """G's pruned report; with conj G's in the table, that one with the optima inverted and sorted.
+
+        pairing_f0(conj G, nu) = pairing_f0(G, nu^-1); explored and nodes are those of the walk that ran.
+        """
         _check_budget(G.k, self.kmax)
         key = (G.sigma, None)
         if key not in self.table:
-            self.table[key] = search_f0(G, kmax=self.kmax, prune=True)
+            bar = self.table.get((tuple(perms.inverse(p) for p in G.sigma), None))
+            if bar is None:
+                self.table[key] = search_f0(G, kmax=self.kmax, prune=True)
+            else:
+                self.table[key] = replace(bar, optima=tuple(sorted(perms.inverse(nu) for nu in bar.optima)))
         return self.table[key]
 
     def connected(self, family: GraphFamily) -> SearchReport:
@@ -404,10 +412,9 @@ class KConnectivityReport:
 
 def k_connectivity(family: GraphFamily, nu) -> KConnectivityReport:
     """Partition of the members induced by the cross-member color-0 edges."""
-    union = family.union()
     nu = perms.check_perm(nu)
-    if len(nu) != union.k:
-        raise ValueError(f"pairing has size {len(nu)}, union has k={union.k}")
+    if len(nu) != family.total_k:
+        raise ValueError(f"pairing has size {len(nu)}, union has k={family.total_k}")
     member_of = family.member_of_label()
     roots = union_find(family.p, ((member_of[s], member_of[b]) for s, b in enumerate(nu)))
     blocks = {}

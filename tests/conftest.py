@@ -1,6 +1,6 @@
 import pytest
 
-from traceinv import build_graph, cyclic, fig7, melonic, two_vertex
+from traceinv import ColoredGraph, build_graph, cyclic, fig7, melonic, search, two_vertex
 
 
 @pytest.fixture
@@ -28,3 +28,31 @@ def melon2():
 @pytest.fixture
 def cyc2_d3():
     return cyclic(3, {0}, 2)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Number of ColoredGraph constructions (each one validates) during the test, as a one-item list."""
+    count = [0]
+    check = ColoredGraph.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        check(self)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counted)
+    return count
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(sigma, member_of) of every pairing walk started during the test."""
+    seen = []
+    walk = search._enumerate
+
+    def counted(sigmas, member_of, *rest):
+        seen.append((sigmas, None if member_of is None else tuple(member_of)))
+        return walk(sigmas, member_of, *rest)
+
+    monkeypatch.setattr(search, "_enumerate", counted)
+    return seen

@@ -39,6 +39,27 @@ def cycle_count_naive(p):
     return count
 
 
+def melonic_stepwise(D, script):
+    """sigma of the melonic graph of a 0-based script, rebuilt whole after every insertion.
+
+    Step (c, s) gives a new white and a new black, both labeled k: the new
+    white takes white s's color-c target and s ends on the new black; in
+    every other color the new pair is joined directly.
+    """
+    sigma = tuple((0,) for _ in range(D))
+    for c, s in script:
+        k = len(sigma[0])
+        step = []
+        for d, images in enumerate(sigma):
+            if d == c:
+                images = images[:s] + (k,) + images[s + 1 :] + (images[s],)
+            else:
+                images = images + (k,)
+            step.append(images)
+        sigma = tuple(step)
+    return sigma
+
+
 def f0_naive(sigmas, nu):
     k = len(nu)
     inv_nu = {nu[s]: s for s in range(k)}
@@ -221,10 +242,9 @@ def per_sample_traces(graphs, kind, N, samples, rng):
     that member and multiplies whole blocks: for a family of more than one
     member the two agree to rounding (rel 1e-12), not bit for bit.
     """
-    from traceinv.sampling import _batch_trace, _check_cap, _draw_batch
+    from traceinv.sampling import _batch_trace, _check_draws, _draw_batch
 
-    for g in graphs:
-        _check_cap(g, N)
+    _check_draws(graphs, kind, N, samples)
     batch = _draw_batch(kind, graphs[0].D, N, samples, rng)
     vals = np.ones(samples, dtype=complex)
     for i in range(samples):

@@ -244,24 +244,11 @@ def test_decide_factorization_mst_pair_tier():
     assert verdict.detail["f0_union"] == 54
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """(sigma, member_of) of every pairing walk started during the test."""
-    seen = []
-    walk = search._enumerate
-
-    def counted(sigmas, member_of, *rest):
-        seen.append((sigmas, None if member_of is None else tuple(member_of)))
-        return walk(sigmas, member_of, *rest)
-
-    monkeypatch.setattr(search, "_enumerate", counted)
-    return seen
-
-
 def test_counterexample_walks_each_graph_once(walks, capsys):
     assert main(["counterexample", "--no-timestamp"]) == 0
     H = fig7()
-    assert sorted(walks) == sorted([(H.sigma, None), (conjugate(H).sigma, None)])
+    # conj(fig7)'s report is read from fig7's: its optima are the inverses
+    assert walks == [(H.sigma, None)]
 
 
 def test_decide_factorization_walks_a_repeated_member_once(walks):
@@ -285,7 +272,7 @@ def test_over_budget_union_is_refused_without_walking(walks):
     assert walks == []
     # the members fit k_max=9: after their walks the union is refused by every tier
     assert decide_factorization(pair, kmax=9).tier == "mst-pair"
-    assert len(walks) == 2
+    assert len(walks) == 1
     # a report already in the table is refused under a lower budget, as a walk would be
     filled = search._Searches(9)
     filled.graph(H)
@@ -294,7 +281,7 @@ def test_over_budget_union_is_refused_without_walking(walks):
     with pytest.raises(BudgetError):
         lower.graph(H)
     assert _decide(pair, lower).tier == "undecidable"
-    assert len(walks) == 3
+    assert len(walks) == 2
 
 
 def test_mc_moment_requires_seed(tmp_path, capsys):

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from traceinv import (
     build_with_delta,
     cyclic,
     degree_report,
+    disjoint_union,
     family_of,
     fig7,
+    flip_edges,
     graph_stats,
     joint_realignment,
     melonic,
@@ -47,6 +51,19 @@ def test_melonic_rejects_bad_script():
         melonic(3, [(3, 0)])
     with pytest.raises(ValueError, match="white"):
         melonic(3, [(0, 1)])
+
+
+def test_melonic_matches_stepwise_reference():
+    rng = random.Random(2024)
+    for t in range(75):
+        D = (3, 4, 6)[t % 3]
+        script = [(rng.randrange(D), rng.randrange(k)) for k in range(1, 1 + rng.randint(0, 300))]
+        assert melonic(D, script).sigma == oracles.melonic_stepwise(D, script)
+
+
+def test_melonic_builds_one_graph(graph_builds):
+    g = melonic(3, [(i % 3, i // 2) for i in range(50)])
+    assert g.k == 51 and graph_builds[0] == 1
 
 
 def test_cyclic_encoding_and_compatibility():
@@ -176,6 +193,22 @@ def test_build_with_delta_four_wheels():
 def test_build_with_delta_unverified_flag():
     rep = build_with_delta(4, 3, kmax=4)
     assert not rep.verified and rep.graph.k == 6
+
+
+def test_build_with_delta_matches_flip_chain():
+    for D in range(4, 8):
+        block = realignment({0}, {1}, set(range(2, D)), 2)
+        for delta in range(1, 13):
+            g, _ = disjoint_union([block] * delta)
+            for j in range(delta - 1):
+                g = flip_edges(g, 0, 2 * j, 2 * (j + 1))
+            assert build_with_delta(D, delta, kmax=1).graph == g
+
+
+def test_build_with_delta_builds_at_most_two_graphs(graph_builds):
+    rep = build_with_delta(4, 50, kmax=1)
+    assert rep.graph.k == 100 and not rep.verified
+    assert graph_builds[0] <= 2
 
 
 def test_build_with_delta_validation():

@@ -314,6 +314,19 @@ def test_family_json_roundtrip(mst3, twov3):
     assert back.total_k == 4 and back.offsets == (0, 3)
 
 
+def test_family_lays_out_its_union_once(mst3, twov3, cyc2_d3, graph_builds):
+    fam = family_of([mst3, twov3, cyc2_d3])
+    assert graph_builds[0] == 1
+    u = fam.union()
+    assert fam.union() is u and graph_builds[0] == 1
+    assert u.sigma == ((0, 1, 2, 3, 4, 5), (1, 2, 0, 3, 5, 4), (2, 0, 1, 3, 5, 4))
+    assert fam.member_of_label() == [0, 0, 0, 1, 2, 2] and fam.total_k == 6
+    assert disjoint_union([mst3, twov3, cyc2_d3]) == (u, fam)
+    assert family_of([mst3]).union() is mst3
+    assert graph_builds[0] == 2  # the union of disjoint_union's own family
+    assert "_union" not in repr(fam) and "_member_of" not in repr(fam)
+
+
 def test_family_requires_same_d(mst3):
     with pytest.raises(ValueError):
         family_of([mst3, two_vertex(4)])

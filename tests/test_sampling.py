@@ -76,10 +76,11 @@ def test_trace_pair_is_squared_modulus(mst3, melon2):
         assert np.abs(val.imag).max() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_trace_memory_cap(mst3, monkeypatch):
+def test_trace_memory_cap(mst3, cyc2_d3, monkeypatch):
     monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 3)
-    with pytest.raises(MemoryCapError):
-        sampling._check_cap(mst3, 4)
+    for g in (mst3, cyc2_d3):  # the full path's plan and the spectral path's draw
+        with pytest.raises(MemoryCapError):
+            sampling._check_draws([g], "gaussian", 4, 2)
 
 
 def test_batch_trace_matches_single(cyc2_d3, mst3):
@@ -201,6 +202,15 @@ def test_mc_moment_refuses_over_cap_draw_before_drawing(monkeypatch):
     with pytest.raises(MemoryCapError):
         mc_moment(family_of([two_vertex(3)]), "gaussian", 4, 10, seed=1)
     assert calls == []
+
+
+def test_spectral_path_compiles_no_plan(monkeypatch):
+    def refuse(G):
+        raise AssertionError("compiled a contraction plan")
+
+    monkeypatch.setattr(sampling, "_compile", refuse)
+    est = mc_moment(family_of([cyclic(3, {0}, 200)]), "gaussian", 4, 10, seed=1)
+    assert est.samples == 10 and np.isfinite(est.mean)
 
 
 def test_mc_moment_refuses_over_cap_plan_before_drawing(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -632,3 +633,16 @@ def test_pruned_search_matches_exhaustive_on_seeded_cases():
         assert (rep.f0_max, rep.multiplicity, rep.optima) == (full.f0_max, full.multiplicity, full.optima)
         cut += rep.explored < full.explored
     assert cut >= 5
+
+
+def test_conjugate_report_is_read_from_the_graphs_walk(walks):
+    for n in range(40):
+        g = random_graph(2 + n % 5, 1 + n % 9, seed=6100 + n)
+        searches = search_module._Searches(None)
+        rep = searches.graph(g)
+        derived = searches.graph(conjugate(g))
+        assert walks == [(g.sigma, None)]
+        # the maximum, multiplicity and optima of a walk of the conjugate; the counts of g's walk
+        direct = search_f0(conjugate(g), prune=True)
+        assert derived == dataclasses.replace(direct, explored=rep.explored, nodes=rep.nodes)
+        walks.clear()
