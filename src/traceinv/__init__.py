@@ -1,4 +1,11 @@
-"""Exact combinatorics and Monte Carlo for tensor trace-invariants."""
+"""Exact combinatorics and Monte Carlo for tensor trace-invariants.
+
+Importing the package loads the exact layer (graphs, search, moments,
+families) and neither numpy nor scipy.  numpy is loaded by the first
+pairing walk (``search``) or the first access to a Monte Carlo name, such
+as ``traceinv.mc_moment``, which imports ``sampling``; scipy only by
+``annealed_coefficients``.
+"""
 
 from .graphs import (
     BoundaryReport,
@@ -58,16 +65,30 @@ from .families import (
     realignment,
     two_vertex,
 )
-from .sampling import (
-    MCEstimate,
-    MemoryCapError,
-    annealed_coefficients,
-    concentration_experiment,
-    entropy_slope_experiment,
-    make_rng,
-    mc_moment,
-    quenched_annealed_report,
-    quenched_entropy,
-)
 
 __version__ = "0.1.0"
+
+# sampling's names, which import it and so numpy on first access (PEP 562)
+_SAMPLING = (
+    "MCEstimate",
+    "MemoryCapError",
+    "annealed_coefficients",
+    "concentration_experiment",
+    "entropy_slope_experiment",
+    "make_rng",
+    "mc_moment",
+    "quenched_annealed_report",
+    "quenched_entropy",
+)
+
+
+def __getattr__(name):
+    if name in _SAMPLING:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SAMPLING})

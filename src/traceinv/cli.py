@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from . import families, sampling
+from . import families
 from .graphs import (
     GraphFamily,
     conjugate,
@@ -225,20 +225,37 @@ def _cmd_moment(args, connected=False) -> int:
     return 0
 
 
-def _experiment_config(path, default_kind, single_graph, kmax) -> tuple:
+# what each experiment reads of its config: (default kind, single graph, reads 'epsilon')
+_EXPERIMENTS = {
+    "mc-moment": ("gaussian", False, False),
+    "concentration": ("haar", True, True),
+    "entropy-slope": ("haar", True, False),
+}
+
+
+def _experiment_config(path, command, kmax) -> tuple:
     """(family, kind, Ns, samples, seed, epsilon), validated, from an experiment config file.
 
     'seed', 'samples', 'N' and a 'graph' or 'family' are required; 'N' is
-    one integer or a list of them.  'kind' defaults to default_kind and
-    'epsilon' to 0.5.  single_graph refuses a family of more than one member;
-    a graph declaring k over kmax is refused before it is built.
+    one integer or a list of them.  'kind' defaults to the command's kind;
+    'epsilon', read by concentration only, to 0.5 (None for the others).
+    Any other key is refused, as are a 'graph' and a 'family' together, and
+    a family of more than one member for a single-graph command; a graph
+    declaring k over kmax is refused before it is built.
     """
+    default_kind, single_graph, reads_epsilon = _EXPERIMENTS[command]
     cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
+    known = ("seed", "samples", "N", "graph", "family", "kind") + ("epsilon",) * reads_epsilon
+    unread = [key for key in cfg if key not in known]
+    if unread:
+        raise ValueError(f"experiment config key {unread[0]!r} is not read by {command}")
     for key in ("seed", "samples", "N"):
         if key not in cfg:
             raise ValueError(f"experiment config requires an explicit {key!r}")
+    if "family" in cfg and "graph" in cfg:
+        raise ValueError("experiment config takes a 'graph' or a 'family' entry, not both")
     if "family" in cfg:
         _check_declared_k(cfg["family"], kmax)
         family = family_from_json_dict(cfg["family"])
@@ -258,14 +275,19 @@ def _experiment_config(path, default_kind, single_graph, kmax) -> tuple:
     kind = cfg.get("kind", default_kind)
     if kind not in ("gaussian", "haar"):
         raise ValueError(f"'kind' must be \"gaussian\" or \"haar\", got {kind!r}")
-    epsilon = cfg.get("epsilon", 0.5)
-    if not (is_int(epsilon) or isinstance(epsilon, float)):
-        raise ValueError(f"'epsilon' must be a number, got {epsilon!r}")
-    return family, kind, Ns, cfg["samples"], cfg["seed"], float(epsilon)
+    epsilon = None
+    if reads_epsilon:
+        epsilon = cfg.get("epsilon", 0.5)
+        if not (is_int(epsilon) or isinstance(epsilon, float)):
+            raise ValueError(f"'epsilon' must be a number, got {epsilon!r}")
+        epsilon = float(epsilon)
+    return family, kind, Ns, cfg["samples"], cfg["seed"], epsilon
 
 
 def _cmd_mc_moment(args) -> int:
-    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "gaussian", single_graph=False, kmax=args.kmax)
+    from . import sampling  # it imports numpy, so only the five commands that use it import it
+
+    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
     rows = []
     for N in Ns:
         est = sampling.mc_moment(family, kind, N, samples, seed)
@@ -288,7 +310,9 @@ def _cmd_mc_moment(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, "haar", single_graph=True, kmax=args.kmax)
+    from . import sampling
+
+    family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, args.command, args.kmax)
     rep = sampling.concentration_experiment(
         family.members[0][1],
         Ns,
@@ -308,7 +332,9 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_entropy_slope(args) -> int:
-    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, "haar", single_graph=True, kmax=args.kmax)
+    from . import sampling
+
+    family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
     rep = sampling.entropy_slope_experiment(
         family.members[0][1],
         Ns,
@@ -327,6 +353,8 @@ def _cmd_entropy_slope(args) -> int:
 
 
 def _cmd_quenched(args) -> int:
+    from . import sampling
+
     G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
     rep = sampling.quenched_entropy(G, args.N, kmax=args.kmax)
     _emit({"N": args.N, "value": rep.value, "method": rep.method}, args)
@@ -334,6 +362,8 @@ def _cmd_quenched(args) -> int:
 
 
 def _cmd_annealed(args) -> int:
+    from . import sampling
+
     rep = sampling.annealed_coefficients(args.regime, args.mu, args.lam, args.D, args.k)
     _emit(
         {

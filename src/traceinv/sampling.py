@@ -36,7 +36,14 @@ Dumitriu and Edelman ("Matrix models for beta ensembles", J. Math. Phys.
 43, 2002): 2n - 1 gamma variables per sample, n the smaller side of the
 flattening, instead of 2 N^D normals.  Every other family runs the full
 draw and contraction.  A spectral family compiles no plan: its memory
-cap check is its draw, N^D entries per sample.
+cap check is its draw, N^D entries per sample.  ``mc_moment`` and
+``entropy_slope_experiment`` keep every sample's value until the end, so
+their sample counts are capped too.
+
+This is the one module that imports numpy at the top.  The package and
+the CLI import it on first use (``traceinv.mc_moment``, the commands that
+sample), so building, generating and refusing load neither it nor numpy;
+scipy is imported by ``annealed_coefficients`` alone.
 """
 
 from __future__ import annotations
@@ -368,6 +375,14 @@ def _check_draws(graphs, kind: str, N: int, samples: int):
     return form
 
 
+def _check_kept(samples: int):
+    """Refuse keeping a value for each of more than DEFAULT_TRACE_CAP samples."""
+    if samples > DEFAULT_TRACE_CAP:
+        raise MemoryCapError(
+            f"keeping the values of {samples} samples needs {samples} entries, cap is {DEFAULT_TRACE_CAP}"
+        )
+
+
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
     """Product of the graphs' traces on `samples` fresh draws, one block at a time.
 
@@ -504,7 +519,12 @@ class MCEstimate:
 def mc_moment(
     family: GraphFamily, kind: str, N: int, samples: int, seed: int
 ) -> MCEstimate:
-    """Sample mean of the product of the member traces over fresh draws."""
+    """Sample mean of the product of the member traces over fresh draws.
+
+    Every sample's value is kept until the end, so the samples are capped
+    like any other array of the run.
+    """
+    _check_kept(samples)
     vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed))))
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).sum() / (samples - 1)) / math.sqrt(samples))
@@ -672,12 +692,17 @@ def entropy_slope_experiment(
     kind: str = "haar",
     kmax: Optional[int] = None,
 ) -> EntropyReport:
-    """Fit of the mean entropy against ln N, with its exact reference line."""
+    """Fit of the mean entropy against ln N, with its exact reference line.
+
+    Each N keeps every sample's value until its mean, so the samples are
+    capped like any other array of the run.
+    """
     Ns = [int(n) for n in Ns]
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
     for N in Ns:  # before the walk, which can take far longer than a refusal
         _check_draws([G], kind, N, samples)
+    _check_kept(samples)
     rep = search_f0(G, kmax=kmax, prune=True)
     rows = []
     for N in Ns:

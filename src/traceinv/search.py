@@ -10,7 +10,9 @@ them it can cut branches by an exact bound, which changes neither the
 maximum, its multiplicity nor the optima.  Every walk runs in one
 process.  Callers that ask several questions of the same graphs share one
 table of pruned reports (``_Searches``), so that each graph is walked once
-per call.
+per call.  numpy is imported by the three functions of the walk
+(``_enumerate``, ``_completions`` and ``_joining``), not by this module,
+so a process that builds graphs without walking them never loads it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, component_labels, graph_stats, union_find
@@ -123,6 +123,8 @@ def _completions(m):
     permutation and its inverse have the same cycles.  T is built once per
     process, in chunks of rows, and holds 0.5 MB at m = 6.
     """
+    import numpy as np
+
     rows = list(itertools.permutations(range(m)))
     P = np.array(rows, dtype=np.intp)
     inv = np.argsort(P, axis=1)
@@ -152,6 +154,8 @@ def _joining(masks, P, whole):
     blocks one edge away from those reached, so passes one fewer than the
     blocks reach all that can be reached.
     """
+    import numpy as np
+
     m = P.shape[1]
     edges = np.array(masks[:m]) | np.array(masks[m:])[P]  # edges[r, i]: the blocks edge i joins
     reach = edges[:, 0]
@@ -204,6 +208,8 @@ def _enumerate(sigmas, member_of, prune, optimal):
     m! per kept prefix, and nodes the partial pairings of 1..k - m whites
     expanded.
     """
+    import numpy as np
+
     D, k = len(sigmas), len(sigmas[0])
     p = 1 if member_of is None else max(member_of) + 1
     ends = [list(range(k)) for _ in sigmas]

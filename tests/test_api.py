@@ -1,6 +1,10 @@
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import traceinv
 from traceinv import sampling
@@ -42,8 +46,9 @@ def _parameters(obj):
 
 
 def test_every_export_is_checked():
-    exported = {obj for name, obj in vars(traceinv).items() if not name.startswith("_") and callable(obj)}
-    assert exported <= {obj for _, obj in _defined_callables()}
+    # getattr over dir, not vars: the sampling names are loaded on first access
+    exported = {getattr(traceinv, name) for name in dir(traceinv) if not name.startswith("_")}
+    assert {obj for obj in exported if callable(obj)} <= {obj for _, obj in _defined_callables()}
 
 
 def test_only_the_kept_keywords_take_workers():
@@ -58,3 +63,30 @@ def test_fixed_options_are_not_parameters():
 
 def test_removed_names_stay_removed():
     assert [name for name in REMOVED if hasattr(traceinv, name) or hasattr(sampling, name)] == []
+
+
+# a fresh process that builds graphs, generates one and refuses a malformed
+# file; it prints the modules loaded after that, then checks the lazy names
+_NO_SAMPLING = """
+import json, os, sys, tempfile
+import traceinv
+from traceinv import cli
+graphs = [traceinv.random_graph(3, 4, seed=1), traceinv.cyclic(3, {0}, 2)]
+json.dumps(traceinv.family_of(graphs).to_json_dict())
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "out.json")
+    assert cli.main(["generate", "cyclic", "--D", "3", "--M", "1", "--k", "2", "--out", out]) == 0
+    bad = os.path.join(tmp, "bad.json")
+    with open(bad, "w") as fh:
+        fh.write('{"D": 3, "sigma": [[1, 2]]}')
+    assert cli.main(["analyze", bad]) == 2
+loaded = [name for name in ("numpy", "scipy", "traceinv.sampling") if name in sys.modules]
+print(json.dumps([loaded, traceinv.mc_moment is traceinv.sampling.mc_moment, hasattr(traceinv, "sample_tensor")]))
+"""
+
+
+def test_building_and_generating_load_neither_numpy_nor_sampling():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(traceinv.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NO_SAMPLING], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], True, False]

@@ -118,6 +118,12 @@ def test_malformed_json_exits_2_without_traceback(tmp_path, capsys, command, pay
         ("concentration", {"epsilon": float("inf")}),
         ("concentration", {"epsilon": 0}),
         ("concentration", {"epsilon": -1}),
+        ("mc-moment", {"knd": "haar"}),  # every key a command does not read is refused
+        ("mc-moment", {"epsilon": 0.5}),
+        ("entropy-slope", {"epsilon": 0.5}),
+        ("concentration", {"family": {"members": [{"graph": cyclic(3, {0}, 2).to_json_dict()}]}}),
+        ("mc-moment", {"samples": 10**11}),  # one value kept per sample, over the cap
+        ("entropy-slope", {"samples": 10**11}),
     ],
 )
 def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, command, entries):

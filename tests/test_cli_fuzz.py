@@ -138,6 +138,7 @@ VALID_CONFIG = {"graph": {"D": 3, "sigma": [[1, 2], [2, 1], [1, 2]]}, "N": [2, 3
 @example(command="concentration", payload={**VALID_CONFIG, "epsilon": math.nan})
 @example(command="concentration", payload={**VALID_CONFIG, "epsilon": math.inf})
 @example(command="concentration", payload={**VALID_CONFIG, "epsilon": -1})
+@example(command="mc-moment", payload={**VALID_CONFIG, "samples": 10**11})
 def test_arbitrary_experiment_config_holds_the_exit_code_contract(command, payload):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -204,6 +204,17 @@ def test_mc_moment_refuses_over_cap_draw_before_drawing(monkeypatch):
     assert calls == []
 
 
+def test_mc_moment_refuses_over_cap_samples_before_drawing(monkeypatch):
+    # the mean keeps every sample's value: at the cap it runs, one over it is refused
+    calls = _record_draws(monkeypatch)
+    monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 16)
+    family = family_of([cyclic(3, {0}, 2)])
+    with pytest.raises(MemoryCapError, match="samples"):
+        mc_moment(family, "gaussian", 2, 17, seed=1)
+    assert calls == []
+    assert mc_moment(family, "gaussian", 2, 16, seed=1).samples == 16
+
+
 def test_spectral_path_compiles_no_plan(monkeypatch):
     def refuse(G):
         raise AssertionError("compiled a contraction plan")
@@ -372,8 +383,12 @@ def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
         lambda g: entropy_slope_experiment(g, [2, 4, 8], 1, seed=1),
         lambda g: entropy_slope_experiment(g, [2, 4, 1], 10, seed=1),
         lambda g: entropy_slope_experiment(g, [2, 4, 8], 10, seed=1, kind="x"),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8], 10**11, seed=1),
     ],
-    ids=["conc-1-sample", "conc-N1", "conc-kind", "conc-over-cap", "conc-no-N", "slope-1-sample", "slope-N1", "slope-kind"],
+    ids=[
+        "conc-1-sample", "conc-N1", "conc-kind", "conc-over-cap", "conc-no-N",
+        "slope-1-sample", "slope-N1", "slope-kind", "slope-over-cap-samples",
+    ],
 )
 def test_experiments_refuse_bad_draws_before_the_walk(monkeypatch, cyc2_d3, run):
     walks = []
