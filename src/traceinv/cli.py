@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cumulant", parents=[common], help="exact connected cumulant in N")
     p.add_argument("family", help="family (or graph) JSON file")
 
-    for name in ("mc-moment", "concentration", "entropy-slope"):
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name, parents=[common], help=f"{name} experiment from a config file")
         p.add_argument("config", help="experiment config JSON")
 
@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
+def _emit(report: dict, args, rows, columns) -> None:
+    """Write the report (json, pretty) or its row dicts under columns (csv) to --out or stdout."""
     if args.format == "json":
         if not args.no_timestamp:
             report = dict(report)
@@ -113,9 +114,9 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer = csv.DictWriter(buf, columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
         lines = [f"{key}: {value}" for key, value in report.items()]
@@ -157,7 +158,7 @@ def _read_graphs(path, kmax):
     return data
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
     _check_budget(G.k, args.kmax)  # before graph_stats, whose cost grows with k
     stats = graph_stats(G)
@@ -176,25 +177,23 @@ def _cmd_analyze(args) -> int:
         "is_mst": stats.is_mst,
         "is_planar3": stats.is_planar3,
     }
-    row = [report[key] for key in ("k", "kappa", "F", "omega2", "delta", "f0_max", "multiplicity")]
-    _emit(report, args, csv_rows=[row], csv_header=["k", "kappa", "F", "omega2", "delta", "f0_max", "multiplicity"])
-    return 0
+    return report, [report], 0
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> tuple:
     family = family_file_from_json_dict(_read_graphs(args.family, args.kmax))
     verdict = decide_factorization(family, kmax=args.kmax)
+    decided = verdict.factorizes is not None
     report = {
         "factorizes": verdict.factorizes,
         "tier": verdict.tier,
         "detail": verdict.detail,
-        "status": "decided" if verdict.factorizes is not None else "undecidable at this budget",
+        "status": "decided" if decided else "undecidable at this budget",
     }
-    _emit(report, args)
-    return 0 if verdict.factorizes is not None else 3
+    return report, None, 0 if decided else 3
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple:
     # families decides which fields a kind takes: only the options given enter the spec
     spec = {"kind": args.kind.replace("-", "_")}
     for key, read in _FIELDS.items():
@@ -209,20 +208,13 @@ def _cmd_generate(args) -> int:
         report = dict(built.graph.to_json_dict(), delta=built.delta, delta_verified=built.verified)
     else:
         report = families.generate_from_spec(spec).to_json_dict()
-    _emit(report, args)
-    return 0
+    return report, None, 0
 
 
-def _cmd_moment(args, connected=False) -> int:
+def _cmd_moment(args, connected) -> tuple:
     family = family_file_from_json_dict(_read_graphs(args.family, args.kmax))
-    if connected:
-        poly = connected_cumulant(family, kmax=args.kmax)
-    else:
-        poly = gaussian_moment(family, kmax=args.kmax)
-    report = poly.to_json_dict()
-    report["pretty"] = str(poly)
-    _emit(report, args)
-    return 0
+    poly = (connected_cumulant if connected else gaussian_moment)(family, kmax=args.kmax)
+    return dict(poly.to_json_dict(), pretty=str(poly)), None, 0
 
 
 # what each experiment reads of its config: (default kind, single graph, reads 'epsilon')
@@ -284,103 +276,65 @@ def _experiment_config(path, command, kmax) -> tuple:
     return family, kind, Ns, cfg["samples"], cfg["seed"], epsilon
 
 
-def _cmd_mc_moment(args) -> int:
+def _cmd_mc_moment(args) -> tuple:
     from . import sampling  # it imports numpy, so only the five commands that use it import it
 
     family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
+    # every N is checked before the first one is sampled, as the experiments do
+    sampling._check_kept(samples)
+    for N in Ns:
+        sampling._check_draws(family.graphs(), kind, N, samples)
     rows = []
     for N in Ns:
         est = sampling.mc_moment(family, kind, N, samples, seed)
-        rows.append(
-            {
-                "N": N,
-                "mean_re": est.mean.real,
-                "mean_im": est.mean.imag,
-                "stderr": est.stderr,
-            }
-        )
-    report = {"kind": kind, "samples": samples, "seed": seed, "rows": rows}
-    _emit(
-        report,
-        args,
-        csv_rows=[[r["N"], r["mean_re"], r["mean_im"], r["stderr"]] for r in rows],
-        csv_header=["N", "mean_re", "mean_im", "stderr"],
-    )
-    return 0
+        rows.append({"N": N, "mean_re": est.mean.real, "mean_im": est.mean.imag, "stderr": est.stderr})
+    return {"kind": kind, "samples": samples, "seed": seed, "rows": rows}, rows, 0
 
 
-def _cmd_concentration(args) -> int:
+def _cmd_concentration(args) -> tuple:
     from . import sampling
 
     family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, args.command, args.kmax)
     rep = sampling.concentration_experiment(
-        family.members[0][1],
-        Ns,
-        epsilon,
-        samples,
-        seed,
-        kind=kind,
-        kmax=args.kmax,
+        family.members[0][1], Ns, epsilon, samples, seed, kind=kind, kmax=args.kmax
     )
-    _emit(
-        rep.to_json_dict(),
-        args,
-        csv_rows=[[n, c] for n, c in rep.rows],
-        csv_header=["N", "coverage"],
-    )
-    return 0
+    return rep.to_json_dict(), [{"N": n, "coverage": c} for n, c in rep.rows], 0
 
 
-def _cmd_entropy_slope(args) -> int:
+def _cmd_entropy_slope(args) -> tuple:
     from . import sampling
 
     family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
-    rep = sampling.entropy_slope_experiment(
-        family.members[0][1],
-        Ns,
-        samples,
-        seed,
-        kind=kind,
-        kmax=args.kmax,
-    )
-    _emit(
-        rep.to_json_dict(),
-        args,
-        csv_rows=[[n, m, e] for n, m, e in rep.rows],
-        csv_header=["N", "mean_entropy", "stderr"],
-    )
-    return 0
+    rep = sampling.entropy_slope_experiment(family.members[0][1], Ns, samples, seed, kind=kind, kmax=args.kmax)
+    rows = [{"N": n, "mean_entropy": m, "stderr": e} for n, m, e in rep.rows]
+    return rep.to_json_dict(), rows, 0
 
 
-def _cmd_quenched(args) -> int:
+def _cmd_quenched(args) -> tuple:
     from . import sampling
 
     G = graph_from_json_dict(_read_graphs(args.graph, args.kmax))
     rep = sampling.quenched_entropy(G, args.N, kmax=args.kmax)
-    _emit({"N": args.N, "value": rep.value, "method": rep.method}, args)
-    return 0
+    return {"N": args.N, "value": rep.value, "method": rep.method}, None, 0
 
 
-def _cmd_annealed(args) -> int:
+def _cmd_annealed(args) -> tuple:
     from . import sampling
 
     rep = sampling.annealed_coefficients(args.regime, args.mu, args.lam, args.D, args.k)
-    _emit(
-        {
-            "regime": args.regime,
-            "mu": args.mu,
-            "lambda": args.lam,
-            "alpha": rep.alpha,
-            "beta": rep.beta,
-            "alpha_inf": rep.alpha_inf,
-            "beta_inf": rep.beta_inf,
-        },
-        args,
-    )
-    return 0
+    report = {
+        "regime": args.regime,
+        "mu": args.mu,
+        "lambda": args.lam,
+        "alpha": rep.alpha,
+        "beta": rep.beta,
+        "alpha_inf": rep.alpha_inf,
+        "beta_inf": rep.beta_inf,
+    }
+    return report, None, 0
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> tuple:
     H = families.fig7()
     # the verdict reads fig7's search from the same table instead of walking it again
     searches = _Searches(args.kmax)
@@ -394,6 +348,7 @@ def _cmd_counterexample(args) -> int:
         "pair_f0_is_54": pair.f0_union == 54,
         "does_not_factorize": verdict.factorizes is False,
     }
+    passed = all(checks.values())
     report = {
         "f0_max": rep.f0_max,
         "multiplicity": rep.multiplicity,
@@ -402,36 +357,42 @@ def _cmd_counterexample(args) -> int:
         "factorizes": verdict.factorizes,
         "decided_by": verdict.tier,
         "checks": checks,
-        "status": "pass" if all(checks.values()) else "fail",
+        "status": "pass" if passed else "fail",
     }
-    _emit(report, args)
-    return 0 if all(checks.values()) else 3
+    return report, None, 0 if passed else 3
+
+
+# each command's handler, which returns (report, csv rows, exit code), and
+# the columns of its csv rows (None: it has no rows, and csv is refused)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ("k", "kappa", "F", "omega2", "delta", "f0_max", "multiplicity")),
+    "factorize": (_cmd_factorize, None),
+    "generate": (_cmd_generate, None),
+    "moment": (functools.partial(_cmd_moment, connected=False), None),
+    "cumulant": (functools.partial(_cmd_moment, connected=True), None),
+    "mc-moment": (_cmd_mc_moment, ("N", "mean_re", "mean_im", "stderr")),
+    "concentration": (_cmd_concentration, ("N", "coverage")),
+    "entropy-slope": (_cmd_entropy_slope, ("N", "mean_entropy", "stderr")),
+    "quenched": (_cmd_quenched, None),
+    "annealed": (_cmd_annealed, None),
+    "counterexample": (_cmd_counterexample, None),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format == "csv" and args.command not in ("analyze", "mc-moment", "concentration", "entropy-slope"):
+    handler, columns = _COMMANDS[args.command]
+    if args.format == "csv" and columns is None:
         # refused before the work, which may be a long walk
         print("error: csv output is only available for row-based reports", file=sys.stderr)
         return 2
-    handlers = {
-        "analyze": _cmd_analyze,
-        "factorize": _cmd_factorize,
-        "generate": _cmd_generate,
-        "moment": lambda a: _cmd_moment(a, connected=False),
-        "cumulant": lambda a: _cmd_moment(a, connected=True),
-        "mc-moment": _cmd_mc_moment,
-        "concentration": _cmd_concentration,
-        "entropy-slope": _cmd_entropy_slope,
-        "quenched": _cmd_quenched,
-        "annealed": _cmd_annealed,
-        "counterexample": _cmd_counterexample,
-    }
     try:
-        return handlers[args.command](args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        report, rows, code = handler(args)
+        _emit(report, args, rows, columns)
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

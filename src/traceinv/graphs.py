@@ -75,8 +75,12 @@ def _json_object(data, what: str) -> None:
 
 
 def is_int(value) -> bool:
-    """Whether a JSON value is an integer: booleans and fractional numbers are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether a value passes perms.as_int: booleans and fractional numbers do not."""
+    try:
+        perms.as_int(value)
+    except ValueError:
+        return False
+    return True
 
 
 def _json_int(data: dict, key: str) -> int:

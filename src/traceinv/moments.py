@@ -70,12 +70,8 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)  # which drops the zero coefficients
 
     def __sub__(self, other):
         return self + other * -1
@@ -86,12 +82,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
 
     __rmul__ = __mul__

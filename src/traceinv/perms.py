@@ -7,13 +7,24 @@ everything in-process is 0-based.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 
 
+def as_int(value) -> int:
+    """value as an int, by operator.index: numpy integers pass; bool, floats and strings are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def check_perm(images) -> tuple:
-    """Validate and normalize a permutation given as a sequence of images."""
-    p = tuple(int(x) for x in images)
+    """Validate and normalize a permutation given as a sequence of integer images."""
+    p = tuple(map(as_int, images))
     k = len(p)
     if k == 0:
         raise ValueError("empty permutation")

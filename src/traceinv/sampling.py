@@ -636,7 +636,7 @@ def concentration_experiment(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
-    Ns = [int(n) for n in Ns]
+    Ns = [perms.as_int(n) for n in Ns]
     if not Ns:
         raise ValueError("need at least one value of N")
     for N in Ns:  # before the walk, which can take far longer than a refusal
@@ -697,7 +697,7 @@ def entropy_slope_experiment(
     Each N keeps every sample's value until its mean, so the samples are
     capped like any other array of the run.
     """
-    Ns = [int(n) for n in Ns]
+    Ns = [perms.as_int(n) for n in Ns]
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
     for N in Ns:  # before the walk, which can take far longer than a refusal

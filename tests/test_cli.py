@@ -5,15 +5,19 @@ import pytest
 
 from traceinv import (
     BudgetError,
+    build_graph,
     conjugate,
     cyclic,
     decide_factorization,
+    factorization_verdict,
     family_of,
     fig7,
     gaussian_moment,
     leading_order,
     random_graph,
     search_f0_connected,
+    thm41_check,
+    treelike_report,
     two_vertex,
 )
 from traceinv import sampling, search
@@ -135,17 +139,23 @@ def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, comma
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["concentration", "entropy-slope"])
-@pytest.mark.parametrize("entries", [{"samples": 1}, {"N": [2, 3, 1]}, {"kind": "x"}])
-def test_bad_draw_config_exits_2_before_any_walk(tmp_path, capsys, monkeypatch, command, entries):
-    walks = []
+@pytest.mark.parametrize("command", ["concentration", "entropy-slope", "mc-moment"])
+@pytest.mark.parametrize(
+    "entries", [{"samples": 1}, {"N": [2, 3, 1]}, {"kind": "x"}, {"N": [8, 1]}, {"N": [8, 10000]}]
+)
+def test_bad_draw_config_exits_2_before_any_walk(tmp_path, capsys, monkeypatch, mst3, command, entries):
+    # a bad later N is refused before the earlier ones are sampled: mst3 draws
+    # full tensors, 256 batches for its 4096 samples at N=8
+    walks, draws = [], []
+    real_draw = sampling._draw_batch
     monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: walks.append(args))
-    cfg = {"graph": cyclic(3, {0}, 2).to_json_dict(), "N": [2, 3, 4], "samples": 10, "seed": 1}
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: draws.append(a) or real_draw(*a))
+    cfg = {"graph": mst3.to_json_dict(), "N": [2, 3, 4], "samples": 4096, "seed": 1}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(cfg, **entries)))
     assert main([command, str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
-    assert walks == []
+    assert walks == [] and draws == []
 
 
 @pytest.mark.parametrize(
@@ -239,6 +249,20 @@ def test_decide_factorization_tiers(mst3, melon2):
     assert verdict.tier in ("tree-like", "exhaustive")
     verdict = decide_factorization(family_of([mst3, melon2]))
     assert verdict.factorizes is True and verdict.tier == "thm41-bound"
+
+
+def test_decide_factorization_exhaustive_tier():
+    # neither sufficient condition holds, so the partition lattice decides
+    H = build_graph(6, [(4, 2, 3, 1, 0), (1, 3, 0, 2, 4), (3, 0, 4, 1, 2),
+                        (1, 4, 3, 0, 2), (2, 0, 1, 4, 3), (4, 1, 2, 3, 0)])
+    fam = family_of([H, conjugate(H)])
+    assert not thm41_check(fam).passes
+    tree = treelike_report(fam)
+    assert (tree.f0_connected, tree.tree_value) == (30, 28)
+    verdict = decide_factorization(fam)
+    assert (verdict.factorizes, verdict.tier, verdict.detail) == (True, "exhaustive", {"worst_margin": 4})
+    exhaustive = factorization_verdict(fam)
+    assert exhaustive.factorizes is True and exhaustive.worst[1] == 4
 
 
 def test_decide_factorization_mst_pair_tier():

@@ -18,7 +18,7 @@ from traceinv import (
     realignment,
     two_vertex,
 )
-from traceinv.graphs import family_from_json_dict
+from traceinv.graphs import family_from_json_dict, is_int
 from traceinv.families import random_graph
 
 import oracles
@@ -37,6 +37,13 @@ def test_build_graph_fig7(fig7_graph):
 def test_build_graph_rejects_non_bijection():
     with pytest.raises(ValueError, match="sigma\\[2\\]"):
         build_graph(3, [[0, 1], [1, 0], [0, 0]])
+
+
+def test_build_graph_refuses_non_integer_images():
+    with pytest.raises(ValueError, match="sigma\\[0\\]"):
+        build_graph(2, [[0, 1.9], [True, False]])
+    with pytest.raises(ValueError, match="sigma\\[1\\]"):
+        build_graph(2, [[0, 1], [True, False]])
 
 
 def test_build_graph_rejects_mismatched_lengths():
@@ -304,6 +311,15 @@ def test_graph_json_errors_name_field():
 def test_graph_json_refuses_non_integers(data, field):
     with pytest.raises(ValueError, match=field):
         graph_from_json_dict(data)
+
+
+def test_is_int_is_the_rule_of_check_perm():
+    import numpy as np
+
+    for value in (3, -1, np.int64(3), np.uint8(2)):
+        assert is_int(value)
+    for value in (True, np.True_, 3.0, 3.7, "3", None, [3]):
+        assert not is_int(value)
 
 
 def test_family_json_roundtrip(mst3, twov3):

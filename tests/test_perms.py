@@ -11,10 +11,18 @@ def test_check_perm_accepts_bijection():
     assert perms.check_perm([2, 0, 1]) == (2, 0, 1)
 
 
-@pytest.mark.parametrize("bad", [[0, 0], [1, 2], [], [0, 2]])
+# the last four are not truncated to a bijection by int()
+@pytest.mark.parametrize("bad", [[0, 0], [1, 2], [], [0, 2], [0, 1.9, 2.2], [1.0, 0.0], ["1", "0"], [True, False]])
 def test_check_perm_rejects(bad):
     with pytest.raises(ValueError):
         perms.check_perm(bad)
+
+
+def test_check_perm_keeps_numpy_integers():
+    import numpy as np
+
+    p = perms.check_perm(np.array([2, 0, 1]))
+    assert p == (2, 0, 1) and all(type(x) is int for x in p)
 
 
 def test_compose_convention():

@@ -384,18 +384,29 @@ def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
         lambda g: entropy_slope_experiment(g, [2, 4, 1], 10, seed=1),
         lambda g: entropy_slope_experiment(g, [2, 4, 8], 10, seed=1, kind="x"),
         lambda g: entropy_slope_experiment(g, [2, 4, 8], 10**11, seed=1),
+        # an N that is not an integer is refused, not truncated by int()
+        lambda g: concentration_experiment(g, [4.7], 0.5, 10, seed=1),
+        lambda g: concentration_experiment(g, [4, "8"], 0.5, 10, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8.5], 10, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, True, 8], 10, seed=1),
     ],
     ids=[
         "conc-1-sample", "conc-N1", "conc-kind", "conc-over-cap", "conc-no-N",
         "slope-1-sample", "slope-N1", "slope-kind", "slope-over-cap-samples",
+        "conc-float-N", "conc-str-N", "slope-float-N", "slope-bool-N",
     ],
 )
 def test_experiments_refuse_bad_draws_before_the_walk(monkeypatch, cyc2_d3, run):
     walks = []
     monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: walks.append(args))
-    with pytest.raises(ValueError, match="need|unknown|cap"):
+    with pytest.raises(ValueError, match="need|unknown|cap|integer"):
         run(cyc2_d3)
     assert walks == []
+
+
+def test_experiments_take_numpy_integer_N(cyc2_d3):
+    a = concentration_experiment(cyc2_d3, [np.int64(4)], 0.5, 20, seed=1)
+    assert a == concentration_experiment(cyc2_d3, [4], 0.5, 20, seed=1) and type(a.rows[0][0]) is int
 
 
 def _seeded_results(mst3, cyc):
