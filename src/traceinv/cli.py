@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from . import families
+from . import families, perms
 from .graphs import (
     GraphFamily,
     conjugate,
@@ -28,13 +28,22 @@ from .graphs import (
     is_int,
 )
 from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
-from .search import DEFAULT_KMAX, _check_budget, _Searches, degree_report, mst_pair_f0, search_f0
+from .search import (
+    DEFAULT_KMAX,
+    MAX_WORKERS,
+    _check_budget,
+    _Searches,
+    check_workers,
+    degree_report,
+    mst_pair_f0,
+    search_f0,
+)
 
 
 # generate's spec fields and the reader of each option's text (colors comma-separated, 1-based)
 _FIELDS = {
     **dict.fromkeys(("D", "k", "seed", "delta"), int),
-    **dict.fromkeys(("M", "M1", "M2", "M3"), lambda text: [int(c) for c in text.split(",") if c.strip()]),
+    **dict.fromkeys(("M", "M1", "M2", "M3"), lambda text: [perms.from_digits(c) for c in text.split(",") if c.strip()]),
     "script": json.loads,  # [[color, white], ...], 1-based
     "links": json.loads,  # [[color, ...], ...], 1-based
 }
@@ -45,9 +54,12 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument("--kmax", type=int, default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
     common.add_argument(
         "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: every exact walk runs in one process",
+        default="1",
+        help=(
+            f"threads (1 to {MAX_WORKERS}) that contract the Monte Carlo blocks of mc-moment, "
+            "concentration and entropy-slope; a seed gives the same output at any count. "
+            "Every exact walk runs in one thread"
+        ),
     )
     common.add_argument(
         "--format", choices=["json", "csv", "pretty"], default="json", help="output format"
@@ -286,7 +298,7 @@ def _cmd_mc_moment(args) -> tuple:
         sampling._check_draws(family.graphs(), kind, N, samples)
     rows = []
     for N in Ns:
-        est = sampling.mc_moment(family, kind, N, samples, seed)
+        est = sampling.mc_moment(family, kind, N, samples, seed, workers=args.threads)
         rows.append({"N": N, "mean_re": est.mean.real, "mean_im": est.mean.imag, "stderr": est.stderr})
     return {"kind": kind, "samples": samples, "seed": seed, "rows": rows}, rows, 0
 
@@ -296,7 +308,7 @@ def _cmd_concentration(args) -> tuple:
 
     family, kind, Ns, samples, seed, epsilon = _experiment_config(args.config, args.command, args.kmax)
     rep = sampling.concentration_experiment(
-        family.members[0][1], Ns, epsilon, samples, seed, kind=kind, kmax=args.kmax
+        family.members[0][1], Ns, epsilon, samples, seed, kind=kind, kmax=args.kmax, workers=args.threads
     )
     return rep.to_json_dict(), [{"N": n, "coverage": c} for n, c in rep.rows], 0
 
@@ -305,7 +317,9 @@ def _cmd_entropy_slope(args) -> tuple:
     from . import sampling
 
     family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
-    rep = sampling.entropy_slope_experiment(family.members[0][1], Ns, samples, seed, kind=kind, kmax=args.kmax)
+    rep = sampling.entropy_slope_experiment(
+        family.members[0][1], Ns, samples, seed, kind=kind, kmax=args.kmax, workers=args.threads
+    )
     rows = [{"N": n, "mean_entropy": m, "stderr": e} for n, m, e in rep.rows]
     return rep.to_json_dict(), rows, 0
 
@@ -379,6 +393,14 @@ _COMMANDS = {
 }
 
 
+def _read_threads(text) -> int:
+    """--threads as a worker count: ASCII digits naming 1 to MAX_WORKERS, read on every command."""
+    try:
+        return check_workers(perms.from_digits(text))
+    except ValueError:
+        raise ValueError(f"--threads must be an integer from 1 to {MAX_WORKERS}, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, columns = _COMMANDS[args.command]
@@ -387,6 +409,7 @@ def main(argv=None) -> int:
         print("error: csv output is only available for row-based reports", file=sys.stderr)
         return 2
     try:
+        args.threads = _read_threads(args.threads)
         report, rows, code = handler(args)
         _emit(report, args, rows, columns)
     except (ValueError, OSError, KeyError) as exc:

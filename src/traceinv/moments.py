@@ -10,10 +10,12 @@ Factorization verdicts need only F0 maxima, so they use the pruned walk.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import perms
 from .graphs import (
     ColoredGraph,
     GraphFamily,
@@ -36,6 +38,13 @@ from .search import (
 PMAX = 5  # most members whose partition lattice is walked
 
 
+def _coefficient(value) -> int:
+    """A JSON coefficient: an integer (perms.as_int), or ASCII digits with an optional minus sign."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    return perms.as_int(value)
+
+
 class LaurentPoly:
     """Laurent polynomial in N with integer coefficients."""
 
@@ -46,7 +55,7 @@ class LaurentPoly:
         if terms:
             for e, c in dict(terms).items():
                 if c:
-                    self.terms[int(e)] = int(c)
+                    self.terms[perms.as_int(e)] = perms.as_int(c)
 
     @classmethod
     def zero(cls):
@@ -118,7 +127,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LaurentPoly":
-        return cls({int(t["exp"]): int(t["coef"]) for t in data["terms"]})
+        """The polynomial of to_json_dict: integer exponents, coefficients as integers or decimal strings."""
+        return cls({perms.as_int(t["exp"]): _coefficient(t["coef"]) for t in data["terms"]})
 
     def __str__(self):
         if not self.terms:

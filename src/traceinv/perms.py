@@ -22,6 +22,14 @@ def as_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def from_digits(text: str) -> int:
+    """A count or label in ASCII digits, surrounding spaces stripped; signs, underscores and the rest are refused."""
+    body = text.strip()
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(body)
+
+
 def check_perm(images) -> tuple:
     """Validate and normalize a permutation given as a sequence of integer images."""
     p = tuple(map(as_int, images))
@@ -108,7 +116,7 @@ def from_cycle_string(k: int, text: str) -> tuple:
         labels = [s for s in re.split(r"[\s,]+", grp.strip()) if s]
         cyc = []
         for s in labels:
-            x = int(s) - 1
+            x = from_digits(s) - 1
             if not 0 <= x < k:
                 raise ValueError(f"label {s} out of range 1..{k}")
             if x in moved:

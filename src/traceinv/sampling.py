@@ -8,7 +8,12 @@ Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
 draws a block of samples small enough to stay in cache, contracts it with
 each graph's compiled plan, and hands the block's trace values back.
 There is no per-sample entry point: ``mc_moment`` and the experiments are
-the public paths, and a single sample is a block of one.
+the public paths, and a single sample is a block of one.  With
+``workers`` > 1 the calling thread still draws every block, in order,
+from the one generator, and a process-wide pool of that many threads
+contracts them (numpy's matmul releases the GIL), each on its own scratch
+arrays; the blocks come back in order.  A sample's value does not depend
+on its block, so a seed gives the same bytes at any worker count.
 
 A graph's plan is compiled once (``_compile``) and is one batched matmul
 per step.  Reuse: every white vertex is T and every black one conj(T), so
@@ -48,9 +53,11 @@ scipy is imported by ``annealed_coefficients`` alone.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,12 +66,16 @@ import numpy as np
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats
 from .moments import gaussian_moment
-from .search import BudgetError, mst_pair_f0, resolve_kmax, search_f0
+from .search import BudgetError, check_workers, mst_pair_f0, resolve_kmax, search_f0
 
 DEFAULT_TRACE_CAP = 2**26  # complex entries per sample in the draw and in any intermediate
 BATCH_ENTRY_CAP = 2**16  # complex entries per array a block of samples holds (1 MiB)
 ZERO_FLOOR = 1e-300  # |Tr| below this counts as a zero of the invariant
 EULER_GAMMA = 0.5772156649015328606
+
+# worker count -> the process's pool of that many contraction threads (_pool)
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
 
 
 class MemoryCapError(ValueError):
@@ -383,39 +394,64 @@ def _check_kept(samples: int):
         )
 
 
-def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
+def _pool(workers: int):
+    """The process's pool of `workers` contraction threads, made on its first use."""
+    from concurrent import futures
+
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = futures.ThreadPoolExecutor(workers, thread_name_prefix="traceinv-contract")
+        return pool
+
+
+def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1):
     """Product of the graphs' traces on `samples` fresh draws, one block at a time.
 
     A block holds as many samples as keep every array it touches, the draw
-    and the widest plan intermediate alike, within BATCH_ENTRY_CAP complex
-    entries (at least one sample), so it is drawn and contracted in cache.
-    The draws depend only on rng, not on the block size.  _check_draws
-    refuses what cannot be drawn before the first draw.  Graphs that are
-    all matrix-like for one color split take the spectral path
-    (_spectral_blocks).
+    and the widest plan intermediate alike, within BATCH_ENTRY_CAP / workers
+    complex entries (at least one sample), so all workers together hold
+    what one block holds and it is drawn and contracted in cache.  The
+    calling thread draws every block in order from rng, so the draws depend
+    only on rng, not on the block size or on workers.  With workers > 1 the
+    contractions run on _pool(workers), each thread on its own scratch set,
+    with at most workers + 1 blocks drawn and not yet yielded; blocks are
+    yielded in order, and an error in a contraction is raised here.  With
+    workers = 1 the calling thread contracts each block itself.  A sample's
+    value does not depend on its block, so the values are the same at any
+    worker count.  _check_draws refuses what cannot be drawn before the
+    first draw.  Graphs that are all matrix-like for one color split take
+    the spectral path (_spectral_blocks), which has no contraction: workers
+    does not change it.
     """
+    workers = check_workers(workers)
     form = _check_draws(graphs, kind, N, samples)
     if form is not None:
         yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
         return
+    # imported here, not at the top: it loads logging, which a process that
+    # samples nothing (the exact commands) should not pay for
+    from concurrent import futures
+
     widest = max(_contraction_plan(g)[2] for g in graphs)
-    block = max(1, BATCH_ENTRY_CAP // N**widest)
+    block = max(1, BATCH_ENTRY_CAP // (workers * N**widest))
     # a member equal to an earlier one, or to its conjugate, reads that
     # member's trace (conjugated: Tr_conj(G) = conj Tr_G) instead of contracting
     source = []
     for i, g in enumerate(graphs):
         g_bar = conjugate(g)
         source.append(next(((j, h != g) for j, h in enumerate(graphs[:i]) if h in (g, g_bar)), None))
-    # one scratch per graph, reused by every block: fresh arrays for each
-    # block would be paged in anew whenever the allocator hands the freed
-    # ones back to the system
-    scratch = [{} for _ in graphs]
-    for start in range(0, samples, block):
-        batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
+    # one scratch per graph and thread, reused by every block: fresh arrays
+    # for each block would be paged in anew whenever the allocator hands the
+    # freed ones back to the system
+    scratch = {}
+
+    def contract(batch):
+        work = scratch.setdefault(threading.get_ident(), [{} for _ in graphs])
         traces = []
-        for g, work, src in zip(graphs, scratch, source):
+        for g, buffers, src in zip(graphs, work, source):
             if src is None:
-                traces.append(_batch_trace(g, batch, work))
+                traces.append(_batch_trace(g, batch, buffers))
             else:
                 traces.append(np.conj(traces[src[0]]) if src[1] else traces[src[0]])
         prod = traces[0]
@@ -423,7 +459,27 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng):
             # not in place: numpy's in-place complex multiply rounds a
             # one-element array differently from a longer one
             prod = prod * tr
-        yield prod
+        return prod
+
+    def contract_now(fn, batch):  # one worker: the calling thread contracts, and the loop reads a finished future
+        done = futures.Future()
+        done.set_result(fn(batch))
+        return done
+
+    submit = _pool(workers).submit if workers > 1 else contract_now
+    pending = collections.deque()
+    try:
+        for start in range(0, samples, block):
+            batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
+            pending.append(submit(contract, batch))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:  # on an error or an early close, no contraction outlives the call
+        for future in pending:
+            future.cancel()
+        futures.wait(pending)
 
 
 def _matrix_form(graphs):
@@ -491,7 +547,8 @@ def _spectral_blocks(kind, D, N, samples, rng, rows, lengths):
     the entry variance 1/N^D; Haar rows by 1/Tr(X X^dagger), their sum,
     which divides the product by p_1^(total k).  A block holds as many
     samples as keep the band powers of _power_sums within BATCH_ENTRY_CAP
-    entries.
+    entries.  There is no contraction to hand to workers: the whole path
+    runs in the calling thread at any worker count.
     """
     small = min(rows, D - rows)
     n, m = N**small, N ** (D - small)
@@ -517,15 +574,16 @@ class MCEstimate:
 
 
 def mc_moment(
-    family: GraphFamily, kind: str, N: int, samples: int, seed: int
+    family: GraphFamily, kind: str, N: int, samples: int, seed: int, workers: int = 1
 ) -> MCEstimate:
     """Sample mean of the product of the member traces over fresh draws.
 
     Every sample's value is kept until the end, so the samples are capped
-    like any other array of the run.
+    like any other array of the run.  workers threads contract the blocks
+    (_trace_blocks); the estimate is the same at any worker count.
     """
     _check_kept(samples)
-    vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed))))
+    vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed), workers)))
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).sum() / (samples - 1)) / math.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
@@ -626,6 +684,7 @@ def concentration_experiment(
     seed: int,
     kind: str = "haar",
     kmax: Optional[int] = None,
+    workers: int = 1,
 ) -> ConcentrationReport:
     """Empirical coverage of ||Tr|/(mu N^s) - 1| < epsilon per N.
 
@@ -633,7 +692,9 @@ def concentration_experiment(
     moment.  Assumes the graph satisfies the factorization criterion; the
     coverage trend is reported, not enforced.  epsilon must be finite and
     > 0: at 0 or below every coverage is 0, at infinity every one is 1.
+    workers threads contract the blocks, as in mc_moment.
     """
+    workers = check_workers(workers)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
     Ns = [perms.as_int(n) for n in Ns]
@@ -647,7 +708,7 @@ def concentration_experiment(
     rows = []
     for N in Ns:
         scale = mu * float(N) ** s
-        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]))
+        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]), workers)
         hit = sum(int(np.count_nonzero(np.abs(np.abs(tr) / scale - 1.0) < epsilon)) for tr in blocks)
         rows.append((N, hit / samples))
     envelope = float(np.mean([(1.0 - c) * n for n, c in rows]))
@@ -691,12 +752,15 @@ def entropy_slope_experiment(
     seed: int,
     kind: str = "haar",
     kmax: Optional[int] = None,
+    workers: int = 1,
 ) -> EntropyReport:
     """Fit of the mean entropy against ln N, with its exact reference line.
 
     Each N keeps every sample's value until its mean, so the samples are
-    capped like any other array of the run.
+    capped like any other array of the run.  workers threads contract the
+    blocks, as in mc_moment.
     """
+    workers = check_workers(workers)
     Ns = [perms.as_int(n) for n in Ns]
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
@@ -706,7 +770,7 @@ def entropy_slope_experiment(
     rep = search_f0(G, kmax=kmax, prune=True)
     rows = []
     for N in Ns:
-        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]))
+        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]), workers)
         vals = np.concatenate([-np.log(np.maximum(np.abs(tr), ZERO_FLOOR)) for tr in blocks])
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(samples))

@@ -27,6 +27,7 @@ from . import perms
 from .graphs import ColoredGraph, GraphFamily, component_labels, graph_stats, union_find
 
 DEFAULT_KMAX = 11
+MAX_WORKERS = 64  # the most contraction threads --threads and a sampling call's workers may name
 TABLE_WHITES = 6  # every walk scores this many last whites from a table
 # completions scored per batch of prefixes, 256 KB as int16: 182 prefixes at
 # m = 6, so a pruned walk learns a best score after its first 182 prefixes
@@ -43,6 +44,14 @@ def resolve_kmax(kmax: Optional[int]) -> int:
     if limit < 1:
         raise ValueError("k_max must be >= 1")
     return limit
+
+
+def check_workers(count) -> int:
+    """count as a worker count: an integer (perms.as_int) in 1..MAX_WORKERS, else ValueError."""
+    n = perms.as_int(count)
+    if not 1 <= n <= MAX_WORKERS:
+        raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {n}")
+    return n
 
 
 def _check_budget(k: int, kmax: Optional[int]) -> int:

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread per calling thread, set before numpy loads: criterion 06
+# contracts on two worker threads, and a multithreaded BLAS under each of
+# them oversubscribes the cores (README, "--threads").
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from traceinv import ColoredGraph, build_graph, cyclic, fig7, melonic, search, two_vertex

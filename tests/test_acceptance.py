@@ -292,11 +292,11 @@ def test_criterion_06_exact_vs_monte_carlo():
         poly = gaussian_moment(fam)
         for N in (3, 4, 8):
             exact = float(poly.eval_at(N))
-            est = mc_moment(fam, "gaussian", N, samples, seed=6000 + N)
+            est = mc_moment(fam, "gaussian", N, samples, seed=6000 + N, workers=2)
             if abs(est.mean - exact) > 3 * est.stderr:
                 failures.append((name, N, "gaussian", abs(est.mean - exact) / est.stderr))
             target = float(haar_factor(g.k, g.D, N)) * exact
-            est = mc_moment(fam, "haar", N, samples, seed=7000 + N)
+            est = mc_moment(fam, "haar", N, samples, seed=7000 + N, workers=2)
             if abs(est.mean - target) > 3 * est.stderr:
                 failures.append((name, N, "haar", abs(est.mean - target) / est.stderr))
     _report(6, not failures, f"18 estimates within 3 stderr of exact values {failures or ''}")

@@ -9,8 +9,17 @@ import sys
 import traceinv
 from traceinv import sampling
 
-# the two public keywords kept for callers; both are accepted and ignored
-TAKE_WORKERS = {"traceinv.search.search_f0", "traceinv.moments.decide_factorization"}
+# search_f0 and decide_factorization accept workers for callers and ignore it;
+# the three sampling functions, their loop and its pool contract blocks on that many threads
+TAKE_WORKERS = {
+    "traceinv.search.search_f0",
+    "traceinv.moments.decide_factorization",
+    "traceinv.sampling.mc_moment",
+    "traceinv.sampling.concentration_experiment",
+    "traceinv.sampling.entropy_slope_experiment",
+    "traceinv.sampling._trace_blocks",
+    "traceinv.sampling._pool",
+}
 # (callable, keyword): options fixed at their one value in use, so no longer parameters
 FIXED_OPTIONS = [
     ("traceinv.search.search_f0", "max_optima"),

@@ -167,6 +167,9 @@ def test_bad_draw_config_exits_2_before_any_walk(tmp_path, capsys, monkeypatch, 
         ["joint-realignment", "--D", "4", "--M3", "3", "--links", "[5]"],
         ["cyclic", "--D", "3", "--M", "one", "--k", "3"],
         ["cyclic", "--D", "3", "--M", "1.5", "--k", "3"],
+        # int() reads "1_0" as 10 and "+1" as 1; a color is ASCII digits only
+        ["cyclic", "--D", "11", "--M", "1_0", "--k", "2"],
+        ["cyclic", "--D", "4", "--M", "+1", "--k", "2"],
     ],
 )
 def test_bad_generate_args_exit_2_without_traceback(capsys, argv):
@@ -410,19 +413,67 @@ def test_quenched_N_below_1_exits_2(tmp_path, capsys, N):
     assert err.startswith("error: ") and err.count("\n") == 1 and f"N={N}" in err
 
 
-def test_threads_flag_does_not_change_output(tmp_path, capsys):
+def _write_config(tmp_path, name, **cfg):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_threads_flag_does_not_change_output(tmp_path, capsys, mst3):
     H = fig7()
+    pair, graph = family_of([mst3, conjugate(mst3)]).to_json_dict(), mst3.to_json_dict()
     commands = [
         ["analyze", _write_graph(tmp_path, H)],
         ["factorize", _write_family(tmp_path, [H, conjugate(H)])],
         ["counterexample"],
+        # mst3 draws full tensors, in blocks of 256 samples at N=4 and of 16 at N=8 with one thread
+        ["mc-moment", _write_config(tmp_path, "mc.json", family=pair, N=[4, 8], samples=257, seed=3)],
+        ["concentration", _write_config(tmp_path, "conc.json", graph=graph, N=[4, 8], samples=129, seed=4)],
+        ["entropy-slope", _write_config(tmp_path, "ent.json", graph=graph, N=[3, 4, 8], samples=65, seed=5)],
     ]
     for argv in commands:
         outs = []
-        for extra in ([], ["--threads", "2"]):
+        for extra in ([], ["--threads", "2"], ["--threads", "3"]):
             assert main([*argv, *extra, "--no-timestamp"]) == 0
             outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "65", "1000000", "abc", "2.0", "1_0", "+2", " "])
+def test_threads_outside_1_to_64_exits_2_before_any_work(tmp_path, capsys, monkeypatch, mst3, threads):
+    import threading
+
+    from traceinv import cli
+
+    calls = []
+    for module, name in ((cli, "_read_graphs"), (sampling, "make_rng"), (sampling, "search_f0")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
+    cfg = _write_config(tmp_path, "cfg.json", graph=mst3.to_json_dict(), N=[2, 3, 4], samples=64, seed=1)
+    running = threading.active_count()
+    for argv in (["analyze", "graph.json"], ["generate", "fig7"], ["mc-moment", cfg], ["concentration", cfg],
+                 ["entropy-slope", cfg], ["counterexample", "--format", "pretty"]):
+        assert main([*argv, "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --threads must be an integer from 1 to 64")
+    assert calls == [] and threading.active_count() == running
+
+
+def test_contraction_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch, mst3):
+    real = sampling._batch_trace
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("contraction failed")
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "_batch_trace", failing)
+    cfg = _write_config(tmp_path, "cfg.json", graph=mst3.to_json_dict(), N=8, samples=64, seed=1)
+    assert main(["mc-moment", cfg, "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: contraction failed\n"
 
 
 def test_entropy_slope_command(tmp_path, capsys):

@@ -47,6 +47,36 @@ def test_laurent_json_roundtrip():
     assert LaurentPoly.from_json_dict(data) == p
 
 
+# each of these was truncated by int(): {1.5: 2.7} became {1: 2}, exp 2.9 became 2, " 1_0 " became 10
+@pytest.mark.parametrize("terms", [{1.5: 2.7}, {1: 2.7}, {1.5: 2}, {1: "3"}, {True: 1}, {1: True}])
+def test_laurent_refuses_non_integer_terms(terms):
+    with pytest.raises(ValueError, match="integer"):
+        LaurentPoly(terms)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"exp": 2.9, "coef": "3"},
+        {"exp": "2", "coef": "3"},
+        {"exp": 2, "coef": " 1_0 "},
+        {"exp": 2, "coef": "+3"},
+        {"exp": 2, "coef": " 3"},
+        {"exp": 2, "coef": "3.0"},
+        {"exp": 2, "coef": 3.0},
+        {"exp": 2, "coef": "\u0663"},
+    ],
+)
+def test_laurent_json_refuses_what_int_would_truncate(term):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_dict({"variable": "N", "terms": [term]})
+
+
+def test_laurent_json_reads_integer_and_signed_decimal_coefficients():
+    terms = [{"exp": -3, "coef": "-12"}, {"exp": 0, "coef": 5}, {"exp": 1, "coef": "007"}]
+    assert LaurentPoly.from_json_dict({"terms": terms}) == LaurentPoly({-3: -12, 0: 5, 1: 7})
+
+
 def test_set_partitions_counts():
     # Bell numbers
     for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:

@@ -80,6 +80,25 @@ def test_cycle_string_rejects(text):
         perms.from_cycle_string(3, text)
 
 
+# int() reads each of these as a label: "1_0" as 10, "+1" as 1, "\u0661" (Arabic-Indic one) as 1
+@pytest.mark.parametrize("text", ["(1_0 2)", "(+1 2)", "(\u0661 2)", "(-1 2)", "(1.0 2)"])
+def test_cycle_string_labels_are_ascii_digits(text):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        perms.from_cycle_string(12, text)
+    assert perms.from_cycle_string(12, "( 10 , 2 )") == perms.from_cycle_string(12, "(10 2)")
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), (" 12 ", 12), ("007", 7)])
+def test_from_digits_reads_ascii_digits(text, value):
+    assert perms.from_digits(text) == value
+
+
+@pytest.mark.parametrize("text", ["", " ", "1_0", "+1", "-1", "1.0", "\u0661", "1 0", "0x1"])
+def test_from_digits_refuses_everything_else(text):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        perms.from_digits(text)
+
+
 def test_random_permutation_deterministic():
     a = perms.random_permutation(random.Random(7), 8)
     b = perms.random_permutation(random.Random(7), 8)

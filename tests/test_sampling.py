@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -618,3 +620,118 @@ def test_annealed_validation():
         annealed_coefficients("exponential", 1.0, 0.0, 3, 2)
     with pytest.raises(ValueError):
         annealed_coefficients("cauchy", 1.0, 1.0, 3, 2)
+
+
+# mst3 draws full tensors, and its widest array holds N^4 entries per sample,
+# so a block holds 256, 128 and 85 samples at N=4 with one, two and three
+# workers, and 16, 8 and 5 at N=8: no sample count here fills its last block.
+# One 4097-sample case runs at N=8, since each takes seconds.
+_WORKER_CASES = [
+    (name, kind, N, samples)
+    for name, kind, N in [
+        ("mst3", "gaussian", 4),
+        ("mst3", "haar", 4),
+        ("mst3", "gaussian", 8),
+        ("mst3", "haar", 8),
+        ("pair", "gaussian", 4),
+        ("pair", "haar", 8),
+    ]
+    for samples in (2, 17, 4097)
+    if N == 4 or samples < 4097 or (name, kind) == ("mst3", "gaussian")
+]
+
+
+@pytest.mark.parametrize("name, kind, N, samples", _WORKER_CASES)
+def test_worker_count_does_not_change_the_bytes(mst3, name, kind, N, samples):
+    graphs = [mst3] if name == "mst3" else [mst3, conjugate(mst3)]
+    blocks = [
+        np.concatenate(list(sampling._trace_blocks(graphs, kind, N, samples, make_rng(samples), workers)))
+        for workers in (1, 2, 3)
+    ]
+    assert np.array_equal(blocks[0], blocks[1]) and np.array_equal(blocks[0], blocks[2])
+    ests = [mc_moment(family_of(graphs), kind, N, samples, seed=samples, workers=w) for w in (1, 2, 3)]
+    assert ests[0] == ests[1] == ests[2]
+    assert ests[0].mean == complex(blocks[0].mean())
+
+
+def test_experiments_do_not_depend_on_the_worker_count(mst3):
+    conc = [concentration_experiment(mst3, [4, 8], 0.5, 130, seed=2, workers=w) for w in (1, 2, 3)]
+    slope = [entropy_slope_experiment(mst3, [3, 4, 8], 70, seed=3, workers=w) for w in (1, 2, 3)]
+    assert conc[0] == conc[1] == conc[2] and slope[0] == slope[1] == slope[2]
+
+
+def test_spectral_path_ignores_the_worker_count(cyc2_d3):
+    ests = [mc_moment(family_of([cyc2_d3]), "haar", 8, 300, seed=4, workers=w) for w in (1, 2)]
+    assert ests[0] == ests[1]
+
+
+@pytest.mark.parametrize("workers", [0, -5, 65, 2.0, True, "2", None])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, w: mc_moment(family_of([g]), "gaussian", 4, 10, seed=1, workers=w),
+        lambda g, w: concentration_experiment(g, [4, 8], 0.5, 10, seed=1, workers=w),
+        lambda g, w: entropy_slope_experiment(g, [2, 4, 8], 10, seed=1, workers=w),
+    ],
+    ids=["mc", "concentration", "entropy-slope"],
+)
+def test_bad_worker_counts_are_refused_before_any_draw(monkeypatch, mst3, run, workers):
+    calls = _record_draws(monkeypatch)
+    monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: calls.append("walk"))
+    pools, running = dict(sampling._POOLS), threading.active_count()
+    with pytest.raises(ValueError, match="workers|integer"):
+        run(mst3, workers)
+    assert calls == [] and sampling._POOLS == pools and threading.active_count() == running
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_contraction_error_reaches_the_caller_and_the_next_call_is_unchanged(monkeypatch, mst3, workers):
+    family = family_of([mst3])
+    before = mc_moment(family, "gaussian", 8, 300, seed=6, workers=workers)  # 19 blocks at one worker
+    real, calls, error = sampling._batch_trace, [], ValueError("contraction failed")
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "_batch_trace", failing)
+    with pytest.raises(ValueError) as info:
+        mc_moment(family, "gaussian", 8, 300, seed=6, workers=workers)
+    assert info.value is error
+    monkeypatch.setattr(sampling, "_batch_trace", real)
+    assert mc_moment(family, "gaussian", 8, 300, seed=6, workers=workers) == before
+
+
+def test_repeated_calls_start_no_more_threads(mst3):
+    def run():
+        for workers in (1, 2, 3):
+            mc_moment(family_of([mst3]), "gaussian", 8, 100, seed=7, workers=workers)
+            next(sampling._trace_blocks([mst3], "haar", 8, 100, make_rng(7), workers))  # dropped after one block
+
+    run()
+    running = threading.active_count()
+    for _ in range(5):
+        run()
+    assert threading.active_count() == running
+
+
+def test_more_workers_than_cores_under_fast_thread_switching_give_the_same_bytes(mst3):
+    reference = np.concatenate(list(sampling._trace_blocks([mst3], "gaussian", 8, 500, make_rng(9))))
+    got = []
+
+    def run():
+        for workers in (3, 5):
+            got.append(np.concatenate(list(sampling._trace_blocks([mst3], "gaussian", 8, 500, make_rng(9), workers))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(got) == 2
+    assert all(np.array_equal(reference, values) for values in got)
