@@ -42,7 +42,7 @@ from .search import (
 
 # generate's spec fields and the reader of each option's text (colors comma-separated, 1-based)
 _FIELDS = {
-    **dict.fromkeys(("D", "k", "seed", "delta"), int),
+    **dict.fromkeys(("D", "k", "seed", "delta"), perms.from_decimal),
     **dict.fromkeys(("M", "M1", "M2", "M3"), lambda text: [perms.from_digits(c) for c in text.split(",") if c.strip()]),
     "script": json.loads,  # [[color, white], ...], 1-based
     "links": json.loads,  # [[color, ...], ...], 1-based
@@ -51,7 +51,7 @@ _FIELDS = {
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kmax", type=int, default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
+    common.add_argument("--kmax", type=perms.from_decimal, default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
     common.add_argument(
         "--threads",
         default="1",
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[common], help="build a named family graph")
     p.add_argument("kind", help=", ".join(kind.replace("_", "-") for kind in families.KINDS))
-    for name, read in _FIELDS.items():
-        p.add_argument(f"--{name}", type=int if read is int else str)
+    for name in _FIELDS:
+        p.add_argument(f"--{name}")
 
     p = sub.add_parser("moment", parents=[common], help="exact Gaussian moment in N")
     p.add_argument("family", help="family (or graph) JSON file")
@@ -104,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quenched", parents=[common], help="quenched entropy of a conjugate pair")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=perms.from_decimal, required=True)
 
     p = sub.add_parser("annealed", parents=[common], help="annealed entropy coefficients")
     p.add_argument("--regime", choices=["exponential", "gamma"], required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--D", type=perms.from_decimal, required=True)
+    p.add_argument("--k", type=perms.from_decimal, required=True)
 
     sub.add_parser("counterexample", parents=[common], help="reproduce the non-factorizing pair")
     return parser
@@ -394,9 +394,9 @@ _COMMANDS = {
 
 
 def _read_threads(text) -> int:
-    """--threads as a worker count: ASCII digits naming 1 to MAX_WORKERS, read on every command."""
+    """--threads as a worker count: an integer (perms.from_decimal) from 1 to MAX_WORKERS, read on every command."""
     try:
-        return check_workers(perms.from_digits(text))
+        return check_workers(perms.from_decimal(text))
     except ValueError:
         raise ValueError(f"--threads must be an integer from 1 to {MAX_WORKERS}, got {text!r}") from None
 

@@ -10,7 +10,6 @@ Factorization verdicts need only F0 maxima, so they use the pruned walk.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -39,10 +38,8 @@ PMAX = 5  # most members whose partition lattice is walked
 
 
 def _coefficient(value) -> int:
-    """A JSON coefficient: an integer (perms.as_int), or ASCII digits with an optional minus sign."""
-    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-        return int(value)
-    return perms.as_int(value)
+    """A JSON coefficient: an integer (perms.as_int), or a string of one (perms.from_decimal)."""
+    return perms.from_decimal(value) if isinstance(value, str) else perms.as_int(value)
 
 
 class LaurentPoly:

@@ -22,6 +22,13 @@ def as_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def from_decimal(text: str) -> int:
+    """An integer in ASCII digits with an optional leading minus; spaces, a plus, underscores and the rest are refused."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected ASCII digits with an optional leading minus, got {text!r}")
+    return int(text)
+
+
 def from_digits(text: str) -> int:
     """A count or label in ASCII digits, surrounding spaces stripped; signs, underscores and the rest are refused."""
     body = text.strip()

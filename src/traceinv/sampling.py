@@ -8,9 +8,9 @@ Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
 draws a block of samples small enough to stay in cache, contracts it with
 each graph's compiled plan, and hands the block's trace values back.
 There is no per-sample entry point: ``mc_moment`` and the experiments are
-the public paths, and a single sample is a block of one.  With
-``workers`` > 1 the calling thread still draws every block, in order,
-from the one generator, and a process-wide pool of that many threads
+the public paths, and a single sample is a block of one.  The calling
+thread draws every block, in order, from the one generator, and a pool of
+``workers`` threads, opened for the call and shut down when it ends,
 contracts them (numpy's matmul releases the GIL), each on its own scratch
 arrays; the blocks come back in order.  A sample's value does not depend
 on its block, so a seed gives the same bytes at any worker count.
@@ -72,11 +72,6 @@ DEFAULT_TRACE_CAP = 2**26  # complex entries per sample in the draw and in any i
 BATCH_ENTRY_CAP = 2**16  # complex entries per array a block of samples holds (1 MiB)
 ZERO_FLOOR = 1e-300  # |Tr| below this counts as a zero of the invariant
 EULER_GAMMA = 0.5772156649015328606
-
-# worker count -> the process's pool of that many contraction threads (_pool)
-_POOLS = {}
-_POOLS_LOCK = threading.Lock()
-
 
 class MemoryCapError(ValueError):
     """Raised when a contraction would exceed the configured memory cap."""
@@ -394,17 +389,6 @@ def _check_kept(samples: int):
         )
 
 
-def _pool(workers: int):
-    """The process's pool of `workers` contraction threads, made on its first use."""
-    from concurrent import futures
-
-    with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            pool = _POOLS[workers] = futures.ThreadPoolExecutor(workers, thread_name_prefix="traceinv-contract")
-        return pool
-
-
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1):
     """Product of the graphs' traces on `samples` fresh draws, one block at a time.
 
@@ -413,16 +397,16 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
     complex entries (at least one sample), so all workers together hold
     what one block holds and it is drawn and contracted in cache.  The
     calling thread draws every block in order from rng, so the draws depend
-    only on rng, not on the block size or on workers.  With workers > 1 the
-    contractions run on _pool(workers), each thread on its own scratch set,
-    with at most workers + 1 blocks drawn and not yet yielded; blocks are
-    yielded in order, and an error in a contraction is raised here.  With
-    workers = 1 the calling thread contracts each block itself.  A sample's
-    value does not depend on its block, so the values are the same at any
-    worker count.  _check_draws refuses what cannot be drawn before the
-    first draw.  Graphs that are all matrix-like for one color split take
-    the spectral path (_spectral_blocks), which has no contraction: workers
-    does not change it.
+    only on rng, not on the block size or on workers.  A pool of workers
+    threads, opened here, contracts them, each thread on its own scratch
+    set, with at most workers + 1 blocks drawn and not yet yielded; blocks
+    are yielded in order, and an error in a contraction is raised here.
+    The pool is shut down when the call returns, raises or is closed, so no
+    thread outlives it.  A sample's value does not depend on its block, so
+    the values are the same at any worker count.  _check_draws refuses what
+    cannot be drawn before the first draw.  Graphs that are all matrix-like
+    for one color split take the spectral path (_spectral_blocks), which
+    has no contraction and opens no pool: workers does not change it.
     """
     workers = check_workers(workers)
     form = _check_draws(graphs, kind, N, samples)
@@ -461,25 +445,18 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
             prod = prod * tr
         return prod
 
-    def contract_now(fn, batch):  # one worker: the calling thread contracts, and the loop reads a finished future
-        done = futures.Future()
-        done.set_result(fn(batch))
-        return done
-
-    submit = _pool(workers).submit if workers > 1 else contract_now
+    pool = futures.ThreadPoolExecutor(workers, thread_name_prefix="traceinv-contract")
     pending = collections.deque()
     try:
         for start in range(0, samples, block):
             batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
-            pending.append(submit(contract, batch))
+            pending.append(pool.submit(contract, batch))
             if len(pending) > workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-    finally:  # on an error or an early close, no contraction outlives the call
-        for future in pending:
-            future.cancel()
-        futures.wait(pending)
+    finally:  # on an error or an early close, the queued blocks are dropped and the running ones finish
+        pool.shutdown(cancel_futures=True)
 
 
 def _matrix_form(graphs):
@@ -578,10 +555,12 @@ def mc_moment(
 ) -> MCEstimate:
     """Sample mean of the product of the member traces over fresh draws.
 
-    Every sample's value is kept until the end, so the samples are capped
-    like any other array of the run.  workers threads contract the blocks
-    (_trace_blocks); the estimate is the same at any worker count.
+    N and samples are integers (perms.as_int).  Every sample's value is
+    kept until the end, so the samples are capped like any other array of
+    the run.  workers threads contract the blocks (_trace_blocks); the
+    estimate is the same at any worker count.
     """
+    N, samples = perms.as_int(N), perms.as_int(samples)
     _check_kept(samples)
     vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed), workers)))
     mean = complex(vals.mean())
@@ -601,7 +580,9 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None) -> Que
     Exact when the pair fits in the enumeration budget; for larger
     maximally single-trace graphs only the leading ln N coefficient is
     available (the subleading constant needs the connected multiplicity).
+    N is an integer (perms.as_int).
     """
+    N = perms.as_int(N)
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
     limit = resolve_kmax(kmax)
@@ -697,7 +678,7 @@ def concentration_experiment(
     workers = check_workers(workers)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
-    Ns = [perms.as_int(n) for n in Ns]
+    Ns, samples = [perms.as_int(n) for n in Ns], perms.as_int(samples)
     if not Ns:
         raise ValueError("need at least one value of N")
     for N in Ns:  # before the walk, which can take far longer than a refusal
@@ -761,7 +742,7 @@ def entropy_slope_experiment(
     blocks, as in mc_moment.
     """
     workers = check_workers(workers)
-    Ns = [perms.as_int(n) for n in Ns]
+    Ns, samples = [perms.as_int(n) for n in Ns], perms.as_int(samples)
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
     for N in Ns:  # before the walk, which can take far longer than a refusal

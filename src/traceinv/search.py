@@ -39,8 +39,8 @@ class BudgetError(ValueError):
 
 
 def resolve_kmax(kmax: Optional[int]) -> int:
-    """The enumeration budget a kmax argument names: DEFAULT_KMAX for None, refused below 1."""
-    limit = DEFAULT_KMAX if kmax is None else int(kmax)
+    """The enumeration budget a kmax argument names: DEFAULT_KMAX for None, else an integer (perms.as_int) of at least 1."""
+    limit = DEFAULT_KMAX if kmax is None else perms.as_int(kmax)
     if limit < 1:
         raise ValueError("k_max must be >= 1")
     return limit

@@ -10,7 +10,7 @@ import traceinv
 from traceinv import sampling
 
 # search_f0 and decide_factorization accept workers for callers and ignore it;
-# the three sampling functions, their loop and its pool contract blocks on that many threads
+# the three sampling functions and their loop contract blocks on that many threads
 TAKE_WORKERS = {
     "traceinv.search.search_f0",
     "traceinv.moments.decide_factorization",
@@ -18,7 +18,6 @@ TAKE_WORKERS = {
     "traceinv.sampling.concentration_experiment",
     "traceinv.sampling.entropy_slope_experiment",
     "traceinv.sampling._trace_blocks",
-    "traceinv.sampling._pool",
 }
 # (callable, keyword): options fixed at their one value in use, so no longer parameters
 FIXED_OPTIONS = [
@@ -30,7 +29,11 @@ FIXED_OPTIONS = [
     ("traceinv.moments.factorization_verdict", "pmax"),
 ]
 # the per-sample API: every sampled question goes through mc_moment or an experiment
-REMOVED = ["DenseTensor", "sample_tensor", "evaluate_trace", "renyi_entropy", "regularized_entropy", "sphere_min_sample"]
+REMOVED = [
+    "DenseTensor", "sample_tensor", "evaluate_trace", "renyi_entropy", "regularized_entropy", "sphere_min_sample",
+    # the process-wide contraction pools: each Monte Carlo call opens and shuts its own
+    "_pool", "_POOLS",
+]
 
 
 def _defined_callables():

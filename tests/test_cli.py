@@ -178,6 +178,33 @@ def test_bad_generate_args_exit_2_without_traceback(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # int() reads "1_0" as 10, "+2" as 2, " 3" as 3 and "\u0663" (Arabic-Indic three) as 3
+        ["generate", "cyclic", "--D", "1_0", "--M", "1", "--k", "2"],
+        ["generate", "cyclic", "--D", "3", "--M", "1", "--k", "+2"],
+        ["generate", "random", "--D", "3", "--k", "2", "--seed", "1.0"],
+        ["generate", "with-delta", "--D", " 4", "--delta", "2"],
+        ["generate", "with-delta", "--D", "4", "--delta", "\u0663"],
+        ["analyze", "graph.json", "--kmax", "+9"],
+        ["generate", "fig7", "--kmax", "9_0"],
+        ["quenched", "graph.json", "--N", "4.0"],
+        ["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "2", "--D", "3", "--k", "2 "],
+        ["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "2", "--D", "0x3", "--k", "2"],
+    ],
+)
+def test_integer_options_other_than_signed_ascii_digits_exit_2(tmp_path, capsys, argv):
+    graph = _write_graph(tmp_path, two_vertex(3))
+    code, out, err = _run_main([graph if a == "graph.json" else a for a in argv] + ["--no-timestamp"], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_negative_seed_is_read(capsys):
+    assert main(["generate", "random", "--D", "3", "--k", "4", "--seed", "-1", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out) == random_graph(3, 4, seed=-1).to_json_dict()
+
+
 def test_comma_separated_colors_parse(capsys):
     assert main(["generate", "cyclic", "--D", "4", "--M", " 1, 2,", "--k", "3", "--no-timestamp"]) == 0
     assert json.loads(capsys.readouterr().out) == cyclic(4, {0, 1}, 3).to_json_dict()

@@ -103,3 +103,14 @@ def test_random_permutation_deterministic():
     a = perms.random_permutation(random.Random(7), 8)
     b = perms.random_permutation(random.Random(7), 8)
     assert a == b
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-12", -12), ("007", 7), ("-0", 0)])
+def test_from_decimal_reads_signed_ascii_digits(text, value):
+    assert perms.from_decimal(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "--1", " 1", "1 ", "1\n", "1_0", "+1", "1.0", "\u0661", "0x1"])
+def test_from_decimal_refuses_everything_else(text):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        perms.from_decimal(text)

@@ -366,11 +366,20 @@ def test_spectral_path_matches_full_draw(name, graphs, N, kind):
         lambda g: concentration_experiment(g, [4, 8], 0.5, -3, seed=1),
         lambda g: concentration_experiment(g, [1, 8], 0.5, 10, seed=1),
         lambda g: entropy_slope_experiment(g, [2, 4, 8], 1, seed=1),
+        # N and samples are integers: a float, even a whole one, or a string is refused, not compared
+        lambda g: mc_moment(family_of([g]), "gaussian", 4.0, 100, seed=1),
+        lambda g: mc_moment(family_of([g]), "gaussian", 4.5, 100, seed=1),
+        lambda g: mc_moment(family_of([g]), "gaussian", 4, 2.5, seed=1),
+        lambda g: mc_moment(family_of([g]), "gaussian", 4, "100", seed=1),
+        lambda g: mc_moment(family_of([g]), "gaussian", True, 100, seed=1),
     ],
-    ids=["mc-1-sample", "mc-N1", "conc-0-samples", "conc-neg-samples", "conc-N1", "slope-1-sample"],
+    ids=[
+        "mc-1-sample", "mc-N1", "conc-0-samples", "conc-neg-samples", "conc-N1", "slope-1-sample",
+        "mc-whole-float-N", "mc-float-N", "mc-float-samples", "mc-str-samples", "mc-bool-N",
+    ],
 )
 def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
-    with pytest.raises(ValueError, match="need"):
+    with pytest.raises(ValueError, match="need|integer"):
         run(cyc2_d3)
 
 
@@ -391,11 +400,14 @@ def test_sampling_loop_rejects_degenerate_inputs(cyc2_d3, run):
         lambda g: concentration_experiment(g, [4, "8"], 0.5, 10, seed=1),
         lambda g: entropy_slope_experiment(g, [2, 4, 8.5], 10, seed=1),
         lambda g: entropy_slope_experiment(g, [2, True, 8], 10, seed=1),
+        lambda g: concentration_experiment(g, [4, 8], 0.5, 2.5, seed=1),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8], 10.0, seed=1),
     ],
     ids=[
         "conc-1-sample", "conc-N1", "conc-kind", "conc-over-cap", "conc-no-N",
         "slope-1-sample", "slope-N1", "slope-kind", "slope-over-cap-samples",
         "conc-float-N", "conc-str-N", "slope-float-N", "slope-bool-N",
+        "conc-float-samples", "slope-whole-float-samples",
     ],
 )
 def test_experiments_refuse_bad_draws_before_the_walk(monkeypatch, cyc2_d3, run):
@@ -407,8 +419,10 @@ def test_experiments_refuse_bad_draws_before_the_walk(monkeypatch, cyc2_d3, run)
 
 
 def test_experiments_take_numpy_integer_N(cyc2_d3):
-    a = concentration_experiment(cyc2_d3, [np.int64(4)], 0.5, 20, seed=1)
+    a = concentration_experiment(cyc2_d3, [np.int64(4)], 0.5, np.int64(20), seed=1)
     assert a == concentration_experiment(cyc2_d3, [4], 0.5, 20, seed=1) and type(a.rows[0][0]) is int
+    est = mc_moment(family_of([cyc2_d3]), "gaussian", np.int64(4), np.int32(20), seed=1)
+    assert est == mc_moment(family_of([cyc2_d3]), "gaussian", 4, 20, seed=1) and type(est.samples) is int
 
 
 def _seeded_results(mst3, cyc):
@@ -607,9 +621,9 @@ def test_annealed_refuses_non_finite_and_degenerate_inputs(mu_c, Lambda, D, k):
         annealed_coefficients("exponential", mu_c, Lambda, D, k)
 
 
-@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("N", [0, -1, 4.5, 4.0, True])  # an N that is not an integer is refused, not evaluated
 def test_quenched_refuses_N_below_1(twov3, N):
-    with pytest.raises(ValueError, match=f"N={N}"):
+    with pytest.raises(ValueError, match=f"N={N}|integer"):
         quenched_entropy(twov3, N)
 
 
@@ -678,10 +692,10 @@ def test_spectral_path_ignores_the_worker_count(cyc2_d3):
 def test_bad_worker_counts_are_refused_before_any_draw(monkeypatch, mst3, run, workers):
     calls = _record_draws(monkeypatch)
     monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: calls.append("walk"))
-    pools, running = dict(sampling._POOLS), threading.active_count()
+    running = threading.active_count()
     with pytest.raises(ValueError, match="workers|integer"):
         run(mst3, workers)
-    assert calls == [] and sampling._POOLS == pools and threading.active_count() == running
+    assert calls == [] and threading.active_count() == running
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -704,17 +718,31 @@ def test_contraction_error_reaches_the_caller_and_the_next_call_is_unchanged(mon
     assert mc_moment(family, "gaussian", 8, 300, seed=6, workers=workers) == before
 
 
-def test_repeated_calls_start_no_more_threads(mst3):
-    def run():
-        for workers in (1, 2, 3):
-            mc_moment(family_of([mst3]), "gaussian", 8, 100, seed=7, workers=workers)
-            next(sampling._trace_blocks([mst3], "haar", 8, 100, make_rng(7), workers))  # dropped after one block
+def test_repeated_calls_start_no_more_threads(monkeypatch, mst3):
+    # each call's pool is shut down however the call ends: no contraction thread is left
+    real, calls = sampling._batch_trace, []
 
-    run()
+    def failing(*args):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            raise ValueError("contraction failed")
+        return real(*args)
+
     running = threading.active_count()
-    for _ in range(5):
-        run()
-    assert threading.active_count() == running
+    for end in ("complete", "closed", "failed"):
+        monkeypatch.setattr(sampling, "_batch_trace", failing if end == "failed" else real)
+        for workers in (1, 2, 3, 1, 2, 3):
+            blocks = sampling._trace_blocks([mst3], "gaussian", 8, 300, make_rng(7), workers)
+            if end == "complete":
+                assert sum(len(b) for b in blocks) == 300
+            elif end == "closed":
+                next(blocks)
+                blocks.close()
+            else:
+                with pytest.raises(ValueError, match="contraction failed"):
+                    list(blocks)
+            assert threading.active_count() == running
+            assert not [t for t in threading.enumerate() if t.name.startswith("traceinv-contract")]
 
 
 def test_more_workers_than_cores_under_fast_thread_switching_give_the_same_bytes(mst3):

@@ -82,7 +82,8 @@ def test_search_budget_refusal():
         search_f0(random_graph(3, 5, seed=1), kmax=4)
 
 
-@pytest.mark.parametrize("kmax", [0, -1])
+# a budget is an integer: int() would read 2.9 as 2 and True as 1
+@pytest.mark.parametrize("kmax", [0, -1, 2.9, True, "9"])
 @pytest.mark.parametrize(
     "call",
     [
@@ -96,7 +97,7 @@ def test_search_budget_refusal():
     ids=["search_f0", "build_with_delta", "quenched_entropy", "prop32_scaling_check", "decide_factorization"],
 )
 def test_budget_below_one_is_refused_everywhere(call, kmax):
-    with pytest.raises(ValueError, match="k_max must be >= 1"):
+    with pytest.raises(ValueError, match="k_max must be >= 1|expected an integer"):
         call(kmax)
 
 
