@@ -238,14 +238,16 @@ _EXPERIMENTS = {
 
 
 def _experiment_config(path, command, kmax) -> tuple:
-    """(family, kind, Ns, samples, seed, epsilon), validated, from an experiment config file.
+    """(family, kind, Ns, samples, seed, epsilon) from an experiment config file.
 
     'seed', 'samples', 'N' and a 'graph' or 'family' are required; 'N' is
-    one integer or a list of them.  'kind' defaults to the command's kind;
+    one value or a list of them.  'kind' defaults to the command's kind;
     'epsilon', read by concentration only, to 0.5 (None for the others).
     Any other key is refused, as are a 'graph' and a 'family' together, and
     a family of more than one member for a single-graph command; a graph
-    declaring k over kmax is refused before it is built.
+    declaring k over kmax is refused before it is built.  Ns, samples, seed
+    and kind are returned as given: sampling._read_run reads and refuses
+    them, before any walk or draw.
     """
     default_kind, single_graph, reads_epsilon = _EXPERIMENTS[command]
     cfg = _load_json(path)
@@ -271,21 +273,13 @@ def _experiment_config(path, command, kmax) -> tuple:
     if single_graph and family.p != 1:
         raise ValueError("this experiment runs on a single graph")
     Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    if not Ns or not all(is_int(n) for n in Ns):
-        raise ValueError(f"'N' must be an integer or a non-empty list of integers, got {cfg['N']!r}")
-    for key in ("samples", "seed"):
-        if not is_int(cfg[key]):
-            raise ValueError(f"{key!r} must be an integer, got {cfg[key]!r}")
-    kind = cfg.get("kind", default_kind)
-    if kind not in ("gaussian", "haar"):
-        raise ValueError(f"'kind' must be \"gaussian\" or \"haar\", got {kind!r}")
     epsilon = None
     if reads_epsilon:
         epsilon = cfg.get("epsilon", 0.5)
         if not (is_int(epsilon) or isinstance(epsilon, float)):
             raise ValueError(f"'epsilon' must be a number, got {epsilon!r}")
         epsilon = float(epsilon)
-    return family, kind, Ns, cfg["samples"], cfg["seed"], epsilon
+    return family, cfg.get("kind", default_kind), Ns, cfg["samples"], cfg["seed"], epsilon
 
 
 def _cmd_mc_moment(args) -> tuple:
@@ -293,9 +287,7 @@ def _cmd_mc_moment(args) -> tuple:
 
     family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
     # every N is checked before the first one is sampled, as the experiments do
-    sampling._check_kept(samples)
-    for N in Ns:
-        sampling._check_draws(family.graphs(), kind, N, samples)
+    Ns, samples, seed = sampling._read_run(family.graphs(), kind, Ns, samples, seed)
     rows = []
     for N in Ns:
         est = sampling.mc_moment(family, kind, N, samples, seed, workers=args.threads)

@@ -25,6 +25,9 @@ class ColoredGraph:
     sigma: tuple  # D permutations, white label -> black label
 
     def __post_init__(self):
+        # JSON writes D and k as given, and graph_from_json_dict reads back only integers
+        for field in ("D", "k"):
+            object.__setattr__(self, field, perms.as_int(getattr(self, field), field))
         if self.D < 2:
             raise ValueError(f"need at least 2 colors, got D={self.D}")
         if self.k < 1:

@@ -150,27 +150,20 @@ class LaurentPoly:
 
 
 def set_partitions(n: int):
-    """All partitions of {0..n-1} via restricted growth strings."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
+    """All partitions of {0..n-1}, blocks in order of their first element.
 
-    def emit():
-        blocks = {}
-        for i, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(i)
-        return tuple(tuple(blocks[b]) for b in sorted(blocks))
-
-    def rec(i, m):
+    Element i joins each block of a partition of {0..i-1} in turn, then a
+    block of its own: the order of restricted growth strings.
+    """
+    def rec(i, blocks):
         if i == n:
-            yield emit()
+            yield tuple(tuple(b) for b in blocks)
             return
-        for b in range(m + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(m, b))
+        for j in range(len(blocks)):
+            yield from rec(i + 1, blocks[:j] + [blocks[j] + [i]] + blocks[j + 1:])
+        yield from rec(i + 1, blocks + [[i]])
 
-    yield from rec(1, 0)
+    yield from rec(0, [])
 
 
 def _wick_sum(family: GraphFamily, connected: bool, kmax) -> LaurentPoly:
@@ -218,7 +211,8 @@ def cumulant_consistency(family: GraphFamily, kmax: Optional[int] = None) -> Lau
 
 
 def haar_factor(k: int, D: int, N: int) -> Fraction:
-    """Exact ratio between Haar and Gaussian single-invariant expectations."""
+    """Exact ratio between Haar and Gaussian single-invariant expectations; k, D and N are integers (perms.as_int)."""
+    k, D, N = perms.as_int(k, "k"), perms.as_int(D, "D"), perms.as_int(N, "N")
     if N < 1:
         raise ValueError("need N >= 1")
     if k < 0:
@@ -324,8 +318,9 @@ def limit_moments_prop34(mu_c, p: int, regime: str) -> dict:
     gamma: the half-integer shape law of the degenerate case,
     Gamma(1/2, scale 2 mu_c).  Both have mean mu_c; annealed_coefficients
     reads the gamma regime's mu_c as a scale instead, a law of mean mu_c/2.
-    Exact in Fraction arithmetic.
+    Exact in Fraction arithmetic; p is an integer (perms.as_int).
     """
+    p = perms.as_int(p, "p")
     if p < 1:
         raise ValueError("order p must be >= 1")
     mu = Fraction(mu_c)

@@ -12,14 +12,17 @@ import random
 import re
 
 
-def as_int(value) -> int:
-    """value as an int, by operator.index: numpy integers pass; bool, floats and strings are refused."""
+def as_int(value, field=None) -> int:
+    """value as an int, by operator.index: numpy integers pass; bool, floats and strings are refused.
+
+    A refusal names the field when one is given ("samples must be an integer, got True").
+    """
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"expected an integer, got {value!r}")
+    raise ValueError(f"{field} must be an integer, got {value!r}" if field else f"expected an integer, got {value!r}")
 
 
 def from_decimal(text: str) -> int:

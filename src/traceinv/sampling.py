@@ -87,14 +87,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _read_seed(seed) -> int:
-    """seed as an int (perms.as_int), refused when negative, as numpy's generators refuse it."""
-    seed = perms.as_int(seed)
-    if seed < 0:
-        raise ValueError(f"need a seed >= 0, got {seed}")
-    return seed
-
-
 def _draw_batch(kind, D, N, count, rng) -> np.ndarray:
     """count tensors, shape (count,) + (N,)*D; one RNG row per sample.  _trace_blocks checks kind."""
     m = N**D
@@ -279,40 +271,36 @@ def _conjugates(steps, first):
 
     Every white vertex is T and every black one conj(T), so a vertex's
     conjugate is the other kind, its axes unchanged, and a step's
-    conjugate contracts its operands' conjugates at the matching axes: the
-    step's structure (_structure) with ids 0 and 1 swapped, recursively.
-    When that structure is step m's, conj(X_n) = X_m.transpose(q); a step
-    whose conjugate is not made has no entry.  This is read from the
-    structures alone: nothing is computed.
+    conjugate contracts its operands' conjugates at the matching axes.
+    Each operand's conjugate is read as (structure id, its labels at that
+    structure's axes), and _structure of the two readings names the
+    conjugate's structure.  When that is step m's, conj(X_n) =
+    X_m.transpose(q); a step whose conjugate is not made has no entry.
+    This is read from the structures alone: nothing is computed.
     """
     def sid(r):  # structure ids as _tree numbers them
         return r % 2 if r < first else r - first + 2
 
-    def shared(lab_a, lab_b):
-        return tuple((p, lab_b.index(l)) for p, l in enumerate(lab_a) if l in lab_b)
+    made = {_structure((sid(a), la), (sid(b), lb))[0]: n for n, (a, b, la, lb, _) in enumerate(steps)}
+    found = {}
 
-    if not steps:
-        return {}
-    made = {(sid(a), sid(b), shared(la, lb)): n for n, (a, b, la, lb, _) in enumerate(steps)}
-    same = tuple(range(len(steps[0][2])))  # the first step contracts two vertices
-    conj = {0: (1, same), 1: (0, same)}  # structure id -> (id of its conjugate, q)
-    for n, (a, b, la, lb, _) in enumerate(steps):
-        if sid(a) not in conj or sid(b) not in conj:
-            continue
-        (ia, qa), (ib, qb) = conj[sid(a)], conj[sid(b)]
-        pairs = tuple(sorted((qa[p], qb[q]) for p, q in shared(la, lb)))
-        flipped = tuple(sorted((q, p) for p, q in pairs))
-        swap = (ib, ia, flipped) < (ia, ib, pairs)
-        m = made.get((ib, ia, flipped) if swap else (ia, ib, pairs))
-        if m is None:
-            continue
-        kept = [qa[p] for p, l in enumerate(la) if l not in lb], [qb[p] for p, l in enumerate(lb) if l not in la]
-        # conj(X_n)'s axes are a's kept ones, then b's; step m's are its
-        # first operand's kept axes in order, then its second's
-        axes = [(s, p) for s in (0, 1) for p in kept[s]]
-        order = [(s, p) for s in ((1, 0) if swap else (0, 1)) for p in sorted(kept[s])]
-        conj[n + 2] = (m + 2, tuple(order.index(x) for x in axes))
-    return {i - 2: (m - 2, q) for i, (m, q) in conj.items() if i >= 2}
+    def reading(r, labels):  # conj(X_r) as (structure id, labels at its axes), or None when not made
+        if r < first:
+            return 1 - r % 2, labels
+        if r - first in found:
+            m, q = found[r - first]
+            return m + 2, tuple(l for _, l in sorted(zip(q, labels)))
+        return None
+
+    for n, (a, b, la, lb, out) in enumerate(steps):
+        ra, rb = reading(a, la), reading(b, lb)
+        if ra and rb:
+            struct, x, y = _structure(ra, rb)
+            if struct in made:
+                # step m's axes are its first operand's kept labels, then its second's
+                axes = [l for l in x[1] + y[1] if l in out]
+                found[n] = (made[struct], tuple(axes.index(l) for l in out))
+    return found
 
 
 def _find_cube(steps, first):
@@ -516,6 +504,25 @@ def _check_kept(samples: int):
         )
 
 
+def _read_run(graphs, kind: str, Ns, samples: int, seed: int):
+    """(Ns, samples, seed) of a Monte Carlo run, read and refused before any walk or draw.
+
+    Each value is an integer (perms.as_int), and a refusal names its
+    field; Ns is not empty, every N passes _check_draws (samples, N, kind
+    and the memory cap), and the seed is >= 0, as numpy's generators need.  The workers and the cap on kept
+    values (_check_kept) are the callers' to check.
+    """
+    Ns = [perms.as_int(N, "N") for N in Ns]
+    samples, seed = perms.as_int(samples, "samples"), perms.as_int(seed, "seed")
+    if not Ns:
+        raise ValueError("need at least one value of N")
+    for N in Ns:
+        _check_draws(graphs, kind, N, samples)
+    if seed < 0:
+        raise ValueError(f"need a seed >= 0, got {seed}")
+    return Ns, samples, seed
+
+
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1):
     """Product of the graphs' traces on `samples` fresh draws, one block at a time.
 
@@ -682,14 +689,13 @@ def mc_moment(
 ) -> MCEstimate:
     """Sample mean of the product of the member traces over fresh draws.
 
-    N, samples and seed are integers (perms.as_int), the seed >= 0.  Every
-    sample's value is kept until the end, so the samples are capped like
-    any other array of the run.  workers threads contract the blocks
-    (_trace_blocks); the estimate is the same at any worker count.
+    N, samples and seed are read by _read_run.  Every sample's value is
+    kept until the end, so the samples are capped like any other array of
+    the run.  workers threads contract the blocks (_trace_blocks); the
+    estimate is the same at any worker count.
     """
-    N, samples = perms.as_int(N), perms.as_int(samples)
+    (N,), samples, seed = _read_run(family.graphs(), kind, [N], samples, seed)
     _check_kept(samples)
-    seed = _read_seed(seed)
     vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed), workers)))
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).sum() / (samples - 1)) / math.sqrt(samples))
@@ -807,12 +813,8 @@ def concentration_experiment(
     workers = check_workers(workers)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
-    Ns, samples = [perms.as_int(n) for n in Ns], perms.as_int(samples)
-    if not Ns:
-        raise ValueError("need at least one value of N")
-    for N in Ns:  # before the walk, which can take far longer than a refusal
-        _check_draws([G], kind, N, samples)
-    seed = _read_seed(seed)
+    # before the walk, which can take far longer than a refusal
+    Ns, samples, seed = _read_run([G], kind, Ns, samples, seed)
     rep = search_f0(G, kmax=kmax, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity
@@ -872,13 +874,11 @@ def entropy_slope_experiment(
     read, and workers threads contract the blocks, as in mc_moment.
     """
     workers = check_workers(workers)
-    Ns, samples = [perms.as_int(n) for n in Ns], perms.as_int(samples)
+    # before the walk, which can take far longer than a refusal
+    Ns, samples, seed = _read_run([G], kind, Ns, samples, seed)
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
-    for N in Ns:  # before the walk, which can take far longer than a refusal
-        _check_draws([G], kind, N, samples)
     _check_kept(samples)
-    seed = _read_seed(seed)
     rep = search_f0(G, kmax=kmax, prune=True)
     rows = []
     for N in Ns:
@@ -942,8 +942,10 @@ def annealed_coefficients(
     and their Lambda -> infinity limits are alpha_inf = Dk/2 and
     beta_inf = -1/2 (ln mu_c + digamma(s)).  E[ln max(U, c)] is one
     quadrature on the unit scale: digamma(s) + int_0^c P(s, u)/u du for
-    c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.
+    c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.  D and k are
+    integers (perms.as_int).
     """
+    D, k = perms.as_int(D, "D"), perms.as_int(k, "k")
     mu = float(mu_c)
     if not math.isfinite(mu) or mu <= 0:
         raise ValueError(f"need a finite mu_c > 0, got {mu_c!r}")

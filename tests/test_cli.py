@@ -159,6 +159,32 @@ def test_bad_draw_config_exits_2_before_any_walk(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
+    "command, entries, message",
+    [
+        ("mc-moment", {"samples": True}, "samples must be an integer, got True"),
+        ("mc-moment", {"N": [2, "3"]}, "N must be an integer, got '3'"),
+        ("concentration", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("entropy-slope", {"N": 4.0}, "N must be an integer, got 4.0"),
+    ],
+)
+def test_integer_refusals_name_their_field(tmp_path, capsys, command, entries, message):
+    cfg = {"graph": cyclic(3, {0}, 2).to_json_dict(), "N": [2, 3, 4], "samples": 10, "seed": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, **entries)))
+    code, out, err = _run_main([command, str(path)], capsys)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_mc_moment_empty_N_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, mst3):
+    draws = []
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: draws.append(a))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"graph": mst3.to_json_dict(), "N": [], "samples": 10, "seed": 1}))
+    code, out, err = _run_main(["mc-moment", str(path)], capsys)
+    assert code == 2 and out == "" and err == "error: need at least one value of N\n" and draws == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["melonic", "--D", "3", "--script", "[1]"],

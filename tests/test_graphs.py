@@ -4,6 +4,7 @@ import random
 import pytest
 
 from traceinv import (
+    ColoredGraph,
     boundary_graph,
     build_graph,
     conjugate,
@@ -320,6 +321,23 @@ def test_is_int_is_the_rule_of_check_perm():
         assert is_int(value)
     for value in (True, np.True_, 3.0, 3.7, "3", None, [3]):
         assert not is_int(value)
+
+
+@pytest.mark.parametrize("field", ["D", "k"])
+@pytest.mark.parametrize("value", [3.0, True, "3"])
+def test_colored_graph_refuses_non_integer_D_and_k(field, value):
+    fields = {"D": 3, "k": 3, "sigma": ((0, 1, 2),) * 3, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ColoredGraph(**fields)
+
+
+def test_colored_graph_reads_numpy_D_and_k_as_int():
+    import numpy as np
+
+    g = ColoredGraph(D=np.int64(3), k=np.int32(2), sigma=((0, 1), (1, 0), (0, 1)))
+    assert type(g.D) is int and type(g.k) is int
+    data = json.loads(json.dumps(g.to_json_dict()))
+    assert data["D"] == 3 and data["k"] == 2 and graph_from_json_dict(data) == g
 
 
 def test_family_json_roundtrip(mst3, twov3):

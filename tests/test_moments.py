@@ -83,6 +83,19 @@ def test_set_partitions_counts():
         assert len(list(set_partitions(n))) == bell
 
 
+def test_set_partitions_come_in_restricted_growth_order():
+    # FactorizationVerdict.worst breaks ties by this order: blocks by first
+    # element, partitions by their restricted growth strings
+    for n in range(7):
+        rgs = []
+        for pi in set_partitions(n):
+            assert [b[0] for b in pi] == sorted(b[0] for b in pi)
+            assert sorted(x for b in pi for x in b) == list(range(n))
+            rgs.append([next(i for i, b in enumerate(pi) if x in b) for x in range(n)])
+        assert rgs == sorted(rgs) and len({tuple(r) for r in rgs}) == len(rgs)
+    assert list(set_partitions(0)) == [()]
+
+
 def test_moment_two_vertex(twov3):
     assert gaussian_moment(family_of([twov3])) == LaurentPoly.constant(1)
 
@@ -177,6 +190,12 @@ def test_haar_factor_values():
         val = haar_factor(3, 2, N)
         assert prev < val < 1
         prev = val
+
+
+@pytest.mark.parametrize("k, D, N", [(2, 3, True), (True, 3, 2), (2, 3.0, 2), (2.5, 3, 2), (2, 3, "2")])
+def test_haar_factor_refuses_non_integers(k, D, N):
+    with pytest.raises(ValueError, match="must be an integer"):
+        haar_factor(k, D, N)
 
 
 def test_leading_order_examples(mst3):
@@ -286,6 +305,12 @@ def test_limit_moments_rejects():
         limit_moments_prop34(1, 0, "exponential")
     with pytest.raises(ValueError):
         limit_moments_prop34(1, 2, "weibull")
+
+
+@pytest.mark.parametrize("p", [True, 2.5, 2.0, "2"])
+def test_limit_moments_refuses_non_integer_p(p):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        limit_moments_prop34(1, p, "exponential")
 
 
 def test_prop32_fig7():

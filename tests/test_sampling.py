@@ -510,6 +510,24 @@ def test_experiments_refuse_bad_draws_before_the_walk(monkeypatch, cyc2_d3, run)
     assert walks == []
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda g: mc_moment(family_of([g]), "gaussian", 4, True, seed=1), "samples must be an integer, got True"),
+        (lambda g: mc_moment(family_of([g]), "gaussian", "8", 10, seed=1), "N must be an integer, got '8'"),
+        (lambda g: mc_moment(family_of([g]), "gaussian", 4, 10, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda g: concentration_experiment(g, [4, 8.0], 0.5, 10, seed=1), "N must be an integer, got 8.0"),
+        (lambda g: entropy_slope_experiment(g, [2, 4, 8], 10, seed=None), "seed must be an integer, got None"),
+    ],
+    ids=["mc-samples", "mc-N", "mc-seed", "conc-N", "slope-seed"],
+)
+def test_integer_refusals_name_their_field(monkeypatch, cyc2_d3, run, message):
+    calls = _record_draws(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        run(cyc2_d3)
+    assert str(info.value) == message and calls == []
+
+
 def test_experiments_take_numpy_integer_N(cyc2_d3):
     a = concentration_experiment(cyc2_d3, [np.int64(4)], 0.5, np.int64(20), seed=1)
     assert a == concentration_experiment(cyc2_d3, [4], 0.5, 20, seed=1) and type(a.rows[0][0]) is int
@@ -726,6 +744,12 @@ def test_annealed_validation():
         annealed_coefficients("exponential", 1.0, 0.0, 3, 2)
     with pytest.raises(ValueError):
         annealed_coefficients("cauchy", 1.0, 1.0, 3, 2)
+
+
+@pytest.mark.parametrize("D, k", [(3.5, 2), (3, True), (3.0, 2), ("3", 2)])
+def test_annealed_refuses_non_integer_D_and_k(D, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        annealed_coefficients("exponential", 1.0, 10.0, D, k)
 
 
 # mst3 draws full tensors, and its widest array holds N^4 entries per sample,
