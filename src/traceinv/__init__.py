@@ -1,10 +1,12 @@
 """Exact combinatorics and Monte Carlo for tensor trace-invariants.
 
-Importing the package loads the exact layer (graphs, search, moments,
-families) and neither numpy nor scipy.  numpy is loaded by the first
-pairing walk (``search``) or the first access to a Monte Carlo name, such
-as ``traceinv.mc_moment``, which imports ``sampling``; scipy only by
-``annealed_coefficients``.
+Importing the package loads only what building needs: ``perms``,
+``graphs`` and ``families``, and neither numpy nor scipy.  Every name of
+``search``, ``moments`` and ``sampling``, such as ``traceinv.search_f0`` or
+``traceinv.mc_moment``, imports its module on first access (PEP 562).
+numpy is loaded by the first pairing walk or Monte Carlo draw, and scipy
+only by ``annealed_coefficients``.  The command line (``traceinv.cli``)
+still imports the exact layer when it starts.
 """
 
 from .graphs import (
@@ -22,39 +24,6 @@ from .graphs import (
     graph_from_json_dict,
     graph_stats,
 )
-from .search import (
-    BudgetError,
-    DEFAULT_KMAX,
-    DegreeReport,
-    SearchReport,
-    cayley_delta,
-    degree_report,
-    gamma_tree_check,
-    gurau_bound,
-    k_connectivity,
-    mst_pair_f0,
-    pairing_f0,
-    search_f0,
-    search_f0_connected,
-    treelike_report,
-)
-from .moments import (
-    FactorizationVerdict,
-    LaurentPoly,
-    LeadingOrder,
-    TieredVerdict,
-    connected_cumulant,
-    cumulant_consistency,
-    decide_factorization,
-    factorization_verdict,
-    gaussian_moment,
-    haar_factor,
-    leading_order,
-    limit_moments_prop34,
-    prop32_scaling_check,
-    set_partitions,
-    thm41_check,
-)
 from .families import (
     build_with_delta,
     cyclic,
@@ -68,27 +37,68 @@ from .families import (
 
 __version__ = "0.1.0"
 
-# sampling's names, which import it and so numpy on first access (PEP 562)
-_SAMPLING = (
-    "MCEstimate",
-    "MemoryCapError",
-    "annealed_coefficients",
-    "concentration_experiment",
-    "entropy_slope_experiment",
-    "make_rng",
-    "mc_moment",
-    "quenched_annealed_report",
-    "quenched_entropy",
-)
+# each lazy name, and each lazy submodule's own name, mapped to the
+# submodule that __getattr__ imports on its first access
+_LAZY = {
+    name: module
+    for module, names in {
+        "search": (
+            "BudgetError",
+            "DEFAULT_KMAX",
+            "DegreeReport",
+            "SearchReport",
+            "cayley_delta",
+            "degree_report",
+            "gamma_tree_check",
+            "gurau_bound",
+            "k_connectivity",
+            "mst_pair_f0",
+            "pairing_f0",
+            "search_f0",
+            "search_f0_connected",
+            "treelike_report",
+        ),
+        "moments": (
+            "FactorizationVerdict",
+            "LaurentPoly",
+            "LeadingOrder",
+            "TieredVerdict",
+            "connected_cumulant",
+            "cumulant_consistency",
+            "decide_factorization",
+            "factorization_verdict",
+            "gaussian_moment",
+            "haar_factor",
+            "leading_order",
+            "limit_moments_prop34",
+            "prop32_scaling_check",
+            "set_partitions",
+            "thm41_check",
+        ),
+        "sampling": (
+            "MCEstimate",
+            "MemoryCapError",
+            "annealed_coefficients",
+            "concentration_experiment",
+            "entropy_slope_experiment",
+            "make_rng",
+            "mc_moment",
+            "quenched_annealed_report",
+            "quenched_entropy",
+        ),
+    }.items()
+    for name in (module, *names)
+}
 
 
 def __getattr__(name):
-    if name in _SAMPLING:
-        from . import sampling
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        return getattr(sampling, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
 
 
 def __dir__():
-    return sorted({*globals(), *_SAMPLING})
+    return sorted({*globals(), *_LAZY})

@@ -275,10 +275,7 @@ def _experiment_config(path, command, kmax) -> tuple:
     Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
     epsilon = None
     if reads_epsilon:
-        epsilon = cfg.get("epsilon", 0.5)
-        if not (is_int(epsilon) or isinstance(epsilon, float)):
-            raise ValueError(f"'epsilon' must be a number, got {epsilon!r}")
-        epsilon = float(epsilon)
+        epsilon = perms.as_real(cfg.get("epsilon", 0.5), "epsilon")
     return family, cfg.get("kind", default_kind), Ns, cfg["samples"], cfg["seed"], epsilon
 
 

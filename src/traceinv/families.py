@@ -13,7 +13,6 @@ from typing import Optional
 
 from . import perms
 from .graphs import ColoredGraph, is_int
-from .search import degree_report, resolve_kmax
 
 
 def two_vertex(D: int) -> ColoredGraph:
@@ -176,6 +175,8 @@ def build_with_delta(D: int, delta: int, kmax: Optional[int] = None) -> DeltaBui
         raise ValueError("need D >= 4: the unit block has delta 0 at D = 3")
     if delta < 1:
         raise ValueError("need delta >= 1")
+    from .search import degree_report, resolve_kmax
+
     limit = resolve_kmax(kmax)
     block = realignment({0}, {1}, set(range(2, D)), 2)
     sigma = [[2 * j + b for j in range(delta) for b in p] for p in block.sigma]

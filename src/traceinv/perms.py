@@ -25,6 +25,20 @@ def as_int(value, field=None) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}" if field else f"expected an integer, got {value!r}")
 
 
+def as_real(value, field=None) -> float:
+    """value as a float, by float(): ints, floats and numpy reals pass; bool, strings, bytes and complex are refused.
+
+    An int too large for a float is refused too.  A refusal names the field
+    when one is given ("epsilon must be a real number, got '0.5'").
+    """
+    if not isinstance(value, (bool, str, bytes, bytearray)):
+        try:
+            return float(value)
+        except (TypeError, OverflowError):
+            pass
+    raise ValueError(f"{field} must be a real number, got {value!r}" if field else f"expected a real number, got {value!r}")
+
+
 def from_decimal(text: str) -> int:
     """An integer in ASCII digits with an optional leading minus; spaces, a plus, underscores and the rest are refused."""
     if not re.fullmatch(r"-?[0-9]+", text):

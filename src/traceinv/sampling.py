@@ -91,9 +91,15 @@ def _draw_batch(kind, D, N, count, rng) -> np.ndarray:
     """count tensors, shape (count,) + (N,)*D; one RNG row per sample.  _trace_blocks checks kind."""
     m = N**D
     raw = rng.standard_normal((count, 2 * m))
-    z = (raw[:, :m] + 1j * raw[:, m:]) / math.sqrt(2 * m)
+    # one pass, no complex temporaries: row i's real parts raw[i, :m] and
+    # imaginary parts raw[i, m:] are scaled straight into the floats of z
+    scale = 1 / math.sqrt(2 * m)
+    parts = np.empty((count, m, 2))
+    np.multiply(raw[:, :m], scale, out=parts[..., 0])
+    np.multiply(raw[:, m:], scale, out=parts[..., 1])
+    z = parts.view(np.complex128)[..., 0]
     if kind == "haar":
-        z = z / np.linalg.norm(z, axis=1, keepdims=True)
+        z *= 1 / np.linalg.norm(z, axis=1, keepdims=True)
     return z.reshape((count,) + (N,) * D)
 
 
@@ -805,12 +811,14 @@ def concentration_experiment(
 
     The reference scale comes from the exact leading order of the Gaussian
     moment.  Assumes the graph satisfies the factorization criterion; the
-    coverage trend is reported, not enforced.  epsilon must be finite and
-    > 0: at 0 or below every coverage is 0, at infinity every one is 1.
+    coverage trend is reported, not enforced.  epsilon is a real number
+    (perms.as_real) that must be finite and > 0: at 0 or below every
+    coverage is 0, at infinity every one is 1.
     Ns, samples and seed are read, and workers threads contract the
     blocks, as in mc_moment.
     """
     workers = check_workers(workers)
+    epsilon = perms.as_real(epsilon, "epsilon")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
     # before the walk, which can take far longer than a refusal
@@ -943,10 +951,10 @@ def annealed_coefficients(
     beta_inf = -1/2 (ln mu_c + digamma(s)).  E[ln max(U, c)] is one
     quadrature on the unit scale: digamma(s) + int_0^c P(s, u)/u du for
     c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.  D and k are
-    integers (perms.as_int).
+    integers (perms.as_int), mu_c and Lambda real numbers (perms.as_real).
     """
     D, k = perms.as_int(D, "D"), perms.as_int(k, "k")
-    mu = float(mu_c)
+    mu, Lambda = perms.as_real(mu_c, "mu_c"), perms.as_real(Lambda, "Lambda")
     if not math.isfinite(mu) or mu <= 0:
         raise ValueError(f"need a finite mu_c > 0, got {mu_c!r}")
     if not math.isfinite(Lambda) or Lambda <= 0:

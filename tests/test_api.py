@@ -77,14 +77,21 @@ def test_removed_names_stay_removed():
     assert [name for name in REMOVED if hasattr(traceinv, name) or hasattr(sampling, name)] == []
 
 
-# a fresh process that builds graphs, generates one and refuses a malformed
-# file; it prints the modules loaded after that, then checks the lazy names
+# a fresh process that builds graphs, then prints the modules loaded and
+# checks the exact layer's lazy names; then, through the command line, it
+# generates one graph and refuses a malformed file, prints the modules loaded
+# after that and checks the sampling names
 _NO_SAMPLING = """
 import json, os, sys, tempfile
 import traceinv
-from traceinv import cli
 graphs = [traceinv.random_graph(3, 4, seed=1), traceinv.cyclic(3, {0}, 2)]
 json.dumps(traceinv.family_of(graphs).to_json_dict())
+built = [name for name in ("numpy", "traceinv.search", "traceinv.moments", "traceinv.sampling") if name in sys.modules]
+listed = set(traceinv._LAZY) <= set(dir(traceinv))
+from traceinv import gaussian_moment
+print(json.dumps([built, listed, traceinv.search_f0 is traceinv.search.search_f0,
+                  gaussian_moment is traceinv.moments.gaussian_moment]))
+from traceinv import cli
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "out.json")
     assert cli.main(["generate", "cyclic", "--D", "3", "--M", "1", "--k", "2", "--out", out]) == 0
@@ -101,4 +108,5 @@ def test_building_and_generating_load_neither_numpy_nor_sampling():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(traceinv.__file__)))
     proc = subprocess.run([sys.executable, "-c", _NO_SAMPLING], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0]) == [[], True, True, True]
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], True, False]

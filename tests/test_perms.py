@@ -1,4 +1,7 @@
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -114,3 +117,17 @@ def test_from_decimal_reads_signed_ascii_digits(text, value):
 def test_from_decimal_refuses_everything_else(text):
     with pytest.raises(ValueError, match="ASCII digits"):
         perms.from_decimal(text)
+
+
+@pytest.mark.parametrize("value", [3, -2, 2.5, -0.0, math.inf, math.nan, Fraction(1, 4)])
+def test_as_real_reads_ints_and_floats(value):
+    got = perms.as_real(value)
+    assert type(got) is float and (got == float(value) or math.isnan(value))
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", b"1", 1j, None, [0.5], 10**400])
+def test_as_real_refuses_everything_else(value):
+    with pytest.raises(ValueError, match="expected a real number"):
+        perms.as_real(value)
+    with pytest.raises(ValueError, match=f"^epsilon must be a real number, got {re.escape(repr(value))}$"):
+        perms.as_real(value, "epsilon")

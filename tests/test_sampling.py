@@ -644,6 +644,15 @@ def test_concentration_tiny_epsilon(cyc2_d3):
     assert rep.rows[0][1] < 0.05
 
 
+@pytest.mark.parametrize("epsilon", ["0.5", True, None, 0.5j, [0.5]])
+def test_concentration_refuses_non_number_epsilon_before_the_walk(monkeypatch, cyc2_d3, epsilon):
+    walks = []
+    monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: walks.append(args))
+    with pytest.raises(ValueError, match="^epsilon must be a real number"):
+        concentration_experiment(cyc2_d3, [4], epsilon, 10, seed=1)
+    assert walks == []
+
+
 def test_entropy_slope_two_vertex(twov3):
     rep = entropy_slope_experiment(twov3, [2, 4, 8], samples=50, seed=29)
     assert rep.slope == pytest.approx(0.0, abs=1e-9)
@@ -744,6 +753,27 @@ def test_annealed_validation():
         annealed_coefficients("exponential", 1.0, 0.0, 3, 2)
     with pytest.raises(ValueError):
         annealed_coefficients("cauchy", 1.0, 1.0, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "mu_c, Lambda, field",
+    [
+        ("1", 2.0, "mu_c"),
+        (True, 2.0, "mu_c"),
+        (None, 2.0, "mu_c"),
+        (10**400, 2.0, "mu_c"),
+        (1.0, "2", "Lambda"),
+        (1.0, False, "Lambda"),
+        (1.0, 2j, "Lambda"),
+    ],
+)
+def test_annealed_refuses_non_real_mu_c_and_Lambda(mu_c, Lambda, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        annealed_coefficients("gamma", mu_c, Lambda, 3, 2)
+
+
+def test_annealed_reads_ints_and_numpy_floats_as_floats():
+    assert annealed_coefficients("gamma", 1, np.float32(2.0), 3, 2) == annealed_coefficients("gamma", 1.0, 2.0, 3, 2)
 
 
 @pytest.mark.parametrize("D, k", [(3.5, 2), (3, True), (3.0, 2), ("3", 2)])
