@@ -25,7 +25,6 @@ from .graphs import (
     family_of,
     graph_from_json_dict,
     graph_stats,
-    is_int,
 )
 from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
 from .search import (
@@ -154,13 +153,13 @@ def _check_declared_k(data, kmax) -> None:
 
     Cycle strings let a few bytes declare any k, and the loader builds
     k-element permutations from them, so a cycle-string graph's declared k
-    is checked before anything is built.
+    is read (perms.as_int) and checked before anything is built.
     """
     members = data.get("members") if isinstance(data, dict) else None
     graphs = [m.get("graph") for m in members if isinstance(m, dict)] if isinstance(members, list) else [data]
     for g in graphs:
-        if isinstance(g, dict) and "sigma_cycles" in g and is_int(g.get("k")):
-            _check_budget(g["k"], kmax)
+        if isinstance(g, dict) and "sigma_cycles" in g and "k" in g:
+            _check_budget(perms.as_int(g["k"], "k"), kmax)
 
 
 def _read_graphs(path, kmax):
@@ -245,9 +244,10 @@ def _experiment_config(path, command, kmax) -> tuple:
     'epsilon', read by concentration only, to 0.5 (None for the others).
     Any other key is refused, as are a 'graph' and a 'family' together, and
     a family of more than one member for a single-graph command; a graph
-    declaring k over kmax is refused before it is built.  Ns, samples, seed
-    and kind are returned as given: sampling._read_run reads and refuses
-    them, before any walk or draw.
+    declaring k over kmax is refused before it is built.  Ns, samples, seed,
+    kind and epsilon are returned as given: the library reads and refuses
+    them (sampling._read_run, and concentration_experiment for epsilon),
+    before any walk or draw.
     """
     default_kind, single_graph, reads_epsilon = _EXPERIMENTS[command]
     cfg = _load_json(path)
@@ -273,9 +273,7 @@ def _experiment_config(path, command, kmax) -> tuple:
     if single_graph and family.p != 1:
         raise ValueError("this experiment runs on a single graph")
     Ns = cfg["N"] if isinstance(cfg["N"], list) else [cfg["N"]]
-    epsilon = None
-    if reads_epsilon:
-        epsilon = perms.as_real(cfg.get("epsilon", 0.5), "epsilon")
+    epsilon = cfg.get("epsilon", 0.5) if reads_epsilon else None
     return family, cfg.get("kind", default_kind), Ns, cfg["samples"], cfg["seed"], epsilon
 
 
@@ -284,10 +282,10 @@ def _cmd_mc_moment(args) -> tuple:
 
     family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
     # every N is checked before the first one is sampled, as the experiments do
-    Ns, samples, seed = sampling._read_run(family.graphs(), kind, Ns, samples, seed)
+    Ns, samples, seed, workers = sampling._read_run(family.graphs(), kind, Ns, samples, seed, args.threads)
     rows = []
     for N in Ns:
-        est = sampling.mc_moment(family, kind, N, samples, seed, workers=args.threads)
+        est = sampling.mc_moment(family, kind, N, samples, seed, workers=workers)
         rows.append({"N": N, "mean_re": est.mean.real, "mean_im": est.mean.imag, "stderr": est.stderr})
     return {"kind": kind, "samples": samples, "seed": seed, "rows": rows}, rows, 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import perms
-from .graphs import ColoredGraph, is_int
+from .graphs import ColoredGraph
 
 
 def two_vertex(D: int) -> ColoredGraph:
@@ -198,25 +198,19 @@ def _array(value):
     return value
 
 
-def _int(value) -> int:
-    if not is_int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _colors(value, field) -> set:
+    return {perms.as_int(c, f"{field} entry") - 1 for c in _array(value)}
 
 
-def _colors(value) -> set:
-    return {_int(c) - 1 for c in _array(value)}
-
-
-def _script(value) -> list:
-    steps = [tuple(_int(x) - 1 for x in _array(step)) for step in _array(value)]
+def _script(value, field) -> list:
+    steps = [tuple(perms.as_int(x, f"{field} entry") - 1 for x in _array(step)) for step in _array(value)]
     if any(len(step) != 2 for step in steps):
         raise ValueError("a script step is not a [color, white] pair")
     return steps
 
 
-def _links(value) -> list:
-    return [_colors(link) for link in _array(value)]
+def _links(value, field) -> list:
+    return [_colors(link, field) for link in _array(value)]
 
 
 # kind -> (builder, fields); each field is named after a builder argument
@@ -230,6 +224,7 @@ KINDS = {
     "random": (random_graph, ("D", "k", "seed")),
     "with_delta": (lambda D, delta: build_with_delta(D, delta).graph, ("D", "delta")),
 }
+# each reader takes a field's value and its name, which its refusals give
 _READERS = {"M": _colors, "M1": _colors, "M2": _colors, "M3": _colors, "script": _script, "links": _links}
 
 
@@ -249,7 +244,7 @@ def read_spec(spec: dict) -> tuple:
         if key not in spec:
             raise ValueError(f"family spec missing field {key!r}")
         try:
-            fields[key] = _READERS.get(key, _int)(spec[key])  # any other field is an integer
+            fields[key] = _READERS.get(key, perms.as_int)(spec[key], key)  # any other field is an integer
         except (TypeError, ValueError) as exc:
             raise ValueError(f"family spec field {key!r} is malformed: {exc}")
     return kind, fields

@@ -77,40 +77,25 @@ def _json_object(data, what: str) -> None:
         raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
 
 
-def is_int(value) -> bool:
-    """Whether a value passes perms.as_int: booleans and fractional numbers do not."""
-    try:
-        perms.as_int(value)
-    except ValueError:
-        return False
-    return True
-
-
-def _json_int(data: dict, key: str) -> int:
-    if key not in data:
-        raise ValueError(f"graph JSON missing field {key!r}")
-    if not is_int(data[key]):
-        raise ValueError(f"graph JSON field {key!r} is not an integer")
-    return data[key]
-
-
 def graph_from_json_dict(data: dict) -> ColoredGraph:
-    """Parse graph JSON: 1-based image arrays or cycle-string sugar."""
+    """Parse graph JSON: 1-based image arrays or cycle-string sugar; every integer is read by perms.as_int."""
     _json_object(data, "graph")
-    D = _json_int(data, "D")
+    if "D" not in data:
+        raise ValueError("graph JSON missing field 'D'")
+    D = perms.as_int(data["D"], "D")
+    k = perms.as_int(data["k"], "k") if "k" in data else None
     if "sigma" in data:
         raw = data["sigma"]
         if not isinstance(raw, list):
             raise ValueError("graph JSON field 'sigma' is not a list of integer arrays")
         sigma = []
         for c, images in enumerate(raw):
-            if not isinstance(images, list) or not all(is_int(b) for b in images):
+            if not isinstance(images, list):
                 raise ValueError(f"graph JSON field 'sigma[{c}]' is not an integer array")
-            sigma.append(tuple(b - 1 for b in images))
+            sigma.append(tuple(perms.as_int(b, f"sigma[{c}] entry") - 1 for b in images))
     elif "sigma_cycles" in data:
-        if "k" not in data:
+        if k is None:
             raise ValueError("graph JSON with 'sigma_cycles' requires explicit 'k'")
-        k = _json_int(data, "k")
         texts = data["sigma_cycles"]
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise ValueError("graph JSON field 'sigma_cycles' is not a list of cycle strings")
@@ -118,8 +103,8 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
     else:
         raise ValueError("graph JSON missing field 'sigma' (or 'sigma_cycles')")
     G = build_graph(D, sigma)
-    if "k" in data and _json_int(data, "k") != G.k:
-        raise ValueError(f"graph JSON field 'k'={data['k']} inconsistent with sigma size {G.k}")
+    if k not in (None, G.k):
+        raise ValueError(f"graph JSON field 'k'={k} inconsistent with sigma size {G.k}")
     return G
 
 

@@ -8,12 +8,15 @@ Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
 draws a block of samples small enough to stay in cache, contracts it with
 each graph's compiled plan, and hands the block's trace values back.
 There is no per-sample entry point: ``mc_moment`` and the experiments are
-the public paths, and a single sample is a block of one.  The calling
-thread draws every block, in order, from the one generator, and a pool of
-``workers`` threads, opened for the call and shut down when it ends,
-contracts them (numpy's matmul releases the GIL), each on its own scratch
-arrays; the blocks come back in order.  A sample's value does not depend
-on its block, so a seed gives the same bytes at any worker count.
+the public paths, and a single sample is a block of one.  Each of them
+reads its run in one call of ``_read_run`` (N, samples, seed, kind,
+workers and the memory cap at every N), refused before any walk or draw;
+the loop itself checks nothing.  The calling thread draws every block, in
+order, from the one generator, and a pool of ``workers`` threads, opened
+for the call and shut down when it ends, contracts them (numpy's matmul
+releases the GIL), each on its own scratch arrays; the blocks come back in
+order.  A sample's value does not depend on its block, so a seed gives the
+same bytes at any worker count.
 
 A graph's plan is compiled once (``_compile``) and is one batched matmul
 per step, or two real ones for a cube step.  Reuse: every white vertex is
@@ -88,7 +91,7 @@ def make_rng(seed) -> np.random.Generator:
 
 
 def _draw_batch(kind, D, N, count, rng) -> np.ndarray:
-    """count tensors, shape (count,) + (N,)*D; one RNG row per sample.  _trace_blocks checks kind."""
+    """count tensors, shape (count,) + (N,)*D; one RNG row per sample.  _read_run checks kind."""
     m = N**D
     raw = rng.standard_normal((count, 2 * m))
     # one pass, no complex temporaries: row i's real parts raw[i, :m] and
@@ -392,7 +395,7 @@ def _compile(G: ColoredGraph):
 
 
 def _contraction_plan(G: ColoredGraph):
-    """(is_black flags, steps, max open index count) of G's compiled plan (_compile)."""
+    """(is_black flags, steps, max open index count) of G's plan (_compile); its one caller is perfbench's tracer."""
     return _compile(G)[:3]
 
 
@@ -479,29 +482,6 @@ def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = N
     return out
 
 
-def _check_draws(graphs, kind: str, N: int, samples: int):
-    """Refuse what _trace_blocks cannot draw; return the graphs' _matrix_form.
-
-    Refused: under 2 samples, N under 2, an unknown kind, an array over the
-    cap: a spectral family's draw (N^D entries; no plan is compiled), else
-    the widest array of each graph's plan, the draw included.
-    """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if kind not in ("gaussian", "haar"):
-        raise ValueError(f"unknown tensor kind {kind!r}")
-    form = _matrix_form(graphs)
-    for widest in [graphs[0].D] if form is not None else (_contraction_plan(g)[2] for g in graphs):
-        if N**widest > DEFAULT_TRACE_CAP:
-            raise MemoryCapError(
-                f"a tensor with {widest} open indices needs {N**widest} entries "
-                f"per sample, cap is {DEFAULT_TRACE_CAP}"
-            )
-    return form
-
-
 def _check_kept(samples: int):
     """Refuse keeping a value for each of more than DEFAULT_TRACE_CAP samples."""
     if samples > DEFAULT_TRACE_CAP:
@@ -510,23 +490,39 @@ def _check_kept(samples: int):
         )
 
 
-def _read_run(graphs, kind: str, Ns, samples: int, seed: int):
-    """(Ns, samples, seed) of a Monte Carlo run, read and refused before any walk or draw.
+def _read_run(graphs, kind: str, Ns, samples: int, seed: int, workers: int):
+    """(Ns, samples, seed, workers) of a Monte Carlo run, read and refused before any walk or draw.
 
-    Each value is an integer (perms.as_int), and a refusal names its
-    field; Ns is not empty, every N passes _check_draws (samples, N, kind
-    and the memory cap), and the seed is >= 0, as numpy's generators need.  The workers and the cap on kept
-    values (_check_kept) are the callers' to check.
+    Each value is an integer (perms.as_int), and a refusal names its field.
+    Refused: an empty Ns, under 2 samples, an unknown kind, an N under 2, a
+    seed under 0 (numpy's generators need one >= 0), a worker count outside
+    1..MAX_WORKERS (check_workers), and an array over the cap at any N: a
+    spectral family's draw (N^D entries; no plan is compiled), else the
+    widest array of each graph's plan, the draw included.  The cap on kept
+    values (_check_kept) is the callers' to check.
     """
+    workers = check_workers(workers)
     Ns = [perms.as_int(N, "N") for N in Ns]
     samples, seed = perms.as_int(samples, "samples"), perms.as_int(seed, "seed")
     if not Ns:
         raise ValueError("need at least one value of N")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if kind not in ("gaussian", "haar"):
+        raise ValueError(f"unknown tensor kind {kind!r}")
+    form = _matrix_form(graphs)
     for N in Ns:
-        _check_draws(graphs, kind, N, samples)
+        if N < 2:
+            raise ValueError("need N >= 2")
+        for widest in [graphs[0].D] if form is not None else (_compile(g)[2] for g in graphs):
+            if N**widest > DEFAULT_TRACE_CAP:
+                raise MemoryCapError(
+                    f"a tensor with {widest} open indices needs {N**widest} entries "
+                    f"per sample, cap is {DEFAULT_TRACE_CAP}"
+                )
     if seed < 0:
         raise ValueError(f"need a seed >= 0, got {seed}")
-    return Ns, samples, seed
+    return Ns, samples, seed, workers
 
 
 def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1):
@@ -543,13 +539,13 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
     are yielded in order, and an error in a contraction is raised here.
     The pool is shut down when the call returns, raises or is closed, so no
     thread outlives it.  A sample's value does not depend on its block, so
-    the values are the same at any worker count.  _check_draws refuses what
-    cannot be drawn before the first draw.  Graphs that are all matrix-like
-    for one color split take the spectral path (_spectral_blocks), which
-    has no contraction and opens no pool: workers does not change it.
+    the values are the same at any worker count.  Graphs that are all
+    matrix-like for one color split take the spectral path
+    (_spectral_blocks), which has no contraction and opens no pool: workers
+    does not change it.  Nothing is checked here: the caller reads the run
+    with _read_run first.
     """
-    workers = check_workers(workers)
-    form = _check_draws(graphs, kind, N, samples)
+    form = _matrix_form(graphs)
     if form is not None:
         yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
         return
@@ -557,7 +553,7 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
     # samples nothing (the exact commands) should not pay for
     from concurrent import futures
 
-    widest = max(_contraction_plan(g)[2] for g in graphs)
+    widest = max(_compile(g)[2] for g in graphs)
     block = max(1, BATCH_ENTRY_CAP // (workers * N**widest))
     # a member equal to an earlier one, or to its conjugate, reads that
     # member's trace (conjugated: Tr_conj(G) = conj Tr_G) instead of contracting
@@ -695,12 +691,12 @@ def mc_moment(
 ) -> MCEstimate:
     """Sample mean of the product of the member traces over fresh draws.
 
-    N, samples and seed are read by _read_run.  Every sample's value is
-    kept until the end, so the samples are capped like any other array of
-    the run.  workers threads contract the blocks (_trace_blocks); the
-    estimate is the same at any worker count.
+    N, samples, seed and workers are read by _read_run.  Every sample's
+    value is kept until the end, so the samples are capped like any other
+    array of the run.  workers threads contract the blocks (_trace_blocks);
+    the estimate is the same at any worker count.
     """
-    (N,), samples, seed = _read_run(family.graphs(), kind, [N], samples, seed)
+    (N,), samples, seed, workers = _read_run(family.graphs(), kind, [N], samples, seed, workers)
     _check_kept(samples)
     vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed), workers)))
     mean = complex(vals.mean())
@@ -720,9 +716,9 @@ def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None) -> Que
     Exact when the pair fits in the enumeration budget; for larger
     maximally single-trace graphs only the leading ln N coefficient is
     available (the subleading constant needs the connected multiplicity).
-    N is an integer (perms.as_int).
+    N is an integer (perms.as_int) of at least 1.
     """
-    N = perms.as_int(N)
+    N = perms.as_int(N, "N")
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
     limit = resolve_kmax(kmax)
@@ -814,15 +810,14 @@ def concentration_experiment(
     coverage trend is reported, not enforced.  epsilon is a real number
     (perms.as_real) that must be finite and > 0: at 0 or below every
     coverage is 0, at infinity every one is 1.
-    Ns, samples and seed are read, and workers threads contract the
-    blocks, as in mc_moment.
+    Ns, samples, seed and workers are read, and workers threads contract
+    the blocks, as in mc_moment.
     """
-    workers = check_workers(workers)
     epsilon = perms.as_real(epsilon, "epsilon")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
     # before the walk, which can take far longer than a refusal
-    Ns, samples, seed = _read_run([G], kind, Ns, samples, seed)
+    Ns, samples, seed, workers = _read_run([G], kind, Ns, samples, seed, workers)
     rep = search_f0(G, kmax=kmax, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity
@@ -878,12 +873,11 @@ def entropy_slope_experiment(
     """Fit of the mean entropy against ln N, with its exact reference line.
 
     Each N keeps every sample's value until its mean, so the samples are
-    capped like any other array of the run.  Ns, samples and seed are
-    read, and workers threads contract the blocks, as in mc_moment.
+    capped like any other array of the run.  Ns, samples, seed and workers
+    are read, and workers threads contract the blocks, as in mc_moment.
     """
-    workers = check_workers(workers)
     # before the walk, which can take far longer than a refusal
-    Ns, samples, seed = _read_run([G], kind, Ns, samples, seed)
+    Ns, samples, seed, workers = _read_run([G], kind, Ns, samples, seed, workers)
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
     _check_kept(samples)

@@ -40,7 +40,7 @@ class BudgetError(ValueError):
 
 def resolve_kmax(kmax: Optional[int]) -> int:
     """The enumeration budget a kmax argument names: DEFAULT_KMAX for None, else an integer (perms.as_int) of at least 1."""
-    limit = DEFAULT_KMAX if kmax is None else perms.as_int(kmax)
+    limit = DEFAULT_KMAX if kmax is None else perms.as_int(kmax, "kmax")
     if limit < 1:
         raise ValueError("k_max must be >= 1")
     return limit
@@ -48,7 +48,7 @@ def resolve_kmax(kmax: Optional[int]) -> int:
 
 def check_workers(count) -> int:
     """count as a worker count: an integer (perms.as_int) in 1..MAX_WORKERS, else ValueError."""
-    n = perms.as_int(count)
+    n = perms.as_int(count, "workers")
     if not 1 <= n <= MAX_WORKERS:
         raise ValueError(f"need 1 to {MAX_WORKERS} workers, got {n}")
     return n

@@ -229,7 +229,10 @@ def trace_einsum(G, T):
         operands += [T, [c * k + s for c in range(G.D)]]
     for t in range(k):
         operands += [np.conj(T), [c * k + G.sigma[c].index(t) for c in range(G.D)]]
-    return np.einsum(*operands, [], optimize=True)
+    # optimize=True caps every intermediate at the largest operand, so a D = 5
+    # graph at N = 4 ran as one sum over all its operands (about 20 s); the
+    # "optimal" path search takes seconds itself on 8 operands
+    return np.einsum(*operands, [], optimize=("greedy", 2**16))
 
 
 def per_sample_traces(graphs, kind, N, samples, rng):
@@ -242,9 +245,9 @@ def per_sample_traces(graphs, kind, N, samples, rng):
     that member and multiplies whole blocks: for a family of more than one
     member the two agree to rounding (rel 1e-12), not bit for bit.
     """
-    from traceinv.sampling import _batch_trace, _check_draws, _draw_batch
+    from traceinv.sampling import _batch_trace, _draw_batch, _read_run
 
-    _check_draws(graphs, kind, N, samples)
+    _read_run(graphs, kind, [N], samples, 0, 1)  # refused as a run of the sampler is; rng stands for the seed
     batch = _draw_batch(kind, graphs[0].D, N, samples, rng)
     vals = np.ones(samples, dtype=complex)
     for i in range(samples):

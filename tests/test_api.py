@@ -18,6 +18,7 @@ TAKE_WORKERS = {
     "traceinv.sampling.concentration_experiment",
     "traceinv.sampling.entropy_slope_experiment",
     "traceinv.sampling._trace_blocks",
+    "traceinv.sampling._read_run",
 }
 # (callable, keyword): options fixed at their one value in use, so no longer parameters
 FIXED_OPTIONS = [

@@ -19,7 +19,7 @@ from traceinv import (
     realignment,
     two_vertex,
 )
-from traceinv.graphs import family_from_json_dict, is_int
+from traceinv.graphs import family_from_json_dict
 from traceinv.families import random_graph
 
 import oracles
@@ -302,25 +302,16 @@ def test_graph_json_errors_name_field():
 @pytest.mark.parametrize(
     "data, field",
     [
-        ({"D": 3.9, "sigma": [[1], [1], [1]]}, "'D'"),
-        ({"D": True, "sigma": [[1], [1], [1]]}, "'D'"),
+        ({"D": 3.9, "sigma": [[1], [1], [1]]}, "D must be an integer"),
+        ({"D": True, "sigma": [[1], [1], [1]]}, "D must be an integer"),
         ({"D": 3, "sigma": [[1.0], [1], [1]]}, "sigma"),
         ({"D": 3, "sigma": [[1], [False], [1]]}, "sigma"),
-        ({"D": 3, "k": 1.5, "sigma_cycles": ["", "", ""]}, "'k'"),
+        ({"D": 3, "k": 1.5, "sigma_cycles": ["", "", ""]}, "k must be an integer"),
     ],
 )
 def test_graph_json_refuses_non_integers(data, field):
     with pytest.raises(ValueError, match=field):
         graph_from_json_dict(data)
-
-
-def test_is_int_is_the_rule_of_check_perm():
-    import numpy as np
-
-    for value in (3, -1, np.int64(3), np.uint8(2)):
-        assert is_int(value)
-    for value in (True, np.True_, 3.0, 3.7, "3", None, [3]):
-        assert not is_int(value)
 
 
 @pytest.mark.parametrize("field", ["D", "k"])

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from traceinv import perms
+from traceinv import cli, families, perms
+from traceinv.graphs import graph_from_json_dict
 
 import oracles
 
@@ -117,6 +118,38 @@ def test_from_decimal_reads_signed_ascii_digits(text, value):
 def test_from_decimal_refuses_everything_else(text):
     with pytest.raises(ValueError, match="ASCII digits"):
         perms.from_decimal(text)
+
+
+def test_as_int_is_the_rule_of_check_perm():
+    import numpy as np
+
+    for value in (3, -1, np.int64(3), np.uint8(2)):
+        got = perms.as_int(value)
+        assert type(got) is int and got == value
+    for value in (True, np.True_, 3.0, 3.7, "3", None, [3]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            perms.as_int(value)
+        with pytest.raises(ValueError, match=f"^N must be an integer, got {re.escape(repr(value))}$"):
+            perms.as_int(value, "N")
+
+
+# graph JSON, the CLI's cycle-string budget check and family specs read their integers by as_int
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: graph_from_json_dict({"D": 3.0, "sigma": [[1], [1], [1]]}), "D must be an integer, got 3.0"),
+        (lambda: cli._check_declared_k({"D": 3, "k": 1.5, "sigma_cycles": ["", "", ""]}, None), "k must be an integer, got 1.5"),
+        (lambda: graph_from_json_dict({"D": 3, "sigma": [[1], ["2"], [1]]}), "sigma[1] entry must be an integer, got '2'"),
+        (
+            lambda: families.generate_from_spec({"kind": "cyclic", "D": 3, "M": [1.5], "k": 2}),
+            "family spec field 'M' is malformed: M entry must be an integer, got 1.5",
+        ),
+    ],
+    ids=["graph-D", "cycle-string-k", "sigma-entry", "spec-M"],
+)
+def test_json_and_spec_integer_refusals_name_their_field(read, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read()
 
 
 @pytest.mark.parametrize("value", [3, -2, 2.5, -0.0, math.inf, math.nan, Fraction(1, 4)])

@@ -27,6 +27,7 @@ from traceinv import (
 from traceinv import sampling
 from traceinv.families import fig7, random_graph
 from traceinv.sampling import EULER_GAMMA, _batch_trace, _draw_batch
+from traceinv.search import MAX_WORKERS
 
 import oracles
 
@@ -82,7 +83,7 @@ def test_trace_memory_cap(mst3, cyc2_d3, monkeypatch):
     monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 3)
     for g in (mst3, cyc2_d3):  # the full path's plan and the spectral path's draw
         with pytest.raises(MemoryCapError):
-            sampling._check_draws([g], "gaussian", 4, 2)
+            sampling._read_run([g], "gaussian", [4], 2, 0, 1)
 
 
 def test_batch_trace_matches_single(cyc2_d3, mst3):
@@ -213,9 +214,8 @@ def test_cube_step_matches_einsum_and_naive_oracles(mst3, name, kind):
     else:
         g = mst3 if name == "mst3" else conjugate(mst3)
     assert sampling._compile(g)[4][-1][1] is None
-    # np.einsum's own path takes seconds for D = 5 past N = 3, and the naive
-    # sum has N^(D k) terms, so it checks the first sample at N = 2
-    for N in (2, 3, 4, 5) if g.D < 5 else (2, 3):
+    # the naive sum has N^(D k) terms, so it checks the first sample at N = 2
+    for N in (2, 3, 4, 5):
         batch = _draw_batch(kind, g.D, N, 3, make_rng(20 + N))
         vals = _batch_trace(g, batch)
         assert vals.dtype == complex and np.all(vals.imag == 0)  # Tr(H^3) of a Hermitian H, exactly real
@@ -742,7 +742,7 @@ def test_annealed_refuses_non_finite_and_degenerate_inputs(mu_c, Lambda, D, k):
 
 @pytest.mark.parametrize("N", [0, -1, 4.5, 4.0, True])  # an N that is not an integer is refused, not evaluated
 def test_quenched_refuses_N_below_1(twov3, N):
-    with pytest.raises(ValueError, match=f"N={N}|integer"):
+    with pytest.raises(ValueError, match=f"N={N}|N must be an integer"):
         quenched_entropy(twov3, N)
 
 
@@ -839,9 +839,28 @@ def test_bad_worker_counts_are_refused_before_any_draw(monkeypatch, mst3, run, w
     calls = _record_draws(monkeypatch)
     monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: calls.append("walk"))
     running = threading.active_count()
-    with pytest.raises(ValueError, match="workers|integer"):
+    with pytest.raises(ValueError, match=f"need 1 to {MAX_WORKERS} workers|workers must be an integer"):
         run(mst3, workers)
     assert calls == [] and threading.active_count() == running
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: mc_moment(family_of([g]), "gaussian", 4, 10, seed=1, workers=2),
+        lambda g: concentration_experiment(g, [4, 8], 0.5, 10, seed=1, workers=2),
+        lambda g: entropy_slope_experiment(g, [2, 4, 8], 10, seed=1, workers=2),
+    ],
+    ids=["mc", "concentration", "entropy-slope"],
+)
+def test_each_call_reads_its_run_once(monkeypatch, mst3, run):
+    # _read_run reads the whole run, workers included; the loop checks nothing again
+    calls = []
+    for name in ("_read_run", "check_workers"):
+        real = getattr(sampling, name)
+        monkeypatch.setattr(sampling, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw))
+    run(mst3)
+    assert sorted(calls) == ["_read_run", "check_workers"]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

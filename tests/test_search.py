@@ -97,7 +97,7 @@ def test_search_budget_refusal():
     ids=["search_f0", "build_with_delta", "quenched_entropy", "prop32_scaling_check", "decide_factorization"],
 )
 def test_budget_below_one_is_refused_everywhere(call, kmax):
-    with pytest.raises(ValueError, match="k_max must be >= 1|expected an integer"):
+    with pytest.raises(ValueError, match="k_max must be >= 1|kmax must be an integer"):
         call(kmax)
 
 
