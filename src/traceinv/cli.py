@@ -282,7 +282,7 @@ def _cmd_mc_moment(args) -> tuple:
 
     family, kind, Ns, samples, seed, _ = _experiment_config(args.config, args.command, args.kmax)
     # every N is checked before the first one is sampled, as the experiments do
-    Ns, samples, seed, workers = sampling._read_run(family.graphs(), kind, Ns, samples, seed, args.threads)
+    Ns, samples, seed, workers = sampling._read_run(family, kind, Ns, samples, seed, args.threads)
     rows = []
     for N in Ns:
         est = sampling.mc_moment(family, kind, N, samples, seed, workers=workers)

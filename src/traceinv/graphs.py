@@ -312,12 +312,36 @@ def conjugate(G: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(D=G.D, k=G.k, sigma=tuple(perms.inverse(p) for p in G.sigma))
 
 
+def matrix_form(G: ColoredGraph):
+    """(|M|, cycle lengths) when G is matrix-like, else None.
+
+    G is matrix-like when its D permutations take at most two values: every
+    color in M has alpha = sigma[0] and every other color one permutation
+    beta.  Its trace is then the product, over the cycles l of alpha^-1
+    beta, of Tr[(X X^dagger)^l], X the N^|M| x N^(D-|M|) flattening of the
+    tensor.  A graph whose colors all agree takes M = {0}.  A family is
+    matrix-like when its union is, and the union lists its members' cycles
+    in member order.
+    """
+    alpha = G.sigma[0]
+    others = {p for p in G.sigma if p != alpha}
+    if len(others) > 1:
+        return None
+    beta = next(iter(others), alpha)
+    rows = G.sigma.count(alpha) if others else 1
+    return rows, [len(c) for c in perms.cycles(perms.compose(perms.inverse(alpha), beta))]
+
+
 def flip_edges(G: ColoredGraph, c: int, s1: int, s2: int) -> ColoredGraph:
-    """Exchange the color-c edges at white vertices s1 and s2."""
+    """Exchange the color-c edges at white vertices s1 and s2; each is an integer (perms.as_int)."""
+    c, s1, s2 = perms.as_int(c, "c"), perms.as_int(s1, "s1"), perms.as_int(s2, "s2")
     if s1 == s2:
         raise ValueError("flip needs two distinct white vertices")
     if not (0 <= c < G.D):
         raise ValueError(f"color index {c} out of range 0..{G.D - 1}")
+    for name, s in (("s1", s1), ("s2", s2)):
+        if not 0 <= s < G.k:
+            raise ValueError(f"white vertex {name}={s} out of range 0..{G.k - 1}")
     img = list(G.sigma[c])
     img[s1], img[s2] = img[s2], img[s1]
     sigma = list(G.sigma)
@@ -337,7 +361,8 @@ class BoundaryReport:
 def boundary_graph(G: ColoredGraph, matches: dict) -> BoundaryReport:
     """Attach color-0 edges per the partial pairing and take the boundary.
 
-    ``matches`` maps white labels to black labels (0-based), injectively.
+    ``matches`` maps white labels to black labels (0-based), injectively;
+    each label is an integer (perms.as_int).
     For every color c the 0c-restriction splits into closed cycles (counted
     by internal_f0) and open paths; each open path contributes a color-c
     edge of the boundary graph between its two end vertices.
@@ -345,6 +370,7 @@ def boundary_graph(G: ColoredGraph, matches: dict) -> BoundaryReport:
     k = G.k
     matched_black = {}
     for w, b in matches.items():
+        w, b = perms.as_int(w, "matches key"), perms.as_int(b, f"matches[{w!r}]")
         if not (0 <= w < k and 0 <= b < k):
             raise ValueError(f"pairing entry {w}->{b} out of range")
         if b in matched_black:

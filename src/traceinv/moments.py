@@ -350,8 +350,10 @@ def prop32_scaling_check(H: ColoredGraph, p: int, kmax: Optional[int] = None) ->
 
     Requires a maximally single-trace, non-factorizing H; the prediction is
     -p D k(H).  It is verified by enumeration only when p copies of the
-    union fit in the budget, and flagged asymptotic otherwise.
+    union fit in the budget, and flagged asymptotic otherwise.  p is an
+    integer (perms.as_int).
     """
+    p = perms.as_int(p, "p")
     if p < 1:
         raise ValueError("order p must be >= 1")
     limit = resolve_kmax(kmax)

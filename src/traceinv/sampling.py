@@ -40,10 +40,10 @@ axis order is chosen at compile time to make that so as often as it can,
 and whatever is left is copied.  The last reduction is a per-sample
 matmul too, so a sample's value does not depend on the block it is in.
 
-A family whose members are all matrix-like for one split of the colors
-(M, M^c) takes a spectral path instead: every color in M has one
-permutation alpha and every other color one permutation beta, as in
-``cyclic(D, M, k)``, ``two_vertex`` and every D = 2 graph, so the trace
+A family whose union is matrix-like (``graphs.matrix_form``) takes a
+spectral path instead: its colors split into (M, M^c), every color in M
+has one permutation alpha and every other color one permutation beta, as
+in ``cyclic(D, M, k)``, ``two_vertex`` and every D = 2 graph, so the trace
 depends only on the singular values of the N^|M| x N^(D-|M|) flattening of
 the tensor.  Those are drawn from the bidiagonal beta = 2 Laguerre model of
 Dumitriu and Edelman ("Matrix models for beta ensembles", J. Math. Phys.
@@ -73,7 +73,7 @@ from typing import Optional
 import numpy as np
 
 from . import perms
-from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats
+from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats, matrix_form
 from .moments import gaussian_moment
 from .search import BudgetError, check_workers, mst_pair_f0, resolve_kmax, search_f0
 
@@ -490,16 +490,17 @@ def _check_kept(samples: int):
         )
 
 
-def _read_run(graphs, kind: str, Ns, samples: int, seed: int, workers: int):
+def _read_run(family: GraphFamily, kind: str, Ns, samples: int, seed: int, workers: int):
     """(Ns, samples, seed, workers) of a Monte Carlo run, read and refused before any walk or draw.
 
     Each value is an integer (perms.as_int), and a refusal names its field.
     Refused: an empty Ns, under 2 samples, an unknown kind, an N under 2, a
     seed under 0 (numpy's generators need one >= 0), a worker count outside
-    1..MAX_WORKERS (check_workers), and an array over the cap at any N: a
-    spectral family's draw (N^D entries; no plan is compiled), else the
-    widest array of each graph's plan, the draw included.  The cap on kept
-    values (_check_kept) is the callers' to check.
+    1..MAX_WORKERS (check_workers), and an array over the cap at any N: for
+    a family whose union is matrix-like, the draw (N^D entries; no plan is
+    compiled), else the widest array of each member's plan, the draw
+    included.  The cap on kept values (_check_kept) is the callers' to
+    check.
     """
     workers = check_workers(workers)
     Ns = [perms.as_int(N, "N") for N in Ns]
@@ -510,11 +511,11 @@ def _read_run(graphs, kind: str, Ns, samples: int, seed: int, workers: int):
         raise ValueError("need at least 2 samples")
     if kind not in ("gaussian", "haar"):
         raise ValueError(f"unknown tensor kind {kind!r}")
-    form = _matrix_form(graphs)
+    form = matrix_form(family.union())
     for N in Ns:
         if N < 2:
             raise ValueError("need N >= 2")
-        for widest in [graphs[0].D] if form is not None else (_compile(g)[2] for g in graphs):
+        for widest in [family.D] if form is not None else (_compile(g)[2] for g in family.graphs()):
             if N**widest > DEFAULT_TRACE_CAP:
                 raise MemoryCapError(
                     f"a tensor with {widest} open indices needs {N**widest} entries "
@@ -525,8 +526,8 @@ def _read_run(graphs, kind: str, Ns, samples: int, seed: int, workers: int):
     return Ns, samples, seed, workers
 
 
-def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1):
-    """Product of the graphs' traces on `samples` fresh draws, one block at a time.
+def _trace_blocks(family: GraphFamily, kind: str, N: int, samples: int, rng, workers: int = 1):
+    """Product of the members' traces on `samples` fresh draws, one block at a time.
 
     A block holds as many samples as keep every array it touches, the draw
     and the widest plan intermediate alike, within BATCH_ENTRY_CAP / workers
@@ -539,20 +540,20 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
     are yielded in order, and an error in a contraction is raised here.
     The pool is shut down when the call returns, raises or is closed, so no
     thread outlives it.  A sample's value does not depend on its block, so
-    the values are the same at any worker count.  Graphs that are all
-    matrix-like for one color split take the spectral path
-    (_spectral_blocks), which has no contraction and opens no pool: workers
-    does not change it.  Nothing is checked here: the caller reads the run
-    with _read_run first.
+    the values are the same at any worker count.  A family whose union is
+    matrix-like takes the spectral path (_spectral_blocks), which has no
+    contraction and opens no pool: workers does not change it.  Nothing is
+    checked here: the caller reads the run with _read_run first.
     """
-    form = _matrix_form(graphs)
+    form = matrix_form(family.union())
     if form is not None:
-        yield from _spectral_blocks(kind, graphs[0].D, N, samples, rng, *form)
+        yield from _spectral_blocks(kind, family.D, N, samples, rng, *form)
         return
     # imported here, not at the top: it loads logging, which a process that
     # samples nothing (the exact commands) should not pay for
     from concurrent import futures
 
+    graphs = family.graphs()
     widest = max(_compile(g)[2] for g in graphs)
     block = max(1, BATCH_ENTRY_CAP // (workers * N**widest))
     # a member equal to an earlier one, or to its conjugate, reads that
@@ -585,7 +586,7 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
     pending = collections.deque()
     try:
         for start in range(0, samples, block):
-            batch = _draw_batch(kind, graphs[0].D, N, min(block, samples - start), rng)
+            batch = _draw_batch(kind, family.D, N, min(block, samples - start), rng)
             pending.append(pool.submit(contract, batch))
             if len(pending) > workers:
                 yield pending.popleft().result()
@@ -593,35 +594,6 @@ def _trace_blocks(graphs, kind: str, N: int, samples: int, rng, workers: int = 1
             yield pending.popleft().result()
     finally:  # on an error or an early close, the queued blocks are dropped and the running ones finish
         pool.shutdown(cancel_futures=True)
-
-
-def _matrix_form(graphs):
-    """(|M|, cycle lengths) when every graph is matrix-like for one color split (M, M^c), else None.
-
-    A graph is matrix-like for the split when every color in M has one
-    permutation alpha and every other color one permutation beta.  Its
-    trace is then the product, over the cycles l of alpha^-1 beta, of
-    Tr[(X X^dagger)^l], X the N^|M| x N^(D-|M|) flattening of the tensor;
-    the lengths of all graphs are listed together, since their traces
-    multiply.  M holds color 0.  A graph whose colors all share one
-    permutation fits every split; a family of only those takes M = {0}.
-    """
-    D = graphs[0].D
-    split = None
-    for g in graphs:
-        same = frozenset(c for c in range(D) if g.sigma[c] == g.sigma[0])
-        if len(same) == D:
-            continue
-        if len(set(g.sigma)) > 2 or split not in (None, same):
-            return None
-        split = same
-    split = split or frozenset({0})
-    beta_color = min(set(range(D)) - split)
-    lengths = []
-    for g in graphs:
-        cycles = perms.cycles(perms.compose(perms.inverse(g.sigma[0]), g.sigma[beta_color]))
-        lengths += [len(c) for c in cycles]
-    return len(split), lengths
 
 
 def _power_sums(d, e, top):
@@ -696,9 +668,9 @@ def mc_moment(
     array of the run.  workers threads contract the blocks (_trace_blocks);
     the estimate is the same at any worker count.
     """
-    (N,), samples, seed, workers = _read_run(family.graphs(), kind, [N], samples, seed, workers)
+    (N,), samples, seed, workers = _read_run(family, kind, [N], samples, seed, workers)
     _check_kept(samples)
-    vals = np.concatenate(list(_trace_blocks(family.graphs(), kind, N, samples, make_rng(seed), workers)))
+    vals = np.concatenate(list(_trace_blocks(family, kind, N, samples, make_rng(seed), workers)))
     mean = complex(vals.mean())
     stderr = float(np.sqrt((np.abs(vals - mean) ** 2).sum() / (samples - 1)) / math.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
@@ -816,15 +788,16 @@ def concentration_experiment(
     epsilon = perms.as_real(epsilon, "epsilon")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"need a finite epsilon > 0, got {epsilon!r}")
+    family = family_of([G])  # its union is G
     # before the walk, which can take far longer than a refusal
-    Ns, samples, seed, workers = _read_run([G], kind, Ns, samples, seed, workers)
+    Ns, samples, seed, workers = _read_run(family, kind, Ns, samples, seed, workers)
     rep = search_f0(G, kmax=kmax, prune=True)
     s = rep.f0_max - G.D * G.k
     mu = rep.multiplicity
     rows = []
     for N in Ns:
         scale = mu * float(N) ** s
-        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]), workers)
+        blocks = _trace_blocks(family, kind, N, samples, make_rng([seed, N]), workers)
         hit = sum(int(np.count_nonzero(np.abs(np.abs(tr) / scale - 1.0) < epsilon)) for tr in blocks)
         rows.append((N, hit / samples))
     envelope = float(np.mean([(1.0 - c) * n for n, c in rows]))
@@ -876,15 +849,16 @@ def entropy_slope_experiment(
     capped like any other array of the run.  Ns, samples, seed and workers
     are read, and workers threads contract the blocks, as in mc_moment.
     """
+    family = family_of([G])  # its union is G
     # before the walk, which can take far longer than a refusal
-    Ns, samples, seed, workers = _read_run([G], kind, Ns, samples, seed, workers)
+    Ns, samples, seed, workers = _read_run(family, kind, Ns, samples, seed, workers)
     if len(set(Ns)) < 3:
         raise ValueError(f"need at least 3 values of N for the fit, all distinct, got {Ns}")
     _check_kept(samples)
     rep = search_f0(G, kmax=kmax, prune=True)
     rows = []
     for N in Ns:
-        blocks = _trace_blocks([G], kind, N, samples, make_rng([seed, N]), workers)
+        blocks = _trace_blocks(family, kind, N, samples, make_rng([seed, N]), workers)
         vals = np.concatenate([-np.log(np.maximum(np.abs(tr), ZERO_FLOOR)) for tr in blocks])
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(samples))

@@ -488,7 +488,8 @@ def degree_report(G: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[
 
 
 def gurau_bound(G: ColoredGraph, kappa_hat: int) -> int:
-    """Upper bound on F0 for completions with kappa_hat components."""
+    """Upper bound on F0 for completions with kappa_hat components; kappa_hat is an integer (perms.as_int)."""
+    kappa_hat = perms.as_int(kappa_hat, "kappa_hat")
     stats = graph_stats(G)
     if not 1 <= kappa_hat <= stats.kappa:
         raise ValueError(f"kappa_hat={kappa_hat} out of range 1..{stats.kappa}")

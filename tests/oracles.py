@@ -11,8 +11,8 @@ import mpmath as mp
 import numpy as np
 
 
-def cycle_lengths(p):
-    """Sorted lengths of the cycles of p, by walking each from its smallest element."""
+def cycle_lengths_in_order(p):
+    """Lengths of the cycles of p, listed by their smallest elements, by walking each from it."""
     left = set(range(len(p)))
     lengths = []
     while left:
@@ -23,7 +23,40 @@ def cycle_lengths(p):
             x = p[x]
             n += 1
         lengths.append(n)
-    return sorted(lengths)
+    return lengths
+
+
+def cycle_lengths(p):
+    """Sorted lengths of the cycles of p."""
+    return sorted(cycle_lengths_in_order(p))
+
+
+def matrix_form_per_member(graphs):
+    """(|M|, cycle lengths) when every graph is matrix-like for one color split (M, M^c), else None.
+
+    The rule member by member: a graph is matrix-like for the split when
+    every color in M has one permutation alpha and every other color one
+    permutation beta, and M holds color 0.  A graph whose colors all share
+    one permutation fits every split; a family of only those takes M = {0}.
+    The lengths are those of the cycles of alpha^-1 beta, member after
+    member, each member's listed by their smallest whites.
+    """
+    D = graphs[0].D
+    split = None
+    for g in graphs:
+        same = frozenset(c for c in range(D) if g.sigma[c] == g.sigma[0])
+        if len(same) == D:
+            continue
+        if len(set(g.sigma)) > 2 or split not in (None, same):
+            return None
+        split = same
+    split = split or frozenset({0})
+    beta_color = min(set(range(D)) - split)
+    lengths = []
+    for g in graphs:
+        white_of = {b: s for s, b in enumerate(g.sigma[0])}
+        lengths += cycle_lengths_in_order([white_of[b] for b in g.sigma[beta_color]])
+    return len(split), lengths
 
 
 def cycle_count_naive(p):
@@ -245,9 +278,10 @@ def per_sample_traces(graphs, kind, N, samples, rng):
     that member and multiplies whole blocks: for a family of more than one
     member the two agree to rounding (rel 1e-12), not bit for bit.
     """
+    from traceinv import family_of
     from traceinv.sampling import _batch_trace, _draw_batch, _read_run
 
-    _read_run(graphs, kind, [N], samples, 0, 1)  # refused as a run of the sampler is; rng stands for the seed
+    _read_run(family_of(graphs), kind, [N], samples, 0, 1)  # refused as a run of the sampler is; rng stands for the seed
     batch = _draw_batch(kind, graphs[0].D, N, samples, rng)
     vals = np.ones(samples, dtype=complex)
     for i in range(samples):

@@ -105,9 +105,33 @@ print(json.dumps([loaded, traceinv.mc_moment is traceinv.sampling.mc_moment, has
 """
 
 
-def test_building_and_generating_load_neither_numpy_nor_sampling():
+def _run_fresh(code):
+    """code's stdout, run in a fresh interpreter that imports this checkout's traceinv."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(traceinv.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _NO_SAMPLING], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[0]) == [[], True, True, True]
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], True, False]
+    return proc.stdout
+
+
+def test_building_and_generating_load_neither_numpy_nor_sampling():
+    lines = _run_fresh(_NO_SAMPLING).splitlines()
+    assert json.loads(lines[0]) == [[], True, True, True]
+    assert json.loads(lines[-1]) == [[], True, False]
+
+
+_MATRIX_FORM = """
+import json, sys
+import traceinv
+print(json.dumps([traceinv.graphs.matrix_form(traceinv.cyclic(3, {0}, 2)), "numpy" in sys.modules]))
+"""
+
+
+def test_matrix_form_loads_no_numpy():
+    assert json.loads(_run_fresh(_MATRIX_FORM)) == [[1, [2]], False]
+
+
+def test_readme_library_example_runs():
+    # nothing else runs it, so a renamed keyword in it would pass unseen
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")) as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    _run_fresh(section.split("```python\n", 1)[1].split("```", 1)[0])

@@ -162,6 +162,22 @@ def test_flip_rejects_same_vertex(mst3):
         flip_edges(mst3, 0, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "c, s1, s2, message",
+    [
+        (0, 0, -1, "s2=-1 out of range"),
+        (0, 0, 5, "s2=5 out of range"),
+        (0, -1, 1, "s1=-1 out of range"),
+        (True, 0, 1, "c must be an integer"),
+        (0, 1.0, 2, "s1 must be an integer"),
+        (0, 1, "2", "s2 must be an integer"),
+    ],
+)
+def test_flip_refuses_non_integers_and_whites_out_of_range(mst3, c, s1, s2, message):
+    with pytest.raises(ValueError, match=message):
+        flip_edges(mst3, c, s1, s2)
+
+
 def test_flip_of_realignment_blocks_adds_degrees():
     # one flip joining two k=2 unit-delta blocks doubles the degree
     from traceinv import degree_report
@@ -258,6 +274,15 @@ def test_boundary_against_path_oracle_on_random_partial_pairings():
 def test_boundary_rejects_non_injective(mst3):
     with pytest.raises(ValueError, match="injective"):
         boundary_graph(mst3, {0: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "matches, message",
+    [({0: 1.0}, r"matches\[0\] must be an integer"), ({True: 1}, "matches key must be an integer")],
+)
+def test_boundary_refuses_non_integer_labels(mst3, matches, message):
+    with pytest.raises(ValueError, match=message):
+        boundary_graph(mst3, matches)
 
 
 def test_two_color_restriction_covers_all_vertices(mst3):

@@ -331,6 +331,12 @@ def test_prop32_rejects_non_mst(melon2):
         prop32_scaling_check(melon2, 1)
 
 
+@pytest.mark.parametrize("p", ["2", True, 2.0])
+def test_prop32_refuses_non_integer_p(p):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        prop32_scaling_check(fig7(), p)
+
+
 def test_cor45_bound_on_connected_maximum(twov3, melon2, cyc2_d3):
     # connected maximum never beats (D/2)k + F/(D-1) - D(p-1)
     from traceinv import graph_stats, search_f0_connected

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import sys
 import threading
 
@@ -26,6 +28,7 @@ from traceinv import (
 )
 from traceinv import sampling
 from traceinv.families import fig7, random_graph
+from traceinv.graphs import matrix_form
 from traceinv.sampling import EULER_GAMMA, _batch_trace, _draw_batch
 from traceinv.search import MAX_WORKERS
 
@@ -83,7 +86,7 @@ def test_trace_memory_cap(mst3, cyc2_d3, monkeypatch):
     monkeypatch.setattr(sampling, "DEFAULT_TRACE_CAP", 3)
     for g in (mst3, cyc2_d3):  # the full path's plan and the spectral path's draw
         with pytest.raises(MemoryCapError):
-            sampling._read_run([g], "gaussian", [4], 2, 0, 1)
+            sampling._read_run(family_of([g]), "gaussian", [4], 2, 0, 1)
 
 
 def test_batch_trace_matches_single(cyc2_d3, mst3):
@@ -345,7 +348,7 @@ def test_sample_rejects(monkeypatch, mst3):
     ],
 )
 def test_matrix_form_of_matrix_like_families(graphs, form):
-    assert sampling._matrix_form(graphs) == form
+    assert matrix_form(family_of(graphs).union()) == form
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
@@ -354,7 +357,7 @@ def test_matrix_form_of_every_d2_graph(seed):
     white_of = {b: s for s, b in enumerate(g.sigma[0])}
     cycles = oracles.cycle_lengths([white_of[b] for b in g.sigma[1]])
     for h in (g, conjugate(g)):
-        rows, lengths = sampling._matrix_form([h])
+        rows, lengths = matrix_form(h)
         assert rows == 1 and sorted(lengths) == cycles
 
 
@@ -373,7 +376,28 @@ MST3 = build_graph(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])  # three distinct permu
     ids=["mst3", "fig7", "mixed", "two-splits", "random-d3"],
 )
 def test_matrix_form_refuses_general_families(graphs):
-    assert sampling._matrix_form(graphs) is None
+    assert matrix_form(family_of(graphs).union()) is None
+
+
+def _matrix_form_pool(D):
+    """two_vertex, every cyclic(D, M, k) and seeded random graphs with k <= 5, and their conjugates."""
+    pool = [two_vertex(D)]
+    for size in range(1, D // 2 + 1):
+        pool += [cyclic(D, M, k) for M in itertools.combinations(range(D), size) for k in range(1, 6)]
+    pool += [random_graph(D, k, seed=100 * D + 10 * k + i) for k in range(1, 6) for i in range(3)]
+    return pool + [conjugate(g) for g in pool]
+
+
+def test_matrix_form_of_the_union_is_the_per_member_rule():
+    rng = random.Random(29)
+    pools = {D: _matrix_form_pool(D) for D in range(2, 6)}
+    forms = []
+    for _ in range(2000):
+        pool = pools[rng.randrange(2, 6)]
+        graphs = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        forms.append(matrix_form(family_of(graphs).union()))
+        assert forms[-1] == oracles.matrix_form_per_member(graphs), graphs
+    assert None in forms and any(form is not None for form in forms)
 
 
 def test_only_general_families_draw_full_tensors(monkeypatch, mst3):
@@ -427,7 +451,7 @@ def test_spectral_path_matches_exact_moment(name, graphs, N, kind):
 def test_spectral_path_matches_full_draw(name, graphs, N, kind):
     # independent samples of both paths: equal means and equal laws
     samples = 1500
-    spectral = np.concatenate(list(sampling._trace_blocks(graphs, kind, N, samples, make_rng(60 + N))))
+    spectral = np.concatenate(list(sampling._trace_blocks(family_of(graphs), kind, N, samples, make_rng(60 + N))))
     full = oracles.per_sample_traces(graphs, kind, N, samples, make_rng(70 + N))
     assert np.abs(full.imag).max() < 1e-12 * np.abs(full.real).max()
     full = full.real
@@ -544,7 +568,7 @@ def _seeded_results(mst3, cyc):
         mc_moment(family_of([cyc, conjugate(cyc)]), "haar", 8, 300, seed=10),
         concentration_experiment(cyc, [4, 8, 16], 0.5, 200, seed=6),
         entropy_slope_experiment(cyc, [4, 8, 16], 200, seed=7),
-        tuple(np.concatenate(list(sampling._trace_blocks([mst3], "haar", 4, 200, make_rng(8))))),
+        tuple(np.concatenate(list(sampling._trace_blocks(family_of([mst3]), "haar", 4, 200, make_rng(8))))),
     )
 
 
@@ -805,7 +829,7 @@ _WORKER_CASES = [
 def test_worker_count_does_not_change_the_bytes(mst3, name, kind, N, samples):
     graphs = [mst3] if name == "mst3" else [mst3, conjugate(mst3)]
     blocks = [
-        np.concatenate(list(sampling._trace_blocks(graphs, kind, N, samples, make_rng(samples), workers)))
+        np.concatenate(list(sampling._trace_blocks(family_of(graphs), kind, N, samples, make_rng(samples), workers)))
         for workers in (1, 2, 3)
     ]
     assert np.array_equal(blocks[0], blocks[1]) and np.array_equal(blocks[0], blocks[2])
@@ -897,7 +921,7 @@ def test_repeated_calls_start_no_more_threads(monkeypatch, mst3):
     for end in ("complete", "closed", "failed"):
         monkeypatch.setattr(sampling, "_batch_trace", failing if end == "failed" else real)
         for workers in (1, 2, 3, 1, 2, 3):
-            blocks = sampling._trace_blocks([mst3], "gaussian", 8, 300, make_rng(7), workers)
+            blocks = sampling._trace_blocks(family_of([mst3]), "gaussian", 8, 300, make_rng(7), workers)
             if end == "complete":
                 assert sum(len(b) for b in blocks) == 300
             elif end == "closed":
@@ -911,12 +935,12 @@ def test_repeated_calls_start_no_more_threads(monkeypatch, mst3):
 
 
 def test_more_workers_than_cores_under_fast_thread_switching_give_the_same_bytes(mst3):
-    reference = np.concatenate(list(sampling._trace_blocks([mst3], "gaussian", 8, 500, make_rng(9))))
+    reference = np.concatenate(list(sampling._trace_blocks(family_of([mst3]), "gaussian", 8, 500, make_rng(9))))
     got = []
 
     def run():
         for workers in (3, 5):
-            got.append(np.concatenate(list(sampling._trace_blocks([mst3], "gaussian", 8, 500, make_rng(9), workers))))
+            got.append(np.concatenate(list(sampling._trace_blocks(family_of([mst3]), "gaussian", 8, 500, make_rng(9), workers))))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

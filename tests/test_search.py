@@ -232,6 +232,15 @@ def test_gurau_bound_fig7_union(fig7_graph):
         gurau_bound(u, 3)
 
 
+@pytest.mark.parametrize("kappa_hat", [1.5, 2.0, True])
+def test_gurau_bound_refuses_non_integer_kappa_hat(kappa_hat):
+    g = random_graph(3, 4, seed=1)
+    u = family_of([g, g]).union()
+    assert gurau_bound(u, 2) == 16
+    with pytest.raises(ValueError, match="kappa_hat must be an integer"):
+        gurau_bound(u, kappa_hat)
+
+
 def test_gurau_bound_never_violated():
     rng = random.Random(47)
     for trial in range(10):
