@@ -63,6 +63,7 @@ _LAZY = {
             "LaurentPoly",
             "LeadingOrder",
             "TieredVerdict",
+            "annealed_coefficients",
             "connected_cumulant",
             "cumulant_consistency",
             "decide_factorization",
@@ -78,7 +79,6 @@ _LAZY = {
         "sampling": (
             "MCEstimate",
             "MemoryCapError",
-            "annealed_coefficients",
             "concentration_experiment",
             "entropy_slope_experiment",
             "make_rng",

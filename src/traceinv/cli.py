@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import functools
 import io
@@ -26,7 +27,7 @@ from .graphs import (
     graph_from_json_dict,
     graph_stats,
 )
-from .moments import _decide, connected_cumulant, decide_factorization, gaussian_moment
+from .moments import _decide, annealed_coefficients, connected_cumulant, decide_factorization, gaussian_moment
 from .search import (
     DEFAULT_KMAX,
     MAX_WORKERS,
@@ -320,19 +321,8 @@ def _cmd_quenched(args) -> tuple:
 
 
 def _cmd_annealed(args) -> tuple:
-    from . import sampling
-
-    rep = sampling.annealed_coefficients(args.regime, args.mu, args.lam, args.D, args.k)
-    report = {
-        "regime": args.regime,
-        "mu": args.mu,
-        "lambda": args.lam,
-        "alpha": rep.alpha,
-        "beta": rep.beta,
-        "alpha_inf": rep.alpha_inf,
-        "beta_inf": rep.beta_inf,
-    }
-    return report, None, 0
+    rep = annealed_coefficients(args.regime, args.mu, args.lam, args.D, args.k)
+    return {"regime": args.regime, "mu": args.mu, "lambda": args.lam, **dataclasses.asdict(rep)}, None, 0
 
 
 def _cmd_counterexample(args) -> tuple:

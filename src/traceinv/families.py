@@ -1,8 +1,11 @@
 """Deterministic builders for the named graph families.
 
 Color indices and vertex labels are 0-based here; the JSON spec format
-(``generate_from_spec``) uses 1-based colors and labels.  ``melonic`` and
-``build_with_delta`` edit image lists and validate the graph once: linear time.
+(``generate_from_spec``) uses 1-based colors and labels.  Every builder
+reads its integers (D, k, colors, script steps, seeds) by one rule,
+``perms.as_int``, each refusal a ValueError that names its field.
+``melonic`` and ``build_with_delta`` edit image lists and validate the
+graph once: linear time.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .graphs import ColoredGraph
 
 def two_vertex(D: int) -> ColoredGraph:
     """One white and one black vertex joined by all D colors."""
+    D = perms.as_int(D, "D")
     return ColoredGraph(D=D, k=1, sigma=tuple((0,) for _ in range(D)))
 
 
@@ -27,9 +31,11 @@ def melonic(D: int, script) -> ColoredGraph:
     a fresh white/black pair, joined to each other by every other color.
     The steps edit the D image lists; the graph is built once, at the end.
     """
+    D = perms.as_int(D, "D")
     images = [[0] for _ in range(D)]
     k = 1
     for step, (c, s) in enumerate(script):
+        c, s = perms.as_int(c, f"script step {step} color"), perms.as_int(s, f"script step {step} white")
         if not 0 <= c < D:
             raise ValueError(f"script step {step}: color index {c} out of range 0..{D - 1}")
         if not 0 <= s < k:
@@ -50,7 +56,7 @@ def cyclic(D: int, M, k: int) -> ColoredGraph:
     Colors in M stay within a pair; the remaining colors advance around
     the cycle.
     """
-    M = set(M)
+    D, M, k = perms.as_int(D, "D"), _color_set(M, "M"), perms.as_int(k, "k")
     if not M:
         raise ValueError("cyclic graphs need a nonempty color subset M")
     if not all(0 <= c < D for c in M):
@@ -71,7 +77,8 @@ def realignment(M1, M2, M3, k: int) -> ColoredGraph:
     linked by the colors of M1 and M2 in alternation (two edges per color
     per link), which forces k to be even.
     """
-    M1, M2, M3 = set(M1), set(M2), set(M3)
+    M1, M2, M3 = _color_set(M1, "M1"), _color_set(M2, "M2"), _color_set(M3, "M3")
+    k = perms.as_int(k, "k")
     colors = M1 | M2 | M3
     if not (M1 and M2 and M3):
         raise ValueError("realignment moments need three nonempty color subsets")
@@ -92,8 +99,8 @@ def joint_realignment(D: int, M3, links) -> ColoredGraph:
     links[j] holds the colors carried between pair j and pair j+1 (mod k).
     Accepted only if every vertex ends up with exactly one edge per color.
     """
-    M3 = set(M3)
-    links = [set(l) for l in links]
+    D, M3 = perms.as_int(D, "D"), _color_set(M3, "M3")
+    links = [_color_set(l, "links") for l in links]
     k = len(links)
     if k < 1:
         raise ValueError("need at least one link")
@@ -106,6 +113,11 @@ def joint_realignment(D: int, M3, links) -> ColoredGraph:
                     "every vertex needs exactly one edge per color"
                 )
     return _cycle_of_pairs(D, M3, [sorted(l) for l in links])
+
+
+def _color_set(colors, field) -> set:
+    """The colors as a set of integers (perms.as_int), a refusal naming "<field> entry"."""
+    return {perms.as_int(c, f"{field} entry") for c in colors}
 
 
 def _cycle_of_pairs(D, M3, links):
@@ -146,6 +158,7 @@ def fig7() -> ColoredGraph:
 
 def random_graph(D: int, k: int, seed: int) -> ColoredGraph:
     """D independent uniform permutations of S_k from a seeded generator."""
+    D, k, seed = perms.as_int(D, "D"), perms.as_int(k, "k"), perms.as_int(seed, "seed")
     if D < 2:
         raise ValueError("need D >= 2")
     if k < 1:
@@ -171,6 +184,7 @@ def build_with_delta(D: int, delta: int, kmax: Optional[int] = None) -> DeltaBui
     The claim is brute-force checked whenever the result fits the budget,
     and flagged unverified otherwise.
     """
+    D, delta = perms.as_int(D, "D"), perms.as_int(delta, "delta")
     if D < 4:
         raise ValueError("need D >= 4: the unit block has delta 0 at D = 3")
     if delta < 1:
@@ -199,7 +213,7 @@ def _array(value):
 
 
 def _colors(value, field) -> set:
-    return {perms.as_int(c, f"{field} entry") - 1 for c in _array(value)}
+    return {c - 1 for c in _color_set(_array(value), field)}
 
 
 def _script(value, field) -> list:

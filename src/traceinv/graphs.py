@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -361,12 +362,14 @@ class BoundaryReport:
 def boundary_graph(G: ColoredGraph, matches: dict) -> BoundaryReport:
     """Attach color-0 edges per the partial pairing and take the boundary.
 
-    ``matches`` maps white labels to black labels (0-based), injectively;
-    each label is an integer (perms.as_int).
+    ``matches`` is a mapping of white labels to black labels (0-based),
+    injective; each label is an integer (perms.as_int).
     For every color c the 0c-restriction splits into closed cycles (counted
     by internal_f0) and open paths; each open path contributes a color-c
     edge of the boundary graph between its two end vertices.
     """
+    if not isinstance(matches, Mapping):
+        raise ValueError(f"matches must be a mapping of white to black labels, got {type(matches).__name__}")
     k = G.k
     matched_black = {}
     for w, b in matches.items():

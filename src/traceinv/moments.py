@@ -5,6 +5,9 @@ and the connected cumulant read the full F0 histogram of the pairing walk
 in ``search``.  Coefficients are exact integers, so moment-cumulant
 identities and factorization verdicts are decided without floating point.
 Factorization verdicts need only F0 maxima, so they use the pruned walk.
+It also holds the limit law's Gamma shapes (``_LIMIT_SHAPE``), which the
+exact limit moments and the annealed coefficients both read; the latter
+are floats from a scipy quadrature, scipy imported on first use.
 """
 
 from __future__ import annotations
@@ -310,15 +313,19 @@ def _thm41(family: GraphFamily, searches: _Searches) -> Thm41Report:
     return Thm41Report(passes=lhs > rhs, lhs=lhs, rhs=rhs, delta_sum=delta_sum)
 
 
+# shape s of the Gamma(s, .) limit law of the rescaled invariant in each regime
+_LIMIT_SHAPE = {"exponential": Fraction(1), "gamma": Fraction(1, 2)}
+EULER_GAMMA = 0.5772156649015328606
+
+
 def limit_moments_prop34(mu_c, p: int, regime: str) -> dict:
     """Limit cumulant and moment of order p for the two solved regimes.
 
-    exponential: the limit law of the rescaled invariant when the
-    conjugate-pair channel strictly dominates, Gamma(1, scale mu_c);
-    gamma: the half-integer shape law of the degenerate case,
-    Gamma(1/2, scale 2 mu_c).  Both have mean mu_c; annealed_coefficients
-    reads the gamma regime's mu_c as a scale instead, a law of mean mu_c/2.
-    Exact in Fraction arithmetic; p is an integer (perms.as_int).
+    The limit law is Gamma(s, scale theta), s from _LIMIT_SHAPE (1: the
+    conjugate-pair channel strictly dominates; 1/2: the degenerate case).
+    Its mean is mu_c, so theta = mu_c/s: cumulant s (p-1)! theta^p, moment
+    theta^p s (s+1) ... (s+p-1).  annealed_coefficients takes mu_c as the
+    scale instead.  Exact in Fraction arithmetic; p is an integer (perms.as_int).
     """
     p = perms.as_int(p, "p")
     if p < 1:
@@ -326,16 +333,90 @@ def limit_moments_prop34(mu_c, p: int, regime: str) -> dict:
     mu = Fraction(mu_c)
     if mu <= 0:
         raise ValueError("mu_c must be positive")
-    if regime == "exponential":
-        cumulant = math.factorial(p - 1) * mu**p
-        moment = math.factorial(p) * mu**p
-    elif regime == "gamma":
-        cumulant = Fraction(math.factorial(p - 1), 2) * (2 * mu) ** p
-        double_fact = Fraction(math.factorial(2 * p), 2**p * math.factorial(p))
-        moment = double_fact * mu**p
-    else:
+    if not isinstance(regime, str) or regime not in _LIMIT_SHAPE:  # an unhashable one too
         raise ValueError(f"unknown regime {regime!r}")
-    return {"cumulant_p": Fraction(cumulant), "moment_p": Fraction(moment)}
+    s = _LIMIT_SHAPE[regime]
+    theta = mu / s
+    return {
+        "cumulant_p": s * math.factorial(p - 1) * theta**p,
+        "moment_p": theta**p * math.prod(s + j for j in range(p)),
+    }
+
+
+@dataclass(frozen=True)
+class AnnealedCoefficients:
+    alpha: float
+    beta: float
+    alpha_inf: float
+    beta_inf: float
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on first use: scipy is most of the package's import time."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
+def annealed_coefficients(
+    regime: str, mu_c: float, Lambda: float, D: int, k: int
+) -> AnnealedCoefficients:
+    """ln N and constant coefficients of the regularized annealed entropy.
+
+    The rescaled invariant's limit law is Gamma(s, scale mu_c), s from
+    _LIMIT_SHAPE: 1 in the exponential regime (density e^(-x/mu)/mu, mean
+    mu_c), 1/2 in the gamma regime (density e^(-x/mu)/sqrt(pi mu x), mean
+    mu_c/2; there limit_moments_prop34 takes mu_c as the mean, scale 2 mu_c).
+    With U ~ Gamma(s, 1), P its regularized lower incomplete gamma function
+    and c = Lambda^-2/mu_c,
+
+        alpha = (Dk/2)(1 + P(s, c)),   beta = -1/2 (ln mu_c + E[ln max(U, c)]),
+
+    and their Lambda -> infinity limits are alpha_inf = Dk/2 and
+    beta_inf = -1/2 (ln mu_c + digamma(s)).  E[ln max(U, c)] is one
+    quadrature on the unit scale: digamma(s) + int_0^c P(s, u)/u du for
+    c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.  D and k are
+    integers (perms.as_int), mu_c and Lambda real numbers (perms.as_real).
+    """
+    D, k = perms.as_int(D, "D"), perms.as_int(k, "k")
+    mu, Lambda = perms.as_real(mu_c, "mu_c"), perms.as_real(Lambda, "Lambda")
+    if not math.isfinite(mu) or mu <= 0:
+        raise ValueError(f"need a finite mu_c > 0, got {mu_c!r}")
+    if not math.isfinite(Lambda) or Lambda <= 0:
+        raise ValueError(f"need a finite Lambda > 0, got {Lambda!r}")
+    if D < 2 or k < 1:
+        raise ValueError(f"need D >= 2 and k >= 1, got D={D}, k={k}")
+    try:
+        Lambda**-2.0
+    except OverflowError:
+        raise ValueError(f"need Lambda^-2 to be finite, got Lambda={Lambda!r}") from None
+    if not isinstance(regime, str) or regime not in _LIMIT_SHAPE:  # an unhashable one too
+        raise ValueError(f"unknown regime {regime!r}")
+    from scipy.special import digamma, gammainc, gammaincc
+
+    s = float(_LIMIT_SHAPE[regime])
+    psi = float(digamma(s))
+    ln_mu = math.log(mu)
+    ln_c = -2.0 * math.log(Lambda) - ln_mu  # in logs: c itself may be out of range
+    c = math.exp(min(ln_c, 700.0))  # Q(s, e^700) is already 0
+    if c <= 1.0:  # u = t^2 keeps the integrand finite at 0
+        base, lo, hi = psi, 0.0, math.sqrt(c)
+        def integrand(t):
+            return 2.0 * gammainc(s, t * t) / t
+    else:
+        base, lo, hi = ln_c, c, math.inf
+        def integrand(u):
+            return gammaincc(s, u) / u
+    # quad's default epsabs (1.5e-8) leaves errors near 1e-10 in beta
+    val, err = quad(integrand, lo, hi, epsabs=1e-13)
+    if err > 1e-7:
+        raise ValueError(f"quadrature did not converge (error estimate {err:.2e})")
+    return AnnealedCoefficients(
+        alpha=0.5 * D * k * (1.0 + float(gammainc(s, c))),
+        beta=-0.5 * (ln_mu + base + val),
+        alpha_inf=0.5 * D * k,
+        beta_inf=-0.5 * (ln_mu + psi),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo moments, the entropy experiments and the annealed coefficients.
+"""Seeded Monte Carlo moments and the entropy experiments.
 
 Gaussian tensors have i.i.d. complex entries of variance 1/N^D; Haar
 tensors are Gaussian draws normalized to the unit sphere.  Draws are
@@ -56,8 +56,7 @@ their sample counts are capped too.
 
 This is the one module that imports numpy at the top.  The package and
 the CLI import it on first use (``traceinv.mc_moment``, the commands that
-sample), so building, generating and refusing load neither it nor numpy;
-scipy is imported by ``annealed_coefficients`` alone.
+sample), so building, generating and refusing load neither it nor numpy.
 """
 
 from __future__ import annotations
@@ -67,20 +66,19 @@ import functools
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import perms
 from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats, matrix_form
-from .moments import gaussian_moment
+from .moments import annealed_coefficients, gaussian_moment
 from .search import BudgetError, check_workers, mst_pair_f0, resolve_kmax, search_f0
 
 DEFAULT_TRACE_CAP = 2**26  # complex entries per sample in the draw and in any intermediate
 BATCH_ENTRY_CAP = 2**16  # complex entries per array a block of samples holds (1 MiB)
 ZERO_FLOOR = 1e-300  # |Tr| below this counts as a zero of the invariant
-EULER_GAMMA = 0.5772156649015328606
 
 class MemoryCapError(ValueError):
     """Raised when a contraction would exceed the configured memory cap."""
@@ -736,10 +734,7 @@ def quenched_annealed_report(
         "quenched_method": quenched.method,
         "annealed_regularized": coeffs.alpha * ln_n + coeffs.beta,
         "annealed_limit": coeffs.alpha_inf * ln_n + coeffs.beta_inf,
-        "alpha": coeffs.alpha,
-        "beta": coeffs.beta,
-        "alpha_inf": coeffs.alpha_inf,
-        "beta_inf": coeffs.beta_inf,
+        **asdict(coeffs),
     }
 
 
@@ -874,88 +869,4 @@ def entropy_slope_experiment(
         intercept_expected=-math.log(rep.multiplicity),
         samples=samples,
         seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class AnnealedCoefficients:
-    alpha: float
-    beta: float
-    alpha_inf: float
-    beta_inf: float
-
-
-# shape s of the Gamma(s, scale mu_c) limit law of the rescaled invariant
-_LIMIT_SHAPE = {"exponential": 1.0, "gamma": 0.5}
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on first use: scipy is most of the package's import time."""
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
-
-
-def _check_quad(err):
-    if err > 1e-7:
-        raise ValueError(f"quadrature did not converge (error estimate {err:.2e})")
-
-
-def annealed_coefficients(
-    regime: str, mu_c: float, Lambda: float, D: int, k: int
-) -> AnnealedCoefficients:
-    """ln N and constant coefficients of the regularized annealed entropy.
-
-    The rescaled invariant's limit law is Gamma(s, scale mu_c): s = 1 in the
-    exponential regime (density e^(-x/mu)/mu, mean mu_c) and s = 1/2 in the
-    gamma regime (density e^(-x/mu)/sqrt(pi mu x), mean mu_c/2; there
-    limit_moments_prop34 takes Gamma(1/2, scale 2 mu_c), of mean mu_c).
-    With U ~ Gamma(s, 1), P its regularized lower incomplete gamma function
-    and c = Lambda^-2/mu_c,
-
-        alpha = (Dk/2)(1 + P(s, c)),   beta = -1/2 (ln mu_c + E[ln max(U, c)]),
-
-    and their Lambda -> infinity limits are alpha_inf = Dk/2 and
-    beta_inf = -1/2 (ln mu_c + digamma(s)).  E[ln max(U, c)] is one
-    quadrature on the unit scale: digamma(s) + int_0^c P(s, u)/u du for
-    c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.  D and k are
-    integers (perms.as_int), mu_c and Lambda real numbers (perms.as_real).
-    """
-    D, k = perms.as_int(D, "D"), perms.as_int(k, "k")
-    mu, Lambda = perms.as_real(mu_c, "mu_c"), perms.as_real(Lambda, "Lambda")
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError(f"need a finite mu_c > 0, got {mu_c!r}")
-    if not math.isfinite(Lambda) or Lambda <= 0:
-        raise ValueError(f"need a finite Lambda > 0, got {Lambda!r}")
-    if D < 2 or k < 1:
-        raise ValueError(f"need D >= 2 and k >= 1, got D={D}, k={k}")
-    try:
-        Lambda**-2.0
-    except OverflowError:
-        raise ValueError(f"need Lambda^-2 to be finite, got Lambda={Lambda!r}") from None
-    if regime not in _LIMIT_SHAPE:
-        raise ValueError(f"unknown regime {regime!r}")
-    from scipy.special import digamma, gammainc, gammaincc
-
-    s = _LIMIT_SHAPE[regime]
-    psi = float(digamma(s))
-    ln_mu = math.log(mu)
-    ln_c = -2.0 * math.log(Lambda) - ln_mu  # in logs: c itself may be out of range
-    c = math.exp(min(ln_c, 700.0))  # Q(s, e^700) is already 0
-    if c <= 1.0:  # u = t^2 keeps the integrand finite at 0
-        base, lo, hi = psi, 0.0, math.sqrt(c)
-        def integrand(t):
-            return 2.0 * gammainc(s, t * t) / t
-    else:
-        base, lo, hi = ln_c, c, math.inf
-        def integrand(u):
-            return gammaincc(s, u) / u
-    # quad's default epsabs (1.5e-8) leaves errors near 1e-10 in beta
-    val, err = quad(integrand, lo, hi, epsabs=1e-13)
-    _check_quad(err)
-    return AnnealedCoefficients(
-        alpha=0.5 * D * k * (1.0 + float(gammainc(s, c))),
-        beta=-0.5 * (ln_mu + base + val),
-        alpha_inf=0.5 * D * k,
-        beta_inf=-0.5 * (ln_mu + psi),
     )

@@ -476,13 +476,12 @@ class DegreeReport:
 def degree_report(G: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> DegreeReport:
     """Reduced Gurau degree and degree of compatibility, exact.
 
-    f0_max may be supplied to skip the enumeration.
+    f0_max, an integer (perms.as_int), may be supplied to skip the enumeration.
     """
     stats = graph_stats(G)
     D, k, F = G.D, G.k, stats.F_total
     omega2 = (D - 1) * stats.kappa + (D - 1) * (D - 2) * k // 2 - F
-    if f0_max is None:
-        f0_max = search_f0(G, kmax=kmax, prune=True).f0_max
+    f0_max = search_f0(G, kmax=kmax, prune=True).f0_max if f0_max is None else perms.as_int(f0_max, "f0_max")
     delta = Fraction(D * (D - 1) * k, 4) + Fraction(F, 2) - Fraction((D - 1) * f0_max, 2)
     return DegreeReport(omega2=omega2, delta=delta, compatible=delta == 0)
 
@@ -509,11 +508,11 @@ def mst_pair_f0(H: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[in
     Valid for maximally single-trace H only: the mirror pairing yields
     D*k(H) and the component bound caps connected completions at the same
     value, while split completions cap at twice the single-graph maximum.
+    f0_max, an integer (perms.as_int), may be supplied to skip the enumeration.
     """
     if not graph_stats(H).is_mst:
         raise ValueError("mst_pair_f0 requires a maximally single-trace graph")
-    if f0_max is None:
-        f0_max = search_f0(H, kmax=kmax, prune=True).f0_max
+    f0_max = search_f0(H, kmax=kmax, prune=True).f0_max if f0_max is None else perms.as_int(f0_max, "f0_max")
     f0_union = max(2 * f0_max, H.D * H.k)
     return MstPairReport(
         f0_union=f0_union,

@@ -6,6 +6,8 @@ all-index contraction loops, and 40-digit mpmath integrals.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -288,6 +290,20 @@ def per_sample_traces(graphs, kind, N, samples, rng):
         for g in graphs:
             vals[i] *= _batch_trace(g, batch[i : i + 1])[0]
     return vals
+
+
+def limit_moments_reference(mu_c, p, regime):
+    """(cumulant, moment) of order p of the limit law of mean mu_c, by each regime's closed form.
+
+    exponential: Gamma(1, scale mu_c), cumulant (p-1)! mu_c^p and moment
+    p! mu_c^p; gamma: Gamma(1/2, scale 2 mu_c), cumulant (p-1)!/2 (2 mu_c)^p
+    and moment (2p-1)!! mu_c^p.
+    """
+    mu = Fraction(mu_c)
+    if regime == "exponential":
+        return math.factorial(p - 1) * mu**p, math.factorial(p) * mu**p
+    double_fact = Fraction(math.factorial(2 * p), 2**p * math.factorial(p))
+    return Fraction(math.factorial(p - 1), 2) * (2 * mu) ** p, double_fact * mu**p
 
 
 def annealed_reference(regime, mu_c, Lambda, D, k):

@@ -44,7 +44,7 @@ from traceinv import (
 )
 from traceinv.families import random_graph
 from traceinv.moments import LaurentPoly, leading_order
-from traceinv.sampling import EULER_GAMMA, annealed_coefficients
+from traceinv.moments import EULER_GAMMA, annealed_coefficients
 
 import oracles
 

@@ -130,6 +130,22 @@ def test_matrix_form_loads_no_numpy():
     assert json.loads(_run_fresh(_MATRIX_FORM)) == [[1, [2]], False]
 
 
+# the annealed command reads its coefficients from moments, next to the
+# limit moments, and never imports the sampler
+_ANNEALED = """
+import contextlib, io, json, sys
+from traceinv import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "2", "--D", "3", "--k", "2"])
+print(json.dumps([code, "traceinv.sampling" in sys.modules]))
+"""
+
+
+def test_annealed_loads_no_sampling():
+    assert json.loads(_run_fresh(_ANNEALED)) == [0, False]
+    assert traceinv.annealed_coefficients is traceinv.moments.annealed_coefficients
+
+
 def test_readme_library_example_runs():
     # nothing else runs it, so a renamed keyword in it would pass unseen
     with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")) as fh:

@@ -237,9 +237,9 @@ def test_comma_separated_colors_parse(capsys):
 
 
 def test_annealed_quadrature_failure_exits_2_without_traceback(monkeypatch, capsys):
-    from traceinv import sampling
+    from traceinv import moments
 
-    monkeypatch.setattr(sampling, "quad", lambda *a, **kw: (0.0, 1.0))
+    monkeypatch.setattr(moments, "quad", lambda *a, **kw: (0.0, 1.0))
     argv = ["annealed", "--regime", "exponential", "--mu", "1", "--lambda", "10", "--D", "3", "--k", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -608,11 +608,11 @@ def test_json_nested_past_the_parser_exits_2_with_one_error_line(tmp_path, capsy
     ],
 )
 def test_csv_on_a_command_without_rows_is_refused_before_the_work(monkeypatch, capsys, argv):
-    from traceinv import cli, families, sampling
+    from traceinv import cli, families
 
     calls = []
     for module, name in ((families, "build_with_delta"), (cli, "_Searches"), (cli, "_read_graphs"),
-                         (sampling, "annealed_coefficients")):
+                         (cli, "annealed_coefficients")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
     assert main(argv + ["--format", "csv"]) == 2
     captured = capsys.readouterr()

@@ -225,6 +225,35 @@ def test_build_with_delta_refuses_d3(delta):
         build_with_delta(3, delta)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: cyclic(3, {0.0}, 2), "M entry must be an integer"),
+        (lambda: cyclic(3, {True}, 2), "M entry must be an integer"),
+        (lambda: cyclic(3, {0}, 2.0), "k must be an integer"),
+        (lambda: cyclic(3.0, {0}, 2), "D must be an integer"),
+        (lambda: two_vertex(3.0), "D must be an integer"),
+        (lambda: realignment({0.0}, {1}, {2}, 2), "M1 entry must be an integer"),
+        (lambda: realignment({0}, {1}, {2.0}, 2), "M3 entry must be an integer"),
+        (lambda: realignment({0}, {1}, {2}, 2.0), "k must be an integer"),
+        (lambda: melonic(3, [(0.0, 0)]), "script step 0 color must be an integer"),
+        (lambda: melonic(3, [(0, 0), (1, True)]), "script step 1 white must be an integer"),
+        (lambda: melonic(3.0, []), "D must be an integer"),
+        (lambda: joint_realignment(3.0, {0}, [{1}, {2}]), "D must be an integer"),
+        (lambda: joint_realignment(3, {0.0}, [{1}, {2}]), "M3 entry must be an integer"),
+        (lambda: joint_realignment(3, {0}, [{1}, {2.0}]), "links entry must be an integer"),
+        (lambda: random_graph(3, 2, 1.5), "seed must be an integer"),
+        (lambda: random_graph(3, 2.0, 1), "k must be an integer"),
+        (lambda: random_graph(3.0, 2, 1), "D must be an integer"),
+        (lambda: build_with_delta(4.0, 1), "D must be an integer"),
+        (lambda: build_with_delta(4, 1.0), "delta must be an integer"),
+    ],
+)
+def test_builders_read_integers_by_as_int(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_generate_from_spec_kinds():
     assert generate_from_spec({"kind": "two_vertex", "D": 3}) == two_vertex(3)
     assert generate_from_spec({"kind": "melonic", "D": 3, "script": [[1, 1]]}) == melonic(

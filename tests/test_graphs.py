@@ -278,7 +278,12 @@ def test_boundary_rejects_non_injective(mst3):
 
 @pytest.mark.parametrize(
     "matches, message",
-    [({0: 1.0}, r"matches\[0\] must be an integer"), ({True: 1}, "matches key must be an integer")],
+    [
+        ({0: 1.0}, r"matches\[0\] must be an integer"),
+        ({True: 1}, "matches key must be an integer"),
+        ([(0, 1)], "matches must be a mapping"),
+        (None, "matches must be a mapping"),
+    ],
 )
 def test_boundary_refuses_non_integer_labels(mst3, matches, message):
     with pytest.raises(ValueError, match=message):

@@ -7,6 +7,7 @@ import pytest
 from traceinv import (
     BudgetError,
     LaurentPoly,
+    annealed_coefficients,
     build_graph,
     conjugate,
     connected_cumulant,
@@ -300,11 +301,28 @@ def test_limit_moments_lattice_identity():
                 assert total == limit_moments_prop34(mu, p, regime)["moment_p"]
 
 
+def test_limit_moments_match_each_regimes_closed_form():
+    for regime in ("exponential", "gamma"):
+        for mu in (Fraction(3, 2), 1, 7, 0.3):
+            for p in range(1, 13):
+                out = limit_moments_prop34(mu, p, regime)
+                assert (out["cumulant_p"], out["moment_p"]) == oracles.limit_moments_reference(mu, p, regime)
+                assert type(out["cumulant_p"]) is type(out["moment_p"]) is Fraction
+
+
 def test_limit_moments_rejects():
     with pytest.raises(ValueError):
         limit_moments_prop34(1, 0, "exponential")
     with pytest.raises(ValueError):
         limit_moments_prop34(1, 2, "weibull")
+
+
+@pytest.mark.parametrize("regime", ["cauchy", ["gamma"], None])
+def test_both_limit_law_readers_refuse_an_unknown_regime(regime):
+    with pytest.raises(ValueError, match="unknown regime"):
+        limit_moments_prop34(1, 2, regime)
+    with pytest.raises(ValueError, match="unknown regime"):
+        annealed_coefficients(regime, 1.0, 1.0, 3, 2)
 
 
 @pytest.mark.parametrize("p", [True, 2.5, 2.0, "2"])

@@ -29,7 +29,8 @@ from traceinv import (
 from traceinv import sampling
 from traceinv.families import fig7, random_graph
 from traceinv.graphs import matrix_form
-from traceinv.sampling import EULER_GAMMA, _batch_trace, _draw_batch
+from traceinv.moments import EULER_GAMMA
+from traceinv.sampling import _batch_trace, _draw_batch
 from traceinv.search import MAX_WORKERS
 
 import oracles

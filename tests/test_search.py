@@ -241,6 +241,13 @@ def test_gurau_bound_refuses_non_integer_kappa_hat(kappa_hat):
         gurau_bound(u, kappa_hat)
 
 
+@pytest.mark.parametrize("f0_max", [2.5, True, "26"])
+def test_supplied_f0_max_must_be_an_integer(mst3, f0_max):
+    for report in (degree_report, mst_pair_f0):
+        with pytest.raises(ValueError, match="f0_max must be an integer"):
+            report(mst3, f0_max=f0_max)
+
+
 def test_gurau_bound_never_violated():
     rng = random.Random(47)
     for trial in range(10):
