@@ -24,6 +24,7 @@ from .graphs import (
     family_file_from_json_dict,
     family_from_json_dict,
     family_of,
+    from_json,
     graph_from_json_dict,
     graph_stats,
 )
@@ -40,18 +41,32 @@ from .search import (
 )
 
 
-# generate's spec fields and the reader of each option's text (colors comma-separated, 1-based)
-_FIELDS = {
-    **dict.fromkeys(("D", "k", "seed", "delta"), perms.from_decimal),
-    **dict.fromkeys(("M", "M1", "M2", "M3"), lambda text: [perms.from_digits(c) for c in text.split(",") if c.strip()]),
-    "script": json.loads,  # [[color, white], ...], 1-based
-    "links": json.loads,  # [[color, ...], ...], 1-based
+# generate's options, one per field a families.KINDS spec may take
+_SPEC_FIELDS = ("D", "k", "seed", "delta", "M", "M1", "M2", "M3", "script", "links")
+# every value option by its dest: the reader of its text and its refusal; main reads each
+# option given before the handler runs, so argparse keeps only strings and choices
+_MALFORMED = "is malformed: {exc}"
+_OPTIONS = {
+    "kmax": (perms.from_decimal, _MALFORMED),
+    "threads": (
+        lambda text: check_workers(perms.from_decimal(text)),
+        f"must be an integer from 1 to {MAX_WORKERS}, got {{text!r}}",
+    ),
+    **dict.fromkeys(("N", "D", "k", "seed", "delta"), (perms.from_decimal, _MALFORMED)),
+    **dict.fromkeys(("mu", "lambda"), (functools.partial(perms.from_decimal, kind=float), _MALFORMED)),
+    # comma-separated 1-based colors, spaces around each stripped
+    **dict.fromkeys(
+        ("M", "M1", "M2", "M3"),
+        (lambda text: [perms.from_decimal(c.strip()) for c in text.split(",") if c.strip()], _MALFORMED),
+    ),
+    # [[color, white], ...] and [[color, ...], ...], 1-based
+    **dict.fromkeys(("script", "links"), (functools.partial(from_json, what="the value"), _MALFORMED)),
 }
 
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kmax", type=perms.from_decimal, default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
+    common.add_argument("--kmax", default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
     common.add_argument(
         "--threads",
         default="1",
@@ -89,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[common], help="build a named family graph")
     p.add_argument("kind", help=", ".join(kind.replace("_", "-") for kind in families.KINDS))
-    for name in _FIELDS:
+    for name in _SPEC_FIELDS:
         p.add_argument(f"--{name}")
 
     p = sub.add_parser("moment", parents=[common], help="exact Gaussian moment in N")
@@ -104,14 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quenched", parents=[common], help="quenched entropy of a conjugate pair")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--N", type=perms.from_decimal, required=True)
+    p.add_argument("--N", required=True)
 
     p = sub.add_parser("annealed", parents=[common], help="annealed entropy coefficients")
     p.add_argument("--regime", choices=["exponential", "gamma"], required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--D", type=perms.from_decimal, required=True)
-    p.add_argument("--k", type=perms.from_decimal, required=True)
+    for name in ("mu", "lambda", "D", "k"):
+        p.add_argument(f"--{name}", required=True)
 
     sub.add_parser("counterexample", parents=[common], help="reproduce the non-factorizing pair")
     return parser
@@ -140,15 +153,6 @@ def _emit(report: dict, args, rows, columns) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path):
-    """The JSON value in a file; one nested deeper than the parser can recurse is refused."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path} is nested too deeply to read") from None
-
-
 def _check_declared_k(data, kmax) -> None:
     """Refuse graph or family JSON in which a graph declares k over the budget.
 
@@ -165,7 +169,8 @@ def _check_declared_k(data, kmax) -> None:
 
 def _read_graphs(path, kmax):
     """The JSON of a graph or family file, refused if a graph in it declares k over the budget."""
-    data = _load_json(path)
+    with open(path) as fh:
+        data = from_json(fh.read(), path)
     _check_declared_k(data, kmax)
     return data
 
@@ -208,12 +213,7 @@ def _cmd_factorize(args) -> tuple:
 def _cmd_generate(args) -> tuple:
     # families decides which fields a kind takes: only the options given enter the spec
     spec = {"kind": args.kind.replace("-", "_")}
-    for key, read in _FIELDS.items():
-        if (text := getattr(args, key)) is not None:
-            try:
-                spec[key] = read(text)
-            except (ValueError, RecursionError) as exc:  # json.loads recurses once per nesting level
-                raise ValueError(f"--{key} is malformed: {exc}")
+    spec.update((key, value) for key in _SPEC_FIELDS if (value := getattr(args, key)) is not None)
     if spec["kind"] == "with_delta":
         _, fields = families.read_spec(spec)
         built = families.build_with_delta(**fields, kmax=args.kmax)
@@ -251,7 +251,8 @@ def _experiment_config(path, command, kmax) -> tuple:
     before any walk or draw.
     """
     default_kind, single_graph, reads_epsilon = _EXPERIMENTS[command]
-    cfg = _load_json(path)
+    with open(path) as fh:
+        cfg = from_json(fh.read(), path)
     if not isinstance(cfg, dict):
         raise ValueError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
     known = ("seed", "samples", "N", "graph", "family", "kind") + ("epsilon",) * reads_epsilon
@@ -321,8 +322,9 @@ def _cmd_quenched(args) -> tuple:
 
 
 def _cmd_annealed(args) -> tuple:
-    rep = annealed_coefficients(args.regime, args.mu, args.lam, args.D, args.k)
-    return {"regime": args.regime, "mu": args.mu, "lambda": args.lam, **dataclasses.asdict(rep)}, None, 0
+    lam = vars(args)["lambda"]
+    rep = annealed_coefficients(args.regime, args.mu, lam, args.D, args.k)
+    return {"regime": args.regime, "mu": args.mu, "lambda": lam, **dataclasses.asdict(rep)}, None, 0
 
 
 def _cmd_counterexample(args) -> tuple:
@@ -370,14 +372,6 @@ _COMMANDS = {
 }
 
 
-def _read_threads(text) -> int:
-    """--threads as a worker count: an integer (perms.from_decimal) from 1 to MAX_WORKERS, read on every command."""
-    try:
-        return check_workers(perms.from_decimal(text))
-    except ValueError:
-        raise ValueError(f"--threads must be an integer from 1 to {MAX_WORKERS}, got {text!r}") from None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, columns = _COMMANDS[args.command]
@@ -386,7 +380,12 @@ def main(argv=None) -> int:
         print("error: csv output is only available for row-based reports", file=sys.stderr)
         return 2
     try:
-        args.threads = _read_threads(args.threads)
+        for name, (read, refusal) in _OPTIONS.items():
+            if (text := vars(args).get(name)) is not None:
+                try:
+                    setattr(args, name, read(text))
+                except ValueError as exc:
+                    raise ValueError(f"--{name} " + refusal.format(text=text, exc=exc)) from None
         report, rows, code = handler(args)
         _emit(report, args, rows, columns)
     except (ValueError, OSError, KeyError) as exc:

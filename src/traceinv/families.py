@@ -104,6 +104,9 @@ def joint_realignment(D: int, M3, links) -> ColoredGraph:
     k = len(links)
     if k < 1:
         raise ValueError("need at least one link")
+    for field, colors in [("M3", M3), *((f"links[{j}]", l) for j, l in enumerate(links))]:
+        if not all(0 <= c < D for c in colors):
+            raise ValueError(f"{field}={sorted(colors)} has color indices out of range 0..{D - 1}")
     for c in range(D):
         for j in range(k):
             hits = (c in M3) + (c in links[j]) + (c in links[(j - 1) % k])

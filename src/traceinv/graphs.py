@@ -73,6 +73,14 @@ def build_graph(D: int, sigma) -> ColoredGraph:
     return ColoredGraph(D=D, k=len(sigma[0]), sigma=tuple(sigma))
 
 
+def from_json(text, what: str):
+    """The JSON value of text; one nested deeper than the parser can recurse is refused, naming what."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
+
+
 def _json_object(data, what: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
@@ -85,6 +93,8 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
         raise ValueError("graph JSON missing field 'D'")
     D = perms.as_int(data["D"], "D")
     k = perms.as_int(data["k"], "k") if "k" in data else None
+    if "sigma" in data and "sigma_cycles" in data:
+        raise ValueError("graph JSON gives both 'sigma' and 'sigma_cycles'; give one")
     if "sigma" in data:
         raw = data["sigma"]
         if not isinstance(raw, list):
@@ -111,7 +121,7 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
 
 def load_graph(path: str) -> ColoredGraph:
     with open(path) as fh:
-        return graph_from_json_dict(json.load(fh))
+        return graph_from_json_dict(from_json(fh.read(), path))
 
 
 @dataclass(frozen=True)
@@ -196,6 +206,8 @@ def family_from_json_dict(data: dict) -> GraphFamily:
     for i, entry in enumerate(raw):
         _json_object(entry, f"family member {i}")
         name = entry.get("name", f"G{i + 1}")
+        if not isinstance(name, str):
+            raise ValueError(f"family member {i} field 'name' must be a string, got {type(name).__name__}")
         if "graph" not in entry:
             raise ValueError(f"family member {i} missing field 'graph'")
         members.append((name, graph_from_json_dict(entry["graph"])))
@@ -211,7 +223,7 @@ def family_file_from_json_dict(data) -> GraphFamily:
 
 def load_family(path: str) -> GraphFamily:
     with open(path) as fh:
-        return family_file_from_json_dict(json.load(fh))
+        return family_file_from_json_dict(from_json(fh.read(), path))
 
 
 @dataclass(frozen=True)

@@ -325,12 +325,19 @@ def limit_moments_prop34(mu_c, p: int, regime: str) -> dict:
     conjugate-pair channel strictly dominates; 1/2: the degenerate case).
     Its mean is mu_c, so theta = mu_c/s: cumulant s (p-1)! theta^p, moment
     theta^p s (s+1) ... (s+p-1).  annealed_coefficients takes mu_c as the
-    scale instead.  Exact in Fraction arithmetic; p is an integer (perms.as_int).
+    scale instead.  Exact in Fraction arithmetic; p is an integer (perms.as_int)
+    and mu_c a finite real > 0 (perms.as_real), taken exactly as a Fraction.
     """
     p = perms.as_int(p, "p")
     if p < 1:
         raise ValueError("order p must be >= 1")
-    mu = Fraction(mu_c)
+    real = perms.as_real(mu_c, "mu_c")  # bool, text, bytes and complex are refused, as in annealed_coefficients
+    if not math.isfinite(real):
+        raise ValueError(f"need a finite mu_c, got {mu_c!r}")
+    try:
+        mu = Fraction(mu_c)  # exact: ints, Fractions, floats and Decimals
+    except TypeError:  # a real Fraction does not take, such as numpy.float32
+        mu = Fraction(real)
     if mu <= 0:
         raise ValueError("mu_c must be positive")
     if not isinstance(regime, str) or regime not in _LIMIT_SHAPE:  # an unhashable one too
@@ -376,7 +383,8 @@ def annealed_coefficients(
     beta_inf = -1/2 (ln mu_c + digamma(s)).  E[ln max(U, c)] is one
     quadrature on the unit scale: digamma(s) + int_0^c P(s, u)/u du for
     c <= 1, ln c + int_c^inf Q(s, u)/u du above, Q = 1 - P.  D and k are
-    integers (perms.as_int), mu_c and Lambda real numbers (perms.as_real).
+    integers (perms.as_int) whose product fits a float, mu_c and Lambda real
+    numbers (perms.as_real).
     """
     D, k = perms.as_int(D, "D"), perms.as_int(k, "k")
     mu, Lambda = perms.as_real(mu_c, "mu_c"), perms.as_real(Lambda, "Lambda")
@@ -386,6 +394,10 @@ def annealed_coefficients(
         raise ValueError(f"need a finite Lambda > 0, got {Lambda!r}")
     if D < 2 or k < 1:
         raise ValueError(f"need D >= 2 and k >= 1, got D={D}, k={k}")
+    try:
+        half_dk = 0.5 * float(D * k)
+    except OverflowError:
+        raise ValueError("need D*k to fit a float") from None
     try:
         Lambda**-2.0
     except OverflowError:
@@ -412,9 +424,9 @@ def annealed_coefficients(
     if err > 1e-7:
         raise ValueError(f"quadrature did not converge (error estimate {err:.2e})")
     return AnnealedCoefficients(
-        alpha=0.5 * D * k * (1.0 + float(gammainc(s, c))),
+        alpha=half_dk * (1.0 + float(gammainc(s, c))),
         beta=-0.5 * (ln_mu + base + val),
-        alpha_inf=0.5 * D * k,
+        alpha_inf=half_dk,
         beta_inf=-0.5 * (ln_mu + psi),
     )
 

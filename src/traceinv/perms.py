@@ -39,19 +39,15 @@ def as_real(value, field=None) -> float:
     raise ValueError(f"{field} must be a real number, got {value!r}" if field else f"expected a real number, got {value!r}")
 
 
-def from_decimal(text: str) -> int:
-    """An integer in ASCII digits with an optional leading minus; spaces, a plus, underscores and the rest are refused."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"expected ASCII digits with an optional leading minus, got {text!r}")
-    return int(text)
+def from_decimal(text: str, kind=int):
+    """text as an int, or a float ("-1.5e-3") when kind is float, in ASCII digits with an optional leading minus.
 
-
-def from_digits(text: str) -> int:
-    """A count or label in ASCII digits, surrounding spaces stripped; signs, underscores and the rest are refused."""
-    body = text.strip()
-    if not (body.isascii() and body.isdigit()):
-        raise ValueError(f"expected ASCII digits, got {text!r}")
-    return int(body)
+    A plus, spaces, underscores, non-ASCII digits, "nan" and "inf" are refused.
+    """
+    tail, what = (r"(\.[0-9]+)?([eE][-+]?[0-9]+)?", ", fraction and exponent") if kind is float else ("", "")
+    if not re.fullmatch(r"-?[0-9]+" + tail, text):
+        raise ValueError(f"expected ASCII digits with an optional leading minus{what}, got {text!r}")
+    return kind(text)
 
 
 def check_perm(images) -> tuple:
@@ -140,7 +136,7 @@ def from_cycle_string(k: int, text: str) -> tuple:
         labels = [s for s in re.split(r"[\s,]+", grp.strip()) if s]
         cyc = []
         for s in labels:
-            x = from_digits(s) - 1
+            x = from_decimal(s) - 1
             if not 0 <= x < k:
                 raise ValueError(f"label {s} out of range 1..{k}")
             if x in moved:

@@ -458,6 +458,62 @@ def test_annealed_non_finite_or_degenerate_input_exits_2(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+ANNEALED = ["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "2", "--D", "3", "--k", "2"]
+REALIGNMENT = ["generate", "realignment", "--M1", "1", "--M2", "2", "--M3", "3", "--k", "2"]
+# each value option in an argv that runs with a valid value of it
+VALUE_OPTIONS = [
+    ("--kmax", ["counterexample", "--kmax", "9"]),
+    ("--threads", ["counterexample", "--threads", "2"]),
+    ("--N", ["quenched", "graph.json", "--N", "8"]),
+    *((option, ANNEALED) for option in ("--mu", "--lambda", "--D", "--k")),
+    *((option, ["generate", "random", "--D", "3", "--k", "2", "--seed", "1"]) for option in ("--D", "--k", "--seed")),
+    ("--delta", ["generate", "with-delta", "--D", "4", "--delta", "1"]),
+    ("--M", ["generate", "cyclic", "--D", "3", "--M", "1", "--k", "2"]),
+    *((option, REALIGNMENT) for option in ("--M1", "--M2", "--M3")),
+    ("--script", ["generate", "melonic", "--D", "3", "--script", "[[1, 1]]"]),
+    ("--links", ["generate", "joint-realignment", "--D", "3", "--M3", "3", "--links", "[[1], [2]]"]),
+]
+
+
+def _with_value(argv, option, value):
+    at = argv.index(option) + 1
+    return [*argv[:at], value, *argv[at + 1:], "--no-timestamp"]
+
+
+# spaces around a color, or around JSON, are read as if absent
+SPACED = ("--M", "--M1", "--M2", "--M3", "--script", "--links")
+
+
+@pytest.mark.parametrize(
+    "option, argv, value",
+    [
+        (option, argv, value)
+        for option, argv in VALUE_OPTIONS
+        for value in ["+9", "1_0", "\u0663", " 3", "0x3"] + ["nan"] * (option in ("--mu", "--lambda"))
+        if not (value == " 3" and option in SPACED)
+    ],
+)
+def test_every_malformed_option_value_exits_2_with_one_error_line_naming_it(capsys, option, argv, value):
+    code, out, err = _run_main(_with_value(argv, option, value), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", SPACED)
+def test_spaces_around_a_color_or_json_value_are_read_as_absent(capsys, option):
+    argv = dict(VALUE_OPTIONS)[option]
+    value = argv[argv.index(option) + 1]
+    plain = _run_main(_with_value(argv, option, value), capsys)
+    assert plain[0] == 0
+    assert _run_main(_with_value(argv, option, f" {value} "), capsys) == plain
+    assert _run_main(_with_value(argv, option, value.replace(",", " , ")), capsys) == plain
+
+
+def test_generate_refuses_joint_realignment_colors_out_of_range(capsys):
+    argv = ["generate", "joint-realignment", "--D", "2", "--M3", "0,9", "--links", "[[1], [2]]"]
+    assert _run_main(argv, capsys) == (2, "", "error: M3=[-1, 8] has color indices out of range 0..1\n")
+
+
 @pytest.mark.parametrize("N", ["0", "-1"])
 def test_quenched_N_below_1_exits_2(tmp_path, capsys, N):
     path = _write_graph(tmp_path, two_vertex(3))

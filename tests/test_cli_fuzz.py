@@ -19,7 +19,8 @@ sometimes one foreign field, and the common flags before or after the kind.
 Integers stay in -2..8, since generate has no budget on the size it builds.
 
 ``annealed`` argv draws a regime (or junk), mu and lambda among them nan,
-inf, 0 and negatives, and D and k in -2..8; ``counterexample`` argv draws
+inf, 0 and negatives, and D and k in -2..8 or past 2^1024, whose product
+is past a float; ``counterexample`` argv draws
 --kmax in -1..12.  An argv that exits 0 with JSON output must print strict
 JSON: Python's NaN and Infinity are refused.
 """
@@ -228,6 +229,7 @@ def test_arbitrary_generate_argv_holds_the_exit_code_contract(argv):
 
 
 format_flags = st.sampled_from([[], ["--format", "json"], ["--format", "pretty"], ["--format", "csv"]])
+past_float = st.integers(2**1024, 2**1100).map(str)
 odd_reals = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]) | st.floats(-3, 20).map(str)
 
 
@@ -237,8 +239,9 @@ def annealed_argv(draw):
     regime = draw(st.text(max_size=4) if not draw(st.integers(0, 4)) else st.sampled_from(["exponential", "gamma"]))
     reals = [draw(odd_reals if not draw(st.integers(0, 2)) else st.floats(0.05, 20).map(str)) for _ in range(2)]
     argv = ["annealed", "--regime", regime, "--mu", reals[0], "--lambda", reals[1]]
-    for flag, least in (("--D", 2), ("--k", 1)):  # sometimes below the least valid value
-        argv += [flag, draw(small_int if not draw(st.integers(0, 2)) else st.integers(least, 8).map(str))]
+    for flag, least in (("--D", 2), ("--k", 1)):  # sometimes below the least valid value, sometimes past a float
+        value = draw(st.sampled_from([small_int, past_float, st.integers(least, 8).map(str), st.integers(least, 8).map(str)]))
+        argv += [flag, draw(value)]
     return argv + draw(format_flags) + ["--no-timestamp"]
 
 
@@ -250,6 +253,7 @@ def annealed_argv(draw):
 @example(argv=["annealed", "--regime", "exponential", "--mu", "1", "--lambda", "10", "--D", "0", "--k", "-3"])
 @example(argv=["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "1e-300", "--D", "2", "--k", "1"])
 @example(argv=["annealed", "--regime", "gamma", "--mu", "1e20", "--lambda", "10", "--D", "6", "--k", "9"])
+@example(argv=["annealed", "--regime", "gamma", "--mu", "1", "--lambda", "2", "--D", str(10**400), "--k", "2"])
 def test_arbitrary_annealed_argv_holds_the_exit_code_contract(argv):
     _check_argv(argv)
 

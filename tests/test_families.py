@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -150,6 +151,20 @@ def test_joint_realignment_rejects_bad_links():
         joint_realignment(4, {3}, [{0}, {0, 1, 2}])
     with pytest.raises(ValueError, match="exactly one edge"):
         joint_realignment(4, {0, 3}, [{0}, {1, 2}])
+
+
+@pytest.mark.parametrize(
+    "M3, links, message",
+    [
+        ({0, 9}, [{1}, {1}], "M3=[0, 9] has color indices out of range 0..1"),
+        ({-1}, [{0}, {0, 1}], "M3=[-1] has color indices out of range 0..1"),
+        (set(), [{0, -3}, {1, 99}], "links[0]=[-3, 0] has color indices out of range 0..1"),
+        (set(), [{0, 1}, {0, 1, 2}], "links[1]=[0, 1, 2] has color indices out of range 0..1"),
+    ],
+)
+def test_joint_realignment_refuses_colors_out_of_range(M3, links, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        joint_realignment(2, M3, links)
 
 
 def test_fig7_values(fig7_graph):

@@ -19,7 +19,7 @@ from traceinv import (
     realignment,
     two_vertex,
 )
-from traceinv.graphs import family_from_json_dict
+from traceinv.graphs import family_from_json_dict, from_json, load_family, load_graph
 from traceinv.families import random_graph
 
 import oracles
@@ -342,6 +342,37 @@ def test_graph_json_errors_name_field():
 def test_graph_json_refuses_non_integers(data, field):
     with pytest.raises(ValueError, match=field):
         graph_from_json_dict(data)
+
+
+def test_graph_json_takes_one_sigma_form():
+    with pytest.raises(ValueError, match="^graph JSON gives both 'sigma' and 'sigma_cycles'; give one$"):
+        graph_from_json_dict({"D": 2, "k": 1, "sigma": [[1], [1]], "sigma_cycles": ["", ""]})
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, 1, None, ["G"]])
+def test_family_json_member_names_are_strings(name):
+    graph = two_vertex(3).to_json_dict()
+    data = {"members": [{"name": "G1", "graph": graph}, {"name": name, "graph": graph}]}
+    with pytest.raises(ValueError, match="^family member 1 field 'name' must be a string, got "):
+        family_from_json_dict(data)
+    data["members"][1]["name"] = "H"
+    assert [name for name, _ in family_from_json_dict(data).members] == ["G1", "H"]
+
+
+def test_from_json_refuses_json_nested_past_the_parser():
+    assert from_json(" [[1], {\"a\": 2}] ", "x") == [[1], {"a": 2}]
+    with pytest.raises(ValueError, match="^deep.json is nested too deeply to read$"):
+        from_json("[" * 100000 + "]" * 100000, "deep.json")
+    with pytest.raises(json.JSONDecodeError):
+        from_json("[1,", "x")
+
+
+@pytest.mark.parametrize("load", [load_graph, load_family])
+def test_loaders_refuse_json_nested_past_the_parser(tmp_path, load):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load(str(path))
 
 
 @pytest.mark.parametrize("field", ["D", "k"])

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -315,6 +317,45 @@ def test_limit_moments_rejects():
         limit_moments_prop34(1, 0, "exponential")
     with pytest.raises(ValueError):
         limit_moments_prop34(1, 2, "weibull")
+
+
+@pytest.mark.parametrize("mu_c", [True, "3/2", b"1", 1 + 0j, None, 10**400], ids=["True", "3/2", "bytes", "complex", "None", "10**400"])
+def test_limit_moments_read_mu_c_as_annealed_coefficients_do(mu_c):
+    message = f"mu_c must be a real number, got {mu_c!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        limit_moments_prop34(mu_c, 2, "gamma")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        annealed_coefficients("gamma", mu_c, 1.0, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "mu_c, message",
+    [(math.inf, "need a finite mu_c"), (math.nan, "need a finite mu_c"), (0, "mu_c must be positive"), (-0.5, "mu_c must be positive")],
+)
+def test_limit_moments_refuse_mu_c_not_finite_and_positive(mu_c, message):
+    with pytest.raises(ValueError, match=message):
+        limit_moments_prop34(mu_c, 2, "exponential")
+
+
+def test_limit_moments_take_mu_c_exactly():
+    import numpy as np
+
+    exact_values = [
+        (0.1, Fraction(0.1)),
+        (np.float64(0.1), Fraction(0.1)),
+        (np.int64(3), Fraction(3)),
+        (Decimal("0.1"), Fraction(1, 10)),
+        (np.float32(0.5), Fraction(1, 2)),
+        (Fraction(1, 10**400), Fraction(1, 10**400)),
+    ]
+    for mu_c, exact in exact_values:
+        assert limit_moments_prop34(mu_c, 1, "exponential") == {"cumulant_p": exact, "moment_p": exact}
+
+
+@pytest.mark.parametrize("D, k", [(2**1024, 2), (2, 2**1024), (2**600, 2**600)], ids=["D", "k", "product"])
+def test_annealed_coefficients_refuse_D_k_past_a_float(D, k):
+    with pytest.raises(ValueError, match="^need D\\*k to fit a float"):
+        annealed_coefficients("exponential", 1.0, 10.0, D, k)
 
 
 @pytest.mark.parametrize("regime", ["cauchy", ["gamma"], None])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -84,23 +85,47 @@ def test_cycle_string_rejects(text):
         perms.from_cycle_string(3, text)
 
 
-# int() reads each of these as a label: "1_0" as 10, "+1" as 1, "\u0661" (Arabic-Indic one) as 1
+# int() reads each of these as a label: "1_0" as 10, "+1" as 1, "\u0661" (Arabic-Indic one) as 1;
+# a label is read by from_decimal, so "-1" is an integer, refused as out of range
 @pytest.mark.parametrize("text", ["(1_0 2)", "(+1 2)", "(\u0661 2)", "(-1 2)", "(1.0 2)"])
 def test_cycle_string_labels_are_ascii_digits(text):
-    with pytest.raises(ValueError, match="ASCII digits"):
+    message = "label -1 out of range 1..12" if text == "(-1 2)" else "ASCII digits"
+    with pytest.raises(ValueError, match=re.escape(message)):
         perms.from_cycle_string(12, text)
     assert perms.from_cycle_string(12, "( 10 , 2 )") == perms.from_cycle_string(12, "(10 2)")
 
 
+def _generate_cyclic(M, capsys):
+    """(exit code, stdout, stderr) of generate cyclic with D = 30, k = 2 and the text M as --M."""
+    code = cli.main(["generate", "cyclic", "--D", "30", "--M", M, "--k", "2", "--no-timestamp"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# a color of --M is stripped of surrounding spaces and read by from_decimal
 @pytest.mark.parametrize("text, value", [("7", 7), (" 12 ", 12), ("007", 7)])
-def test_from_digits_reads_ascii_digits(text, value):
-    assert perms.from_digits(text) == value
+def test_from_digits_reads_ascii_digits(text, value, capsys):
+    code, out, _ = _generate_cyclic(text, capsys)
+    assert code == 0 and json.loads(out)["sigma"] == families.cyclic(30, {value - 1}, 2).to_json_dict()["sigma"]
+
+
+# no color is refused as an empty M, and "-1" (color index -2) as out of range, by the builder
+BUILDER_REFUSALS = {
+    "": "nonempty color subset M",
+    " ": "nonempty color subset M",
+    "-1": "M=[-2] has color indices out of range",
+}
 
 
 @pytest.mark.parametrize("text", ["", " ", "1_0", "+1", "-1", "1.0", "\u0661", "1 0", "0x1"])
-def test_from_digits_refuses_everything_else(text):
-    with pytest.raises(ValueError, match="ASCII digits"):
-        perms.from_digits(text)
+def test_from_digits_refuses_everything_else(text, capsys):
+    code, out, err = _generate_cyclic(text, capsys)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    if text in BUILDER_REFUSALS:
+        assert BUILDER_REFUSALS[text] in err
+    else:
+        message = f"--M is malformed: expected ASCII digits with an optional leading minus, got {text.strip()!r}"
+        assert err == f"error: {message}\n"
 
 
 def test_random_permutation_deterministic():
@@ -114,10 +139,27 @@ def test_from_decimal_reads_signed_ascii_digits(text, value):
     assert perms.from_decimal(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "-", "--1", " 1", "1 ", "1\n", "1_0", "+1", "1.0", "\u0661", "0x1"])
+@pytest.mark.parametrize("text", ["", " ", "-", "--1", " 1", "1 ", "1 0", "1\n", "1_0", "+1", "1.0", "\u0661", "0x1"])
 def test_from_decimal_refuses_everything_else(text):
     with pytest.raises(ValueError, match="ASCII digits"):
         perms.from_decimal(text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("7", 7.0), ("-12", -12.0), ("2.5", 2.5), ("-1.5e-3", -0.0015), ("1E+300", 1e300), ("007.50", 7.5)]
+)
+def test_from_decimal_reads_reals_when_kind_is_float(text, value):
+    got = perms.from_decimal(text, float)
+    assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "nan", "inf", "-inf", "Infinity", "+9", "1_0", "\u0663", " 3", "3 ", "0x3", ".5", "2.", "1e", "1e5.5"]
+)
+def test_from_decimal_refuses_other_reals(text):
+    message = f"expected ASCII digits with an optional leading minus, fraction and exponent, got {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        perms.from_decimal(text, float)
 
 
 def test_as_int_is_the_rule_of_check_perm():
