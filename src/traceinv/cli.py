@@ -19,14 +19,15 @@ import sys
 
 from . import families, perms
 from .graphs import (
-    GraphFamily,
     conjugate,
+    cycle_string_ks,
     family_file_from_json_dict,
     family_from_json_dict,
     family_of,
     from_json,
     graph_from_json_dict,
     graph_stats,
+    read_json,
 )
 from .moments import _decide, annealed_coefficients, connected_cumulant, decide_factorization, gaussian_moment
 from .search import (
@@ -147,31 +148,17 @@ def _emit(report: dict, args, rows, columns) -> None:
         lines = [f"{key}: {value}" for key, value in report.items()]
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _check_declared_k(data, kmax) -> None:
-    """Refuse graph or family JSON in which a graph declares k over the budget.
-
-    Cycle strings let a few bytes declare any k, and the loader builds
-    k-element permutations from them, so a cycle-string graph's declared k
-    is read (perms.as_int) and checked before anything is built.
-    """
-    members = data.get("members") if isinstance(data, dict) else None
-    graphs = [m.get("graph") for m in members if isinstance(m, dict)] if isinstance(members, list) else [data]
-    for g in graphs:
-        if isinstance(g, dict) and "sigma_cycles" in g and "k" in g:
-            _check_budget(perms.as_int(g["k"], "k"), kmax)
-
-
 def _read_graphs(path, kmax):
-    """The JSON of a graph or family file, refused if a graph in it declares k over the budget."""
-    with open(path) as fh:
-        data = from_json(fh.read(), path)
-    _check_declared_k(data, kmax)
+    """The JSON of every file the CLI reads, refused if a cycle-string graph in it declares k over the budget."""
+    data = read_json(path)
+    for k in cycle_string_ks(data):
+        _check_budget(k, kmax)
     return data
 
 
@@ -244,15 +231,14 @@ def _experiment_config(path, command, kmax) -> tuple:
     one value or a list of them.  'kind' defaults to the command's kind;
     'epsilon', read by concentration only, to 0.5 (None for the others).
     Any other key is refused, as are a 'graph' and a 'family' together, and
-    a family of more than one member for a single-graph command; a graph
-    declaring k over kmax is refused before it is built.  Ns, samples, seed,
-    kind and epsilon are returned as given: the library reads and refuses
-    them (sampling._read_run, and concentration_experiment for epsilon),
-    before any walk or draw.
+    a family of more than one member for a single-graph command; a
+    cycle-string graph declaring k over kmax is refused by _read_graphs,
+    before it is built.  Ns, samples, seed, kind and epsilon are returned
+    as given: the library reads and refuses them (sampling._read_run, and
+    concentration_experiment for epsilon), before any walk or draw.
     """
     default_kind, single_graph, reads_epsilon = _EXPERIMENTS[command]
-    with open(path) as fh:
-        cfg = from_json(fh.read(), path)
+    cfg = _read_graphs(path, kmax)
     if not isinstance(cfg, dict):
         raise ValueError(f"experiment config must be a JSON object, got {type(cfg).__name__}")
     known = ("seed", "samples", "N", "graph", "family", "kind") + ("epsilon",) * reads_epsilon
@@ -265,11 +251,9 @@ def _experiment_config(path, command, kmax) -> tuple:
     if "family" in cfg and "graph" in cfg:
         raise ValueError("experiment config takes a 'graph' or a 'family' entry, not both")
     if "family" in cfg:
-        _check_declared_k(cfg["family"], kmax)
         family = family_from_json_dict(cfg["family"])
     elif "graph" in cfg:
-        _check_declared_k(cfg["graph"], kmax)
-        family = GraphFamily((("G1", graph_from_json_dict(cfg["graph"])),))
+        family = family_of([graph_from_json_dict(cfg["graph"])])
     else:
         raise ValueError("experiment config needs a 'graph' or 'family' entry")
     if single_graph and family.p != 1:
@@ -372,8 +356,22 @@ _COMMANDS = {
 }
 
 
+def _joined(argv) -> list:
+    """argv with each value option of _OPTIONS joined to its next token as --NAME=VALUE.
+
+    argparse takes a token that starts with '-' for an option unless it looks
+    like a plain negative number, so '--mu -1.5e-3' would never reach the table.
+    """
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        if token.startswith("--") and token[2:] in _OPTIONS and (value := next(tokens, None)) is not None:
+            token = f"{token}={value}"
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     handler, columns = _COMMANDS[args.command]
     if args.format == "csv" and columns is None:
         # refused before the work, which may be a long walk

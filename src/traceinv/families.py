@@ -245,6 +245,26 @@ KINDS = {
 _READERS = {"M": _colors, "M1": _colors, "M2": _colors, "M3": _colors, "script": _script, "links": _links}
 
 
+def _check_ranges(fields) -> None:
+    """Refuse a spec's colors and script labels out of range, named as the 1-based spec gives them.
+
+    The builders refuse the same values in the 0-based terms they are
+    given, so the spec path checks first.  A realignment spec has no 'D':
+    its colors must lie in 1..D, D the number of colors it gives.
+    """
+    sets = [(key, fields[key]) for key in ("M", "M1", "M2", "M3") if key in fields]
+    sets += [(f"links[{j}]", link) for j, link in enumerate(fields.get("links", ()))]
+    D = fields.get("D", sum(len(colors) for _, colors in sets))
+    for field, colors in sets:
+        if not all(0 <= c < D for c in colors):
+            raise ValueError(f"{field}={sorted(c + 1 for c in colors)} has colors out of range 1..{D}")
+    for step, (c, s) in enumerate(fields.get("script", ())):
+        if not 0 <= c < D:
+            raise ValueError(f"script[{step}] color {c + 1} out of range 1..{D}")
+        if not 0 <= s <= step:  # step i grows a graph of i + 1 whites
+            raise ValueError(f"script[{step}] white label {s + 1} out of range 1..{step + 1}")
+
+
 def read_spec(spec: dict) -> tuple:
     """(kind, fields) of a JSON family spec, the fields read into 0-based builder arguments."""
     if not isinstance(spec, dict):
@@ -264,6 +284,7 @@ def read_spec(spec: dict) -> tuple:
             fields[key] = _READERS.get(key, perms.as_int)(spec[key], key)  # any other field is an integer
         except (TypeError, ValueError) as exc:
             raise ValueError(f"family spec field {key!r} is malformed: {exc}")
+    _check_ranges(fields)
     return kind, fields
 
 
@@ -272,7 +293,8 @@ def generate_from_spec(spec: dict) -> ColoredGraph:
 
     ``KINDS`` names the fields of each kind.  A spec that is not an object,
     names no known kind, or has a field missing, malformed or not read by
-    its kind is refused with ValueError before anything is built.
+    its kind is refused with ValueError before anything is built, as is a
+    color or script label out of range, named as the spec gives it.
     """
     kind, fields = read_spec(spec)
     return KINDS[kind][0](**fields)

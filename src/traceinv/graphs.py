@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
@@ -73,12 +74,63 @@ def build_graph(D: int, sigma) -> ColoredGraph:
     return ColoredGraph(D=D, k=len(sigma[0]), sigma=tuple(sigma))
 
 
+def _unique_keys(pairs) -> dict:
+    """The object of a JSON object's (key, value) pairs, refused if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {repeated!r} is repeated in one object")
+    return obj
+
+
 def from_json(text, what: str):
-    """The JSON value of text; one nested deeper than the parser can recurse is refused, naming what."""
+    """The JSON value of text; each refusal, nesting deeper than the parser can recurse included, names what.
+
+    An object that repeats a key is refused, where the bare parser would keep the last value.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{what} is not readable JSON: {exc.msg}", exc.doc, exc.pos) from None
+    except ValueError as exc:  # a repeated key, or an integer past Python's digit limit
+        raise ValueError(f"{what} is not readable JSON: {exc}") from None
+
+
+def read_json(path):
+    """The JSON value of the file at path, read as UTF-8: the one file reader.
+
+    Text that is not UTF-8 and every refusal of ``from_json`` are a
+    ValueError naming the path; a missing file's OSError names it already.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    return from_json(text, path)
+
+
+def cycle_string_ks(data):
+    """The declared k of every cycle-string graph in a JSON value, each read by perms.as_int.
+
+    Cycle strings let a few bytes declare any k, and graph_from_json_dict
+    builds k-element permutations from them, so a reader checks these k
+    against its budget before anything is built.  Every object holding
+    'sigma_cycles' and 'k' counts, wherever it sits: a bare graph, a family
+    member, a config's 'graph' or 'family'.  The walk keeps its own stack,
+    so any value the parser returned can be walked.
+    """
+    stack = [data]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            if "sigma_cycles" in value and "k" in value:
+                yield perms.as_int(value["k"], "k")
+            value = list(value.values())
+        if isinstance(value, list):
+            stack.extend(reversed(value))  # in document order
 
 
 def _json_object(data, what: str) -> None:
@@ -103,7 +155,10 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
         for c, images in enumerate(raw):
             if not isinstance(images, list):
                 raise ValueError(f"graph JSON field 'sigma[{c}]' is not an integer array")
-            sigma.append(tuple(perms.as_int(b, f"sigma[{c}] entry") - 1 for b in images))
+            images = [perms.as_int(b, f"sigma[{c}] entry") for b in images]
+            if sorted(images) != list(range(1, len(images) + 1)):  # checked here to word it 1-based
+                raise ValueError(f"sigma[{c}] invalid: not a bijection on 1..{len(images)}: {images!r}")
+            sigma.append(tuple(b - 1 for b in images))
     elif "sigma_cycles" in data:
         if k is None:
             raise ValueError("graph JSON with 'sigma_cycles' requires explicit 'k'")
@@ -120,8 +175,7 @@ def graph_from_json_dict(data: dict) -> ColoredGraph:
 
 
 def load_graph(path: str) -> ColoredGraph:
-    with open(path) as fh:
-        return graph_from_json_dict(from_json(fh.read(), path))
+    return graph_from_json_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -222,8 +276,7 @@ def family_file_from_json_dict(data) -> GraphFamily:
 
 
 def load_family(path: str) -> GraphFamily:
-    with open(path) as fh:
-        return family_file_from_json_dict(from_json(fh.read(), path))
+    return family_file_from_json_dict(read_json(path))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -511,7 +512,7 @@ def test_spaces_around_a_color_or_json_value_are_read_as_absent(capsys, option):
 
 def test_generate_refuses_joint_realignment_colors_out_of_range(capsys):
     argv = ["generate", "joint-realignment", "--D", "2", "--M3", "0,9", "--links", "[[1], [2]]"]
-    assert _run_main(argv, capsys) == (2, "", "error: M3=[-1, 8] has color indices out of range 0..1\n")
+    assert _run_main(argv, capsys) == (2, "", "error: M3=[0, 9] has colors out of range 1..2\n")
 
 
 @pytest.mark.parametrize("N", ["0", "-1"])
@@ -649,6 +650,97 @@ def test_json_nested_past_the_parser_exits_2_with_one_error_line(tmp_path, capsy
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
+
+
+# files no reader takes: malformed JSON, bytes that are not UTF-8, JSON nested past the parser,
+# and an object repeating a key, which json.loads alone would read as its last value
+BAD_FILES = {
+    "malformed": b"{nope",
+    "not-utf-8": b'{"D": "\xff"}',
+    "deep": b"[" * 100000 + b"]" * 100000,
+    "repeated-key": b'{"seed": 1, "seed": 2}',
+}
+
+
+@pytest.mark.parametrize("kind", BAD_FILES)
+def test_every_file_refusal_names_the_file(tmp_path, capsys, kind):
+    from traceinv.graphs import load_family, load_graph
+
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(BAD_FILES[kind])
+    for command in ("analyze", "moment", "mc-moment"):
+        code, out, err = _run_main([command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    for load in (load_graph, load_family):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load(str(path))
+
+
+# argparse takes a token starting with "-" for an option unless it looks like a plain negative number
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_with_value(ANNEALED, "--mu", "-1.5e-3"), "need a finite mu_c > 0, got -0.0015"),
+        (
+            _with_value(ANNEALED, "--mu", "-inf"),
+            "--mu is malformed: expected ASCII digits with an optional leading minus, fraction and exponent, got '-inf'",
+        ),
+        (
+            ["generate", "random", "--D", "3", "--k", "3", "--seed", "-1e5"],
+            "--seed is malformed: expected ASCII digits with an optional leading minus, got '-1e5'",
+        ),
+    ],
+)
+def test_an_option_value_starting_with_a_minus_reaches_its_reader(capsys, argv, message):
+    assert _run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+# graph JSON and family specs are 1-based: their refusals name the values as given, in 1-based ranges
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "cyclic", "--D", "3", "--M", "0", "--k", "2"], "M=[0] has colors out of range 1..3"),
+        (
+            ["generate", "joint-realignment", "--D", "2", "--M3", "0,9", "--links", "[[1], [2]]"],
+            "M3=[0, 9] has colors out of range 1..2",
+        ),
+        (["generate", "melonic", "--D", "3", "--script", "[[4, 1]]"], "script[0] color 4 out of range 1..3"),
+        (["generate", "melonic", "--D", "3", "--script", "[[1, 2]]"], "script[0] white label 2 out of range 1..1"),
+        (["generate", "realignment", "--M1", "1", "--M2", "2", "--M3", "4", "--k", "2"], "M3=[4] has colors out of range 1..3"),
+        (["analyze", "graph.json"], "sigma[0] invalid: not a bijection on 1..2: [1, 3]"),
+    ],
+)
+def test_refusals_on_the_1_based_surface_are_1_based(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.json").write_text(json.dumps({"D": 2, "sigma": [[1, 3], [1, 2]]}))
+    assert _run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+def test_files_are_read_and_written_as_utf_8(tmp_path):
+    """Under -X warn_default_encoding, an open() without an encoding raises EncodingWarning, so each command exits 1."""
+    import os
+    import subprocess
+    import sys
+
+    import traceinv
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(traceinv.__file__)))
+    graph = str(tmp_path / "out.json")
+    family = _write_family(tmp_path, [cyclic(3, {0}, 2), conjugate(cyclic(3, {0}, 2))])
+    cfg = _write_config(tmp_path, "cfg.json", graph=cyclic(3, {0}, 2).to_json_dict(), N=2, samples=10, seed=1)
+    for argv in (
+        ["generate", "cyclic", "--D", "3", "--M", "1", "--k", "3", "--out", graph],
+        ["analyze", graph],
+        ["moment", family],
+        ["mc-moment", cfg],
+    ):
+        strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        proc = subprocess.run(
+            [sys.executable, *strict, "-m", "traceinv.cli", *argv, "--no-timestamp"],
+            capture_output=True, encoding="utf-8", env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -367,6 +367,13 @@ def test_from_json_refuses_json_nested_past_the_parser():
         from_json("[1,", "x")
 
 
+def test_from_json_refuses_an_object_repeating_a_key():
+    assert from_json('[{"a": {"a": 1}}, {"a": 2}]', "x") == [{"a": {"a": 1}}, {"a": 2}]
+    for text, key in (('{"D": 2, "D": 3}', "D"), ('[{"a": {"b": 1, "c": 2, "b": 1}}]', "b")):
+        with pytest.raises(ValueError, match=f"^x is not readable JSON: key '{key}' is repeated in one object$"):
+            from_json(text, "x")
+
+
 @pytest.mark.parametrize("load", [load_graph, load_family])
 def test_loaders_refuse_json_nested_past_the_parser(tmp_path, load):
     path = tmp_path / "deep.json"

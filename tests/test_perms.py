@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from traceinv import cli, families, perms
-from traceinv.graphs import graph_from_json_dict
+from traceinv.graphs import cycle_string_ks, graph_from_json_dict
 
 import oracles
 
@@ -109,11 +109,12 @@ def test_from_digits_reads_ascii_digits(text, value, capsys):
     assert code == 0 and json.loads(out)["sigma"] == families.cyclic(30, {value - 1}, 2).to_json_dict()["sigma"]
 
 
-# no color is refused as an empty M, and "-1" (color index -2) as out of range, by the builder
-BUILDER_REFUSALS = {
+# each is read as colors and refused after: no color as an empty M by the builder, and
+# "-1" as out of range by the spec path, which names colors as given
+SPEC_REFUSALS = {
     "": "nonempty color subset M",
     " ": "nonempty color subset M",
-    "-1": "M=[-2] has color indices out of range",
+    "-1": "M=[-1] has colors out of range 1..30",
 }
 
 
@@ -121,8 +122,8 @@ BUILDER_REFUSALS = {
 def test_from_digits_refuses_everything_else(text, capsys):
     code, out, err = _generate_cyclic(text, capsys)
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
-    if text in BUILDER_REFUSALS:
-        assert BUILDER_REFUSALS[text] in err
+    if text in SPEC_REFUSALS:
+        assert SPEC_REFUSALS[text] in err
     else:
         message = f"--M is malformed: expected ASCII digits with an optional leading minus, got {text.strip()!r}"
         assert err == f"error: {message}\n"
@@ -175,12 +176,12 @@ def test_as_int_is_the_rule_of_check_perm():
             perms.as_int(value, "N")
 
 
-# graph JSON, the CLI's cycle-string budget check and family specs read their integers by as_int
+# graph JSON, the walk for cycle-string k (the CLI's budget check) and family specs read their integers by as_int
 @pytest.mark.parametrize(
     "read, message",
     [
         (lambda: graph_from_json_dict({"D": 3.0, "sigma": [[1], [1], [1]]}), "D must be an integer, got 3.0"),
-        (lambda: cli._check_declared_k({"D": 3, "k": 1.5, "sigma_cycles": ["", "", ""]}, None), "k must be an integer, got 1.5"),
+        (lambda: list(cycle_string_ks({"D": 3, "k": 1.5, "sigma_cycles": ["", "", ""]})), "k must be an integer, got 1.5"),
         (lambda: graph_from_json_dict({"D": 3, "sigma": [[1], ["2"], [1]]}), "sigma[1] entry must be an integer, got '2'"),
         (
             lambda: families.generate_from_spec({"kind": "cyclic", "D": 3, "M": [1.5], "k": 2}),
