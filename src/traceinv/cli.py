@@ -66,7 +66,7 @@ _OPTIONS = {
 
 
 def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--kmax", default=None, help=f"enumeration budget (default {DEFAULT_KMAX})")
     common.add_argument(
         "--threads",
@@ -89,45 +89,50 @@ def _common_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on its first call (the first main call), not at import."""
+    """The process's one parser, built on its first call (the first main call), not at import.
+
+    No parser takes an abbreviated option, so each option has one spelling,
+    the one ``_joined`` matches.
+    """
     parser = argparse.ArgumentParser(
         prog="traceinv",
         description="Exact and Monte Carlo analysis of tensor trace-invariants.",
+        allow_abbrev=False,
     )
-    common = _common_parser()
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, parents=[_common_parser()], allow_abbrev=False)
 
-    p = sub.add_parser("analyze", parents=[common], help="faces, degrees and F0 maximum")
+    p = command("analyze", help="faces, degrees and F0 maximum")
     p.add_argument("graph", help="graph JSON file")
 
-    p = sub.add_parser("factorize", parents=[common], help="tiered factorization verdict")
+    p = command("factorize", help="tiered factorization verdict")
     p.add_argument("family", help="family JSON file")
 
-    p = sub.add_parser("generate", parents=[common], help="build a named family graph")
+    p = command("generate", help="build a named family graph")
     p.add_argument("kind", help=", ".join(kind.replace("_", "-") for kind in families.KINDS))
     for name in _SPEC_FIELDS:
         p.add_argument(f"--{name}")
 
-    p = sub.add_parser("moment", parents=[common], help="exact Gaussian moment in N")
+    p = command("moment", help="exact Gaussian moment in N")
     p.add_argument("family", help="family (or graph) JSON file")
 
-    p = sub.add_parser("cumulant", parents=[common], help="exact connected cumulant in N")
+    p = command("cumulant", help="exact connected cumulant in N")
     p.add_argument("family", help="family (or graph) JSON file")
 
     for name in _EXPERIMENTS:
-        p = sub.add_parser(name, parents=[common], help=f"{name} experiment from a config file")
+        p = command(name, help=f"{name} experiment from a config file")
         p.add_argument("config", help="experiment config JSON")
 
-    p = sub.add_parser("quenched", parents=[common], help="quenched entropy of a conjugate pair")
+    p = command("quenched", help="quenched entropy of a conjugate pair")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--N", required=True)
 
-    p = sub.add_parser("annealed", parents=[common], help="annealed entropy coefficients")
+    p = command("annealed", help="annealed entropy coefficients")
     p.add_argument("--regime", choices=["exponential", "gamma"], required=True)
     for name in ("mu", "lambda", "D", "k"):
         p.add_argument(f"--{name}", required=True)
 
-    sub.add_parser("counterexample", parents=[common], help="reproduce the non-factorizing pair")
+    command("counterexample", help="reproduce the non-factorizing pair")
     return parser
 
 

@@ -107,15 +107,25 @@ def joint_realignment(D: int, M3, links) -> ColoredGraph:
     for field, colors in [("M3", M3), *((f"links[{j}]", l) for j, l in enumerate(links))]:
         if not all(0 <= c < D for c in colors):
             raise ValueError(f"{field}={sorted(colors)} has color indices out of range 0..{D - 1}")
+    _check_degrees(D, M3, links, 0)
+    return _cycle_of_pairs(D, M3, [sorted(l) for l in links])
+
+
+def _check_degrees(D, M3, links, base) -> None:
+    """Refuse links that give a vertex pair of the cycle other than one edge of each color.
+
+    Pair j meets the colors of M3, links[j] and links[j - 1]; a refusal
+    numbers colors and pairs from base.
+    """
+    k = len(links)
     for c in range(D):
         for j in range(k):
             hits = (c in M3) + (c in links[j]) + (c in links[(j - 1) % k])
             if hits != 1:
                 raise ValueError(
-                    f"color {c} meets vertex pair {j} {hits} times; "
+                    f"color {c + base} meets vertex pair {j + base} {hits} times; "
                     "every vertex needs exactly one edge per color"
                 )
-    return _cycle_of_pairs(D, M3, [sorted(l) for l in links])
 
 
 def _color_set(colors, field) -> set:
@@ -246,11 +256,12 @@ _READERS = {"M": _colors, "M1": _colors, "M2": _colors, "M3": _colors, "script":
 
 
 def _check_ranges(fields) -> None:
-    """Refuse a spec's colors and script labels out of range, named as the 1-based spec gives them.
+    """Refuse a spec's colors and script labels out of range, and links that break a vertex's degree.
 
-    The builders refuse the same values in the 0-based terms they are
-    given, so the spec path checks first.  A realignment spec has no 'D':
-    its colors must lie in 1..D, D the number of colors it gives.
+    Every refusal names colors, labels and vertex pairs as the 1-based spec
+    gives them.  The builders refuse the same values in the 0-based terms
+    they are given, so the spec path checks first.  A realignment spec has
+    no 'D': its colors must lie in 1..D, D the number of colors it gives.
     """
     sets = [(key, fields[key]) for key in ("M", "M1", "M2", "M3") if key in fields]
     sets += [(f"links[{j}]", link) for j, link in enumerate(fields.get("links", ()))]
@@ -263,6 +274,8 @@ def _check_ranges(fields) -> None:
             raise ValueError(f"script[{step}] color {c + 1} out of range 1..{D}")
         if not 0 <= s <= step:  # step i grows a graph of i + 1 whites
             raise ValueError(f"script[{step}] white label {s + 1} out of range 1..{step + 1}")
+    if "links" in fields:
+        _check_degrees(D, fields["M3"], fields["links"], 1)
 
 
 def read_spec(spec: dict) -> tuple:

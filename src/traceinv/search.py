@@ -4,15 +4,18 @@ A pairing nu (white label -> black label) completes a D-colored graph with
 color-0 edges; its score is sum_c #(sigma_c nu^-1).  One depth-first walk
 over S_k, ``_enumerate``, serves every exact question: it yields the
 histogram of scores (the moments read it whole), the maximizing pairings
-and the number of pairings reached.  It scores the completions of the
-last six whites together from a table of cycle counts over S_6; above
-them it can cut branches by an exact bound, which changes neither the
-maximum, its multiplicity nor the optima.  Every walk runs in one
-process.  Callers that ask several questions of the same graphs share one
-table of pruned reports (``_Searches``), so that each graph is walked once
-per call.  numpy is imported by the three functions of the walk
-(``_enumerate``, ``_completions`` and ``_joining``), not by this module,
-so a process that builds graphs without walking them never loads it.
+and the number of pairings reached.  It walks in Python down to the last
+white above the final six, then expands that white's matches in numpy
+and scores the completions of the last six whites from a table of cycle
+counts over S_6.  It can cut branches by an exact bound, which changes
+neither the maximum, its multiplicity nor the optima; a walk that cuts
+counts only the pairings with its best score, so its histogram is
+{best: count}.  Every walk runs in one process.  Callers that ask several
+questions of the same graphs share one table of pruned reports
+(``_Searches``), so that each graph is walked once per call.  numpy is
+imported by the three functions of the walk (``_enumerate``,
+``_completions`` and ``_joining``), not by this module, so a process that
+builds graphs without walking them never loads it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .graphs import ColoredGraph, GraphFamily, component_labels, graph_stats, un
 DEFAULT_KMAX = 11
 MAX_WORKERS = 64  # the most contraction threads --threads and a sampling call's workers may name
 TABLE_WHITES = 6  # every walk scores this many last whites from a table
-# completions scored per batch of prefixes, 256 KB as int16: 182 prefixes at
-# m = 6, so a pruned walk learns a best score after its first 182 prefixes
+# completions scored per batch of queued nodes, 256 KB as int16: 26 nodes of
+# 7 children at m = 6, so a pruned walk learns a best score after its first
+# 182 children
 _BATCH_SCORES = 1 << 17
 
 
@@ -182,7 +186,10 @@ def _enumerate(sigmas, member_of, prune, optimal):
     path running from a free black to a free white; ends[c] maps each
     path's free black to the black next to its free white, and back.
     Matching s to b closes a face of color c exactly when b's path ends
-    at sigma_c(s).
+    at v = sigma_c(s); otherwise it joins b's path to s's, and only two
+    entries of ends[c] change: a = ends[c][b] and d = ends[c][v] then map
+    to each other.  (When the face closes, d = b, and the same rule
+    changes nothing.)
 
     member_of, when given, keeps only the pairings whose color-0 edges
     connect the p = max(member_of) + 1 members.  blocks[i] is the bitmask
@@ -190,126 +197,174 @@ def _enumerate(sigmas, member_of, prune, optimal):
     s to b merges the blocks of their members and backtracking splits them
     again.
 
-    The walk stops at depth k - m, m = min(k, 6), and scores all m!
-    completions of each prefix at once.  The open paths of color c form a
-    bijection pi_c from the m free whites to the m free blacks, as in
-    ``_face_bound``, so the completion P_r of ``_completions`` closes
-    T[rank pi_c, r] faces of color c.  Prefixes are scored in batches, in
-    the order of the walk; whether a completion connects the members
-    depends only on the blocks of the free whites and blacks, so each
-    pattern of blocks is judged once per call (``_joining``).
+    The last m = min(k - 1, 6) whites are scored from a table, and the
+    walk in Python stops one level above them: each node at depth
+    k - m - 1 is queued with its ends and closed faces, and ``score``
+    expands a batch of nodes in numpy.  For every child, white k - m - 1
+    matched to one of the node's m + 1 free blacks, it counts the faces
+    the match closes and substitutes the two changed entries of ends; the
+    open paths of color c then form a bijection pi_c from the m free
+    whites to the m free blacks left, as in ``_face_bound``, and the
+    completion P_r of ``_completions`` closes T[rank pi_c, r] faces of
+    color c.  Nodes are scored in batches, in the order of the walk.
+    Whether a completion connects the members depends only on the blocks
+    of the free whites and blacks, so the blocks of each child are found
+    when its node is queued, and each pattern is judged once per call
+    (``_joining``).
 
-    With prune, a branch above depth k - m is cut when its closed faces
-    plus D per unmatched white cannot reach the best score of the batches
-    scored so far.  Where that fails, the Cayley-distance bound of the
-    open paths, ``_face_bound``, is tried, except on the last level above
-    the table, where a cut saves only one prefix's m! table reads; the
-    bound is never below floor(D (k'+1) / 2) with k' whites unmatched, so
-    it is skipped where that many more faces would reach the best.  A
-    branch that could tie the best is kept, so no optimal pairing is ever
-    cut.
+    With prune, a branch is cut when its closed faces plus D per unmatched
+    white cannot reach the best score of the batches scored so far; a
+    queued node's children are cut by that test alone, in the batch.
+    Above them, where it fails, the Cayley-distance bound of the open
+    paths, ``_face_bound``, is tried; the bound is never below
+    floor(D (k'+1) / 2) with k' whites unmatched, so it is skipped where
+    that many more faces would reach the best.  A branch that could tie
+    the best is kept, so no optimal pairing is ever cut.
 
-    Returns (hist, optima, explored, nodes): hist maps a score to the
-    number of kept pairings scored with it, so max(hist) and its count
-    are exact in both modes and hist is the full score histogram without
-    prune; optima are all the pairings with the best score, lexicographic,
-    when optimal and none otherwise; explored counts the pairings scored,
-    m! per kept prefix, and nodes the partial pairings of 1..k - m whites
-    expanded.
+    Returns (hist, optima, explored, nodes).  Without prune hist maps a
+    score to the number of kept pairings scored with it, the full score
+    histogram; with prune it is {best: count}, the best score and the
+    number of kept pairings that reach it, which a cut leaves exact while
+    it leaves no other entry so.  optima are all the pairings with the
+    best score, lexicographic, when optimal and none otherwise; explored
+    counts the pairings scored, m! per kept child, and nodes the partial
+    pairings of 1..k - 6 whites expanded, the kept children included, so
+    none for k <= 6, where only the root is queued and its children are
+    the matches of white 0.
     """
     import numpy as np
 
     D, k = len(sigmas), len(sigmas[0])
     p = 1 if member_of is None else max(member_of) + 1
+    m = min(k - 1, TABLE_WHITES)
+    last = k - m - 1  # the depth of the queued nodes
+    width = m + 1  # children per node
     ends = [list(range(k)) for _ in sigmas]
-    steps = [tuple(zip(ends, (sig[s] for sig in sigmas))) for s in range(k)]
-    tails = [[sig[s + 1:] for sig in sigmas] for s in range(k)]  # color-c blacks of whites after s
+    steps = [tuple(zip(ends, (sig[s] for sig in sigmas))) for s in range(last)]
+    tails = [[sig[s + 1:] for sig in sigmas] for s in range(last)]  # color-c blacks of whites after s
     nu = [0] * k
     free = [True] * k
     optima = []
     best = -1
+    count = 0  # kept pairings scored with best
     explored = 0
     nodes = 0
     connecting = p > 1  # one member is always connected
     blocks = [1 << i for i in range(p)]
     whole = (1 << p) - 1
-    m = min(k, TABLE_WHITES)
     P, row_of, T = _completions(m)
     weights = m ** np.arange(m - 1, -1, -1)
     hist = np.zeros(D * k + 1, dtype=np.int64)
-    free_whites = range(k - m, k)
-    free_tails = [sig[k - m:] for sig in sigmas]
-    patterns = {}  # block masks of the free whites and blacks -> index into connects
-    connects = []  # per pattern, which completions connect the members
-    # the queued prefixes: their nu[:k-m], the free blacks pi_c(i) of their
-    # open paths, their closed faces and their pattern of blocks
-    heads, labels, faces, pattern = [], [], [], []
-    per_batch = max(1, _BATCH_SCORES // len(P))
+    colors = np.arange(D)
+    sig_last = np.array([sig[last] for sig in sigmas], dtype=np.intp)  # sigma_c of the nodes' white
+    sig_table = np.array([sig[k - m:] for sig in sigmas], dtype=np.intp)  # and of the table whites
+    place = np.arange(width)[:, None, None]  # the place of each child's black among its node's free blacks
+    dtype = np.int16 if D * k < 1 << 15 else np.int64
+    patterns = {}  # block masks of a node's white, table whites and free blacks -> index into connects
+    connects = []  # per pattern, which completions of each child connect the members
+    judged = {}  # block masks of a child's free whites and blacks -> _joining
+    # the queued nodes: their nu[:last], ends, closed faces and pattern of blocks
+    heads, path_ends, faces, pattern = [], [], [], []
+    per_batch = max(1, _BATCH_SCORES // (width * len(P)))
 
     def reaches(s, total):
         """Whether the Cayley-distance bound lets whites s+1.. lift total to best."""
         paths = [[ep[b] for b in tail] for ep, tail in zip(ends, tails[s])]
         return total + _face_bound(paths, best - total) >= best
 
-    def prefix(closed):
-        """Queue the prefix nu[:k-m] for scoring, and score a full batch."""
-        heads.extend(nu[: k - m])
-        labels.extend([ep[v] for ep, tail in zip(ends, free_tails) for v in tail])
-        faces.append(closed)
-        if connecting:
-            unmatched = [b for b in range(k) if free[b]]
-            masks = tuple([blocks[member_of[x]] for x in free_whites] + [blocks[member_of[b]] for b in unmatched])
-            if masks not in patterns:
-                patterns[masks] = len(connects)
-                connects.append(_joining(masks, P, whole))
-            pattern.append(patterns[masks])
-        if len(faces) == per_batch:
-            score()
+    def joining(masks):
+        """connects of a node: for each child, which completions connect the members.
+
+        masks holds the member blocks of the node's white, of the m table
+        whites, then of its m + 1 free blacks in increasing order; the
+        child taking free black j merges the white's block with that
+        black's.
+        """
+        own, whites, blacks = masks[0], masks[1:width], masks[width:]
+        rows = []
+        for j, other in enumerate(blacks):
+            merged = own | other
+            after = tuple(merged if v & merged else v for v in whites + blacks[:j] + blacks[j + 1:])
+            if after not in judged:
+                judged[after] = _joining(after, P, whole)
+            rows.append(judged[after])
+        return np.array(rows)
 
     def score():
-        """Add the completions of the queued prefixes to hist and optima."""
-        nonlocal best, explored
+        """Expand the queued nodes, and add their children's completions to hist or count, and optima."""
+        nonlocal best, count, explored, nodes
         B = len(faces)
-        head = np.array(heads, dtype=np.intp).reshape(B, k - m)
+        head = np.array(heads, dtype=np.intp).reshape(B, last)
+        ends_at = np.array(path_ends, dtype=np.intp).reshape(B, D, k)
         free_at = np.ones((B, k), dtype=np.intp)
         free_at[np.arange(B)[:, None], head] = 0
-        # labels holds the free black pi_c(i) for each color c and free white i;
-        # its index among the prefix's free blacks makes pi_c a permutation of S_m
-        index = np.cumsum(free_at, axis=1) - 1
-        pis = np.take_along_axis(index, np.array(labels, dtype=np.intp).reshape(B, D * m), axis=1)
-        ranks = row_of[pis.reshape(B, D, m) @ weights]
-        scores = T[ranks[:, 0]].astype(np.int16 if D * k < 1 << 15 else np.int64)
-        for c in range(1, D):
-            scores += T[ranks[:, c]]
-        scores += np.array(faces, dtype=scores.dtype)[:, None]
-        explored += scores.size
-        if connecting:
-            scores[~np.array(connects)[pattern]] = -1
-        hist[:] += np.bincount(scores[scores >= 0] if connecting else scores.ravel(), minlength=len(hist))
-        top = int(scores.max())
-        if top > best:
-            best = top
-            optima.clear()
-        if top == best >= 0 and optimal:
-            # prefixes and completions are both in lexicographic order
-            j, r = np.divmod(np.flatnonzero(scores == best), len(P))
-            blacks = np.nonzero(free_at)[1].reshape(B, m)  # the free blacks of each prefix, increasing
-            completions = np.take_along_axis(blacks[j], P[r], axis=1)
-            optima.extend(map(tuple, np.concatenate([head[j], completions], axis=1).tolist()))
-        for queue in (heads, labels, faces, pattern):
+        blacks = np.nonzero(free_at)[1].reshape(B, width)  # the free blacks of each node, increasing
+        index = np.cumsum(free_at, axis=1) - 1  # a free black's place among them
+        a = np.take_along_axis(ends_at, blacks[:, None, :], axis=2)  # a[., c, j] = ends[c][b] for child j's b
+        total = (np.array(faces)[:, None] + (a == sig_last[:, None]).sum(axis=1)).ravel()
+        a = a.transpose(0, 2, 1)[..., None]
+        d = ends_at[:, colors, sig_last][:, None, :, None]
+        # the free black pi_c(x) for each child, color c and table white x: ends[c][sigma_c(x)], a and d swapped
+        here = ends_at[:, colors[:, None], sig_table][:, None]
+        labels = np.where(sig_table == a, d, np.where(sig_table == d, a, here))
+        pis = np.take_along_axis(index, labels.reshape(B, -1), axis=1).reshape(B, width, D, m)
+        pis -= pis > place  # a place past the child's black moves down one, making pi_c a permutation of S_m
+        ranks = row_of[pis @ weights].reshape(B * width, D)
+        kept = np.flatnonzero(total + D * m >= best) if prune else np.arange(B * width)
+        if m == TABLE_WHITES:  # a child is a partial pairing of k - 6 whites
+            nodes += len(kept)
+        if len(kept):
+            ranks = ranks[kept]
+            scores = T[ranks[:, 0]].astype(dtype)
+            for c in range(1, D):
+                scores += T[ranks[:, c]]
+            scores += total[kept, None]
+            explored += scores.size
+            if connecting:
+                scores[~np.array(connects)[pattern].reshape(B * width, -1)[kept]] = -1
+            if not prune:
+                hist[:] += np.bincount(scores[scores >= 0] if connecting else scores.ravel(), minlength=len(hist))
+            top = int(scores.max())
+            if top > best:
+                best, count = top, 0
+                optima.clear()
+            if top == best >= 0 and (prune or optimal):
+                hits = np.flatnonzero(scores == best)
+                count += len(hits)
+                if optimal:
+                    # nodes, children and completions are all in lexicographic order
+                    j, r = np.divmod(hits, len(P))
+                    node, child = np.divmod(kept[j], width)
+                    # the table whites take the free blacks the child leaves, skipping its own place
+                    completions = np.take_along_axis(blacks[node], P[r] + (P[r] >= child[:, None]), axis=1)
+                    pairings = np.concatenate([head[node], blacks[node, child][:, None], completions], axis=1)
+                    optima.extend(map(tuple, pairings.tolist()))
+        for queue in (heads, path_ends, faces, pattern):
             queue.clear()
 
     def descend(s, closed):
         nonlocal nodes
         if s:
             nodes += 1
-        if s == k - m:
-            prefix(closed)
+        if s == last:
+            heads.extend(nu[:last])
+            for ep in ends:
+                path_ends.extend(ep)
+            faces.append(closed)
+            if connecting:
+                unmatched = [b for b in range(k) if free[b]]
+                whites = range(last, k)
+                masks = tuple([blocks[member_of[x]] for x in whites] + [blocks[member_of[b]] for b in unmatched])
+                if masks not in patterns:
+                    patterns[masks] = len(connects)
+                    connects.append(joining(masks))
+                pattern.append(patterns[masks])
+            if len(faces) == per_batch:
+                score()
             return
         rest = k - s - 1
         bound = D * rest
-        # least is the floor of _face_bound, which is not tried on the last level above the table
-        least = bound if rest == m else D * (rest + 1) // 2
+        least = D * (rest + 1) // 2  # the floor of _face_bound
         own = blocks[member_of[s]] if connecting else 0
         for b in [b for b in range(k) if free[b]]:
             free[b] = False
@@ -347,6 +402,8 @@ def _enumerate(sigmas, member_of, prune, optimal):
     descend(0, 0)
     if faces:
         score()
+    if prune:
+        return ({best: count} if best >= 0 else {}), optima, explored, nodes
     return {f0: int(n) for f0, n in enumerate(hist) if n}, optima, explored, nodes
 
 
@@ -362,8 +419,9 @@ def search_f0(G: ColoredGraph, kmax: Optional[int] = None, workers: int = 1, pru
     prune cuts the branches above the last six whites that cannot reach
     the best score found so far, so explored (the completions of the kept
     prefixes) and nodes drop while f0_max, multiplicity and optima are
-    unchanged.  workers is accepted and ignored: every walk runs in one
-    process.
+    unchanged; the pruned walk counts only the pairings that reach its
+    best score, which are all a report reads.  workers is accepted and
+    ignored: every walk runs in one process.
     """
     _check_budget(G.k, kmax)
     return _run_search(G.sigma, None, prune)

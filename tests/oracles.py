@@ -1,8 +1,9 @@
 """Independent re-derivations used as oracles by the test suite.
 
 Everything here is written against the definitions, not against the
-package internals: naive cycle walks, full S_k scans, BFS connectivity,
-all-index contraction loops, and 40-digit mpmath integrals.
+package internals: naive cycle walks, full S_k scans that count cycles
+by orbit minima, BFS connectivity, all-index contraction loops, and
+40-digit mpmath integrals.
 """
 
 import itertools
@@ -105,19 +106,6 @@ def f0_naive(sigmas, nu):
     return total
 
 
-def brute_f0(G):
-    """(max, multiplicity, set of optimal pairings) over all of S_k."""
-    best, count, opts = -1, 0, []
-    for nu in itertools.permutations(range(G.k)):
-        val = f0_naive(G.sigma, nu)
-        if val > best:
-            best, count, opts = val, 1, [nu]
-        elif val == best:
-            count += 1
-            opts.append(nu)
-    return best, count, set(opts)
-
-
 def members_connected(member_of, nu):
     """BFS over the member graph induced by the cross edges of nu."""
     p = max(member_of) + 1
@@ -135,29 +123,53 @@ def members_connected(member_of, nu):
     return len(seen) == p
 
 
-def brute_f0_connected(union_sigma, member_of):
-    k = len(union_sigma[0])
-    best, count, opts = -1, 0, []
-    for nu in itertools.permutations(range(k)):
-        if not members_connected(member_of, nu):
+def brute_scan(sigmas, member_of=None):
+    """(histogram, max, multiplicity, set of optimal pairings) of F0 over all of S_k, in one scan.
+
+    With member_of, only the pairings that connect the members count.
+    The pairings are scored a chunk at a time: a point x opens a cycle of
+    sigma_c nu^-1 when no point of its orbit is below x.
+    """
+    k = len(sigmas[0])
+    hist, best, opts = {}, -1, []
+    pairings = itertools.permutations(range(k))
+    for chunk in iter(lambda: list(itertools.islice(pairings, 5040)), []):
+        chunk = [nu for nu in chunk if member_of is None or members_connected(member_of, nu)]
+        if not chunk:
             continue
-        val = f0_naive(union_sigma, nu)
-        if val > best:
-            best, count, opts = val, 1, [nu]
-        elif val == best:
-            count += 1
-            opts.append(nu)
-    return best, count, set(opts)
+        inverse = np.argsort(np.array(chunk), axis=1)
+        # the points of pairing i are k i .. k i + k - 1, so one array holds every permutation
+        points = np.arange(len(chunk) * k)
+        values = np.zeros(len(chunk), dtype=np.intp)
+        for sig in sigmas:
+            q = (np.array(sig)[inverse] + points[::k, None]).ravel()
+            orbit = least = points
+            for _ in range(k - 1):
+                orbit = q[orbit]
+                least = np.minimum(least, orbit)
+            values += (least == points).reshape(-1, k).sum(axis=1)
+        for val, n in zip(*np.unique(values, return_counts=True)):
+            hist[int(val)] = hist.get(int(val), 0) + int(n)
+        top = int(values.max())
+        if top > best:
+            best, opts = top, []
+        if top == best:
+            opts += [chunk[i] for i in np.flatnonzero(values == best)]
+    return hist, best, len(opts), set(opts)
+
+
+def brute_f0(G):
+    """(max, multiplicity, set of optimal pairings) over all of S_k."""
+    return brute_scan(G.sigma)[1:]
+
+
+def brute_f0_connected(union_sigma, member_of):
+    return brute_scan(union_sigma, member_of)[1:]
 
 
 def brute_histogram(sigmas, member_of=None):
     """F0 -> number of pairings with it, over the member-connecting ones if member_of is given."""
-    hist = {}
-    for nu in itertools.permutations(range(len(sigmas[0]))):
-        if member_of is None or members_connected(member_of, nu):
-            f0 = f0_naive(sigmas, nu)
-            hist[f0] = hist.get(f0, 0) + 1
-    return hist
+    return brute_scan(sigmas, member_of)[0]
 
 
 def open_path_ends(sigmas, matches):

@@ -515,6 +515,26 @@ def test_generate_refuses_joint_realignment_colors_out_of_range(capsys):
     assert _run_main(argv, capsys) == (2, "", "error: M3=[0, 9] has colors out of range 1..2\n")
 
 
+def test_generate_refuses_joint_realignment_degree_in_spec_terms(capsys):
+    # spec color 1 is in M3 and in links[0], so both vertices of pair 1 meet it twice
+    argv = ["generate", "joint-realignment", "--D", "2", "--M3", "1", "--links", "[[1], [2]]"]
+    message = "error: color 1 meets vertex pair 1 2 times; every vertex needs exactly one edge per color\n"
+    assert _run_main(argv, capsys) == (2, "", message)
+
+
+def test_an_option_has_one_spelling(capsys):
+    # a value that starts with '-' reaches the option's reader only under the option's full name
+    def annealed(option, value):
+        return ["annealed", "--regime", "gamma", "--mu", "1", option, value, "--D", "3", "--k", "2"]
+
+    assert _run_main(annealed("--lambda", "-2e0"), capsys) == (2, "", "error: need a finite Lambda > 0, got -2.0\n")
+    for value in ("-2e0", "2"):
+        code, out, err = _run_main(annealed("--lam", value), capsys)
+        assert (code, out) == (2, "") and err.endswith("error: the following arguments are required: --lambda\n")
+    code, _, err = _run_main(["analyze", "graph.json", "--no-time"], capsys)
+    assert code == 2 and err.endswith("error: unrecognized arguments: --no-time\n")
+
+
 @pytest.mark.parametrize("N", ["0", "-1"])
 def test_quenched_N_below_1_exits_2(tmp_path, capsys, N):
     path = _write_graph(tmp_path, two_vertex(3))

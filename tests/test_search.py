@@ -511,16 +511,78 @@ def test_cycle_table_matches_naive_cycle_counts():
 
 
 def test_table_walk_histograms_match_brute_force():
-    # prefixes of one and two whites for D = 2..6, of three at k = 9
-    cases = [random_graph(D, k, seed=4000 + 10 * k + D) for k in (7, 8) for D in range(2, 7)]
-    cases.append(random_graph(2, 9, seed=4092))
-    for g in cases:
-        hist, optima, explored, nodes = _enumerate(g.sigma, None, False, True)
-        assert hist == oracles.brute_histogram(g.sigma)
-        assert explored == math.factorial(g.k)
-        assert nodes == sum(math.perm(g.k, s) for s in range(1, g.k - 5))
-        pruned = _enumerate(g.sigma, None, True, True)
-        assert optima == pruned[1] and pruned[0][max(pruned[0])] == hist[max(hist)]
+    # the queued nodes hold one white at k = 7, two at k = 8 and three at k = 9
+    for k in (7, 8, 9):
+        for D in range(2, 7):
+            g = random_graph(D, k, seed=4000 + 10 * k + D)
+            brute_hist, best, count, opts = oracles.brute_scan(g.sigma)
+            hist, optima, explored, nodes = _enumerate(g.sigma, None, False, True)
+            assert hist == brute_hist and optima == sorted(opts)
+            assert explored == math.factorial(k)
+            assert nodes == sum(math.perm(k, s) for s in range(1, k - 5))
+            hist, optima, _, _ = _enumerate(g.sigma, None, True, True)
+            assert (max(hist), hist[max(hist)], optima) == (best, count, sorted(opts))
+
+
+def test_pruned_walk_counts_only_its_best_score():
+    # a cut leaves only the best score's count exact, so that is all a pruned walk returns
+    cases = [random_graph(D, k, seed=4500 + 10 * k + D) for k in (1, 2, 5, 6, 7, 9, 10) for D in (2, 3, 5)]
+    cases += [family_of([random_graph(3, a, seed=4600 + a), random_graph(3, 8 - a, seed=4610 + a)]) for a in (1, 3)]
+    for case in cases:
+        if isinstance(case, GraphFamily):
+            sigmas, member_of = case.union().sigma, case.member_of_label()
+        else:
+            sigmas, member_of = case.sigma, None
+        full = _enumerate(sigmas, member_of, False, False)[0]
+        best = max(full)
+        for optimal in (False, True):
+            assert _enumerate(sigmas, member_of, True, optimal)[0] == {best: full[best]}
+
+
+def test_walk_does_not_depend_on_the_batch_size(monkeypatch):
+    # one node per batch at 720 and 3 * 720, two (of seven children each) at 14 * 720
+    cases = [random_graph(D, k, seed=4700 + 10 * k + D) for k, D in ((5, 3), (7, 2), (8, 4), (9, 3), (9, 6))]
+    fam = family_of([random_graph(3, 3, seed=4750), random_graph(3, 5, seed=4751)])
+    walks = [(g.sigma, None) for g in cases] + [(fam.union().sigma, fam.member_of_label())]
+    default = [(_enumerate(*w, False, True), _enumerate(*w, True, True)) for w in walks]
+    for batch in (720, 3 * 720, 14 * 720):
+        monkeypatch.setattr(search_module, "_BATCH_SCORES", batch)
+        for w, (full, pruned) in zip(walks, default):
+            assert _enumerate(*w, False, True) == full
+            assert _enumerate(*w, True, True)[:2] == pruned[:2]
+
+
+def test_connected_walk_where_the_last_white_merges_blocks(monkeypatch):
+    """p = 2..5 at total k = 7 and 8.
+
+    At k = 7 the queued node is the root, where every member is its own
+    block, so a child that matches white 0 to another member's black
+    merges two blocks; at k = 8 white 1 does, after white 0 has merged or
+    not.
+    """
+    judge = search_module._joining
+    merged = []  # per pattern, whether some block holds two members or more
+
+    def spy(masks, P, whole):
+        merged.append(any(bin(v).count("1") > 1 for v in masks))
+        return judge(masks, P, whole)
+
+    monkeypatch.setattr(search_module, "_joining", spy)
+    sizes = [
+        (1, 6), (4, 3), (2, 2, 3), (1, 2, 2, 2), (1, 1, 1, 1, 3),
+        (2, 6), (1, 7), (3, 3, 2), (1, 1, 2, 4), (2, 1, 1, 2, 2),
+    ]
+    for n, ks in enumerate(sizes):
+        for D in (2, 3, 5):
+            fam = family_of([random_graph(D, k, seed=4800 + 10 * n + i) for i, k in enumerate(ks)])
+            union, member_of = fam.union(), fam.member_of_label()
+            merged.clear()
+            brute_hist, best, count, opts = oracles.brute_scan(union.sigma, member_of)
+            hist, optima, explored, _ = _enumerate(union.sigma, member_of, False, True)
+            assert hist == brute_hist and optima == sorted(opts)
+            assert explored == math.factorial(union.k)
+            assert any(merged)
+            assert _enumerate(union.sigma, member_of, True, True)[:2] == ({best: count}, sorted(opts))
 
 
 def test_table_walk_connected_histograms_match_brute_force(monkeypatch):
