@@ -31,7 +31,7 @@ from .search import (
     _check_budget,
     _enumerate,
     _Searches,
-    _tree_values,
+    _tree_value,
     degree_report,
     mst_pair_f0,
     resolve_kmax,
@@ -266,7 +266,7 @@ def _factorization_verdict(family: GraphFamily, searches: _Searches) -> Factoriz
         _check_budget(family.total_k, searches.kmax)
 
     def f0c(block) -> int:
-        return searches.connected(family.subfamily(block)).f0_max
+        return searches.connected(family.subfamily(block))
 
     split_total = sum(f0c((i,)) for i in range(p))
     per_partition = []
@@ -505,9 +505,11 @@ def _decide(family: GraphFamily, searches: _Searches) -> TieredVerdict:
 
     # tier 2: tree-like dominant pairings imply factorization
     try:
-        _, connected, tree_value = _tree_values(family, searches)
-        if connected.f0_max == tree_value:
-            detail = {"f0_connected": connected.f0_max, "tree_value": tree_value}
+        # the connected search runs first, so a union over budget fails before any member is searched
+        f0_connected = searches.connected(family)
+        tree_value = _tree_value(family, searches)
+        if f0_connected == tree_value:
+            detail = {"f0_connected": f0_connected, "tree_value": tree_value}
             return TieredVerdict(True, "tree-like", detail)
     except BudgetError:
         pass

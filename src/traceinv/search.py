@@ -11,7 +11,7 @@ counts over S_6.  It can cut branches by an exact bound, which changes
 neither the maximum, its multiplicity nor the optima; a walk that cuts
 counts only the pairings with its best score, so its histogram is
 {best: count}.  Every walk runs in one process.  Callers that ask several
-questions of the same graphs share one table of pruned reports
+questions of the same graphs share one table of pruned searches
 (``_Searches``), so that each graph is walked once per call.  numpy is
 imported by the three functions of the walk (``_enumerate``,
 ``_completions`` and ``_joining``), not by this module, so a process that
@@ -126,6 +126,18 @@ def _face_bound(paths, enough=None) -> int:
     return min(D * n, _cayley_bound(D, n, faces))
 
 
+def _table_bound(ranks, T, m):
+    """_face_bound of each row of ranks, read from the table T of ``_completions(m)``.
+
+    ranks[i, c] is the row of P that is pi_c of child i, so cyc(pi_d^-1 pi_c)
+    is T[ranks[i, c], ranks[i, d]]: D (D - 1) / 2 lookups per child.
+    """
+    D = ranks.shape[1]
+    c, d = map(list, zip(*itertools.combinations(range(D), 2)))
+    faces = T[ranks[:, c], ranks[:, d]].sum(axis=1)
+    return _cayley_bound(D, m, faces).clip(max=D * m)
+
+
 @functools.lru_cache(maxsize=None)
 def _completions(m):
     """(P, row_of, T): the completions of m free whites, and their cycle counts.
@@ -212,11 +224,12 @@ def _enumerate(sigmas, member_of, prune, optimal):
     when its node is queued, and each pattern is judged once per call
     (``_joining``).
 
-    With prune, a branch is cut when its closed faces plus D per unmatched
-    white cannot reach the best score of the batches scored so far; a
-    queued node's children are cut by that test alone, in the batch.
-    Above them, where it fails, the Cayley-distance bound of the open
-    paths, ``_face_bound``, is tried; the bound is never below
+    With prune, a branch is cut when its closed faces plus the
+    Cayley-distance bound of its open paths cannot reach the best score of
+    the batches scored so far.  A queued node's children are cut in the
+    batch, by ``_table_bound`` of their ranks of pi_c.  Above them the
+    cheaper test of closed faces plus D per unmatched white is tried
+    first, and where it fails ``_face_bound``; that bound is never below
     floor(D (k'+1) / 2) with k' whites unmatched, so it is skipped where
     that many more faces would reach the best.  A branch that could tie
     the best is kept, so no optimal pairing is ever cut.
@@ -310,7 +323,7 @@ def _enumerate(sigmas, member_of, prune, optimal):
         pis = np.take_along_axis(index, labels.reshape(B, -1), axis=1).reshape(B, width, D, m)
         pis -= pis > place  # a place past the child's black moves down one, making pi_c a permutation of S_m
         ranks = row_of[pis @ weights].reshape(B * width, D)
-        kept = np.flatnonzero(total + D * m >= best) if prune else np.arange(B * width)
+        kept = np.flatnonzero(total + _table_bound(ranks, T, m) >= best) if prune else np.arange(B * width)
         if m == TABLE_WHITES:  # a child is a partial pairing of k - 6 whites
             nodes += len(kept)
         if len(kept):
@@ -441,11 +454,12 @@ def search_f0_connected(family: GraphFamily, kmax: Optional[int] = None) -> Sear
 class _Searches:
     """The pruned searches of one call, so that it walks each graph once.
 
-    table maps (sigma, member_of) to a pruned report with every optimum;
-    member_of is None for a single graph and for a one-member family.
-    Every lookup checks the budget first, so a report already in the table
-    is refused exactly where a walk would be.  A table lives only as long
-    as the call that made it.
+    table maps (sigma, None) to a graph's pruned report with every optimum,
+    and (sigma, member_of) of a family of two or more members to its
+    connected maximum alone, which is all the factorization tiers read; a
+    one-member family is its graph.  Every lookup checks the budget first,
+    so a search already in the table is refused exactly where a walk would
+    be.  A table lives only as long as the call that made it.
     """
 
     kmax: Optional[int]
@@ -466,14 +480,15 @@ class _Searches:
                 self.table[key] = replace(bar, optima=tuple(sorted(perms.inverse(nu) for nu in bar.optima)))
         return self.table[key]
 
-    def connected(self, family: GraphFamily) -> SearchReport:
+    def connected(self, family: GraphFamily) -> int:
+        """The most faces of a completion that connects the members, from a pruned walk that keeps no optimum."""
         if family.p == 1:  # one member is always connected
-            return self.graph(family.members[0][1])
+            return self.graph(family.members[0][1]).f0_max
         union = family.union()
         _check_budget(union.k, self.kmax)
         key = (union.sigma, tuple(family.member_of_label()))
         if key not in self.table:
-            self.table[key] = search_f0_connected(family, kmax=self.kmax)
+            self.table[key] = max(_enumerate(union.sigma, family.member_of_label(), True, False)[0])
         return self.table[key]
 
 
@@ -611,9 +626,12 @@ def treelike_report(family: GraphFamily, kmax: Optional[int] = None) -> Treelike
     by all tree-like completions; each connected optimum is then tagged by
     the maximal two-cut property, member by member.
     """
-    member_reports, connected, tree_value = _tree_values(family, _Searches(kmax))
+    searches = _Searches(kmax)
+    # the connected search runs first, so a union over budget fails before any member is searched
+    connected = searches.graph(family.union()) if family.p == 1 else search_f0_connected(family, kmax=kmax)
+    tree_value = _tree_value(family, searches)
     has_treelike = connected.f0_max == tree_value
-    member_optima = [rep.optima for rep in member_reports]
+    member_optima = [searches.graph(g).optima for g in family.graphs()]
     classified = tuple(
         (nu, _is_treelike(family, nu, member_optima)) for nu in connected.optima
     )
@@ -627,16 +645,9 @@ def treelike_report(family: GraphFamily, kmax: Optional[int] = None) -> Treelike
     )
 
 
-def _tree_values(family: GraphFamily, searches: _Searches) -> tuple:
-    """(member searches, connected search, tree value) of a family.
-
-    The connected search runs first, so a union over budget fails before
-    any member is searched.
-    """
-    connected = searches.connected(family)
-    member_reports = [searches.graph(g) for g in family.graphs()]
-    tree_value = family.D + sum(rep.f0_max - family.D for rep in member_reports)
-    return member_reports, connected, tree_value
+def _tree_value(family: GraphFamily, searches: _Searches) -> int:
+    """D + sum_i (F0_i - D), the faces of every tree-like completion, from the members' searches."""
+    return family.D + sum(searches.graph(g).f0_max - family.D for g in family.graphs())
 
 
 def _is_treelike(family: GraphFamily, nu, member_optima) -> bool:

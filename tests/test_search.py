@@ -29,10 +29,10 @@ from traceinv import (
 )
 from traceinv.families import build_with_delta, fig7, melonic, random_graph
 from traceinv.graphs import GraphFamily
-from traceinv.moments import decide_factorization, prop32_scaling_check
+from traceinv.moments import decide_factorization, factorization_verdict, prop32_scaling_check
 from traceinv.sampling import quenched_entropy
 from traceinv import search as search_module
-from traceinv.search import _completions, _enumerate, _face_bound
+from traceinv.search import _completions, _enumerate, _face_bound, _table_bound
 
 import oracles
 
@@ -466,7 +466,7 @@ def test_connected_walk_matches_brute_force():
 
 
 def test_pruned_walk_cuts_prefixes_at_k10():
-    # fig7 at k = 9 keeps every prefix: nothing is cut above depth 3 there
+    # fig7 at k = 9 cuts only matches of its queued prefixes; here the levels above them cut too
     g = random_graph(3, 10, seed=3400)
     full = search_f0(g)
     rep = search_f0(g, prune=True)
@@ -629,6 +629,8 @@ def test_exhaustive_fig7_optima_match_brute_force(fig7_graph, monkeypatch):
     assert list(rep.optima) == sorted(opts)
     pruned = search_f0(fig7_graph, prune=True)
     assert (pruned.f0_max, pruned.multiplicity, list(pruned.optima)) == (best, count, sorted(opts))
+    # the table's Cayley bound cuts matches of the queued prefixes
+    assert pruned.explored < 362880
     # five prefixes per batch: the optima come from many batches, in order
     monkeypatch.setattr(search_module, "_BATCH_SCORES", 5 * 720)
     assert search_f0(fig7_graph) == rep
@@ -672,6 +674,19 @@ def test_face_bound_is_gurau_bound_of_the_boundary_graph():
         assert _face_bound(paths) == exact
         for enough in range(D * n + 2):
             assert _face_bound(paths, enough) >= min(enough, exact)
+
+
+def test_table_bound_is_face_bound():
+    # a queued child's bound, read from the S_m table by the ranks of its pi_c, is _face_bound of the pi_c
+    rng = random.Random(83)
+    for m in range(1, 7):
+        P, _, T = _completions(m)
+        rank = {q: r for r, q in enumerate(map(tuple, P.tolist()))}
+        for D in range(2, 7):
+            children = [[rng.sample(range(m), m) for _ in range(D)] for _ in range(60)]
+            children.append([list(range(m))] * D)  # every pair of colors at distance 0
+            ranks = np.array([[rank[tuple(pi)] for pi in paths] for paths in children])
+            assert _table_bound(ranks, T, m).tolist() == [_face_bound(paths) for paths in children]
 
 
 def _seeded_search_cases():
@@ -725,3 +740,27 @@ def test_conjugate_report_is_read_from_the_graphs_walk(walks):
         direct = search_f0(conjugate(g), prune=True)
         assert derived == dataclasses.replace(direct, explored=rep.explored, nodes=rep.nodes)
         walks.clear()
+
+
+def test_factorization_tiers_collect_no_optima(monkeypatch):
+    # the tiers read only connected maxima, so their connected walks keep no optimum
+    started = []  # (connected, optimal) of every walk
+    walk = search_module._enumerate
+
+    def spy(sigmas, member_of, prune, optimal):
+        started.append((member_of is not None, optimal))
+        return walk(sigmas, member_of, prune, optimal)
+
+    monkeypatch.setattr(search_module, "_enumerate", spy)
+    pair = family_of([cyclic(4, {1, 3}, 4)] * 2)
+    verdict = decide_factorization(pair)
+    assert (verdict.factorizes, verdict.tier, verdict.detail) == (True, "tree-like", {"f0_connected": 16, "tree_value": 16})
+    assert (True, False) in started and (True, True) not in started
+    started.clear()
+    assert factorization_verdict(pair).factorizes is True
+    assert (True, False) in started and (True, True) not in started
+    # treelike_report classifies the optima of the connected search
+    rep = treelike_report(pair)
+    assert (rep.f0_connected, rep.tree_value) == (16, 16)
+    assert len(rep.classified) == 4900
+    assert tuple(nu for nu, _ in rep.classified) == search_f0_connected(pair).optima
