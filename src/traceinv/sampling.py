@@ -5,18 +5,19 @@ tensors are Gaussian draws normalized to the unit sphere.  Draws are
 reproducible for a fixed seed independently of batching.
 
 Every Monte Carlo experiment runs through one loop, ``_trace_blocks``: it
-draws a block of samples small enough to stay in cache, contracts it with
-each graph's compiled plan, and hands the block's trace values back.
-There is no per-sample entry point: ``mc_moment`` and the experiments are
-the public paths, and a single sample is a block of one.  Each of them
-reads its run in one call of ``_read_run`` (N, samples, seed, kind,
-workers and the memory cap at every N), refused before any walk or draw;
-the loop itself checks nothing.  The calling thread draws every block, in
-order, from the one generator, and a pool of ``workers`` threads, opened
-for the call and shut down when it ends, contracts them (numpy's matmul
-releases the GIL), each on its own scratch arrays; the blocks come back in
-order.  A sample's value does not depend on its block, so a seed gives the
-same bytes at any worker count.
+draws a task of a few blocks of samples, contracts each block, small
+enough to stay in cache, with each graph's compiled plan, and hands the
+task's trace values back.  There is no per-sample entry point:
+``mc_moment`` and the experiments are the public paths, and a single
+sample is a block of one.  Each of them reads its run in one call of
+``_read_run`` (N, samples, seed, kind, workers and the memory cap at every
+N), refused before any walk or draw; the loop itself checks nothing.  The
+calling thread draws every task, in order, from the one generator, and a
+pool of ``workers`` threads, opened for the call and shut down when it
+ends, contracts them block by block (numpy's matmul releases the GIL),
+each on its own scratch arrays; the tasks come back in order.  A sample's
+value does not depend on its block or its task, so a seed gives the same
+bytes at any worker count.
 
 A graph's plan is compiled once (``_compile``) and is one batched matmul
 per step, or two real ones for a cube step.  Reuse: every white vertex is
@@ -28,7 +29,8 @@ FLOPs.  A plan that ends in the trace of a Hermitian cube, Tr(H^3), takes
 it in real arithmetic: H's Hermitian reading is proven from the
 structures (``_conjugates``, ``_find_cube``), and with H = S + iK, S
 symmetric and K antisymmetric, Tr(H^3) is the sum of S o (S^2 - 3 K^2),
-two real products where H H was one complex one, and exactly real.
+two real products where H H was one complex one, and exactly real; S^2
+and K^2 are written over H's array, dead once S and K are copied out.
 mst3's trace, Tr[(M^Gamma)^3] with M the color-0 Gram matrix, is so one
 Gram matmul and one cube step: two real N^6 products and one N^4
 reduction.  In a family, a member equal to an earlier one reads that
@@ -429,8 +431,11 @@ def _cube_trace(x, operand, scratch, n):
     Tr(K^3) vanish and Tr(H^3) = Tr(S^3) - 3 Tr(S K^2), the sum of
     S o (S^2 - 3 K^2): two real products where H H was one complex one,
     and a value that is exactly real.  S and K are copied out of x in H's
-    reading into one scratch array, and S^2 and K^2 come from one batched
-    matmul into another, so each holds the bytes of one complex array; the
+    reading into one scratch array, which holds the bytes of one complex
+    array.  x is dead after that copy and holds exactly the bytes of S^2
+    and K^2, so their one batched matmul writes over it: x is a step's
+    output in this thread's scratch (_find_cube proves H is no vertex), and
+    the cube is the program's last step, so nothing reads x again.  The
     last sum is a per-sample matmul, as in every plan's reduction.
     """
     _, axes, rows, _ = operand
@@ -440,7 +445,7 @@ def _cube_trace(x, operand, scratch, n):
     np.copyto(parts[1], t.imag)
     B, side = x.shape[0], x.shape[-1] ** rows
     parts = parts.reshape(2, B, side, side)
-    squares = np.matmul(parts, parts, out=_buffer(scratch, (n, "sq"), parts.shape, float))
+    squares = np.matmul(parts, parts, out=x.reshape(-1).view(float).reshape(parts.shape))
     squares[1] *= 3.0
     squares[0] -= squares[1]
     return np.matmul(parts[0].reshape(B, 1, -1), squares[0].reshape(B, -1, 1)).reshape(B)
@@ -525,16 +530,20 @@ def _read_run(family: GraphFamily, kind: str, Ns, samples: int, seed: int, worke
 
 
 def _trace_blocks(family: GraphFamily, kind: str, N: int, samples: int, rng, workers: int = 1):
-    """Product of the members' traces on `samples` fresh draws, one block at a time.
+    """Product of the members' traces on `samples` fresh draws, one task of blocks at a time.
 
     A block holds as many samples as keep every array it touches, the draw
     and the widest plan intermediate alike, within BATCH_ENTRY_CAP / workers
     complex entries (at least one sample), so all workers together hold
-    what one block holds and it is drawn and contracted in cache.  The
-    calling thread draws every block in order from rng, so the draws depend
-    only on rng, not on the block size or on workers.  A pool of workers
-    threads, opened here, contracts them, each thread on its own scratch
-    set, with at most workers + 1 blocks drawn and not yet yielded; blocks
+    what one block holds and it is contracted in cache.  A task is the
+    whole blocks whose draw fits in BATCH_ENTRY_CAP / 4 complex entries,
+    at least one block: handing the pool a few blocks at once costs a
+    fraction of the handoffs one-block tasks cost, and a thread's scratch
+    stays one block's.  The calling thread draws every task in order from
+    rng, in one draw each, so the draws depend only on rng, not on the
+    block size or on workers.  A pool of workers threads, opened here,
+    contracts the tasks block by block, each thread on its own scratch
+    set, with at most workers + 1 tasks drawn and not yet yielded; tasks
     are yielded in order, and an error in a contraction is raised here.
     The pool is shut down when the call returns, raises or is closed, so no
     thread outlives it.  A sample's value does not depend on its block, so
@@ -554,6 +563,7 @@ def _trace_blocks(family: GraphFamily, kind: str, N: int, samples: int, rng, wor
     graphs = family.graphs()
     widest = max(_compile(g)[2] for g in graphs)
     block = max(1, BATCH_ENTRY_CAP // (workers * N**widest))
+    task = block * max(1, BATCH_ENTRY_CAP // 4 // (N**family.D * block))
     # a member equal to an earlier one, or to its conjugate, reads that
     # member's trace (conjugated: Tr_conj(G) = conj Tr_G) instead of contracting
     source = []
@@ -567,30 +577,33 @@ def _trace_blocks(family: GraphFamily, kind: str, N: int, samples: int, rng, wor
 
     def contract(batch):
         work = scratch.setdefault(threading.get_ident(), [{} for _ in graphs])
-        traces = []
-        for g, buffers, src in zip(graphs, work, source):
-            if src is None:
-                traces.append(_batch_trace(g, batch, buffers))
-            else:
-                traces.append(np.conj(traces[src[0]]) if src[1] else traces[src[0]])
-        prod = traces[0]
-        for tr in traces[1:]:
-            # not in place: numpy's in-place complex multiply rounds a
-            # one-element array differently from a longer one
-            prod = prod * tr
-        return prod
+        products = []
+        for start in range(0, len(batch), block):
+            traces = []
+            for g, buffers, src in zip(graphs, work, source):
+                if src is None:
+                    traces.append(_batch_trace(g, batch[start:start + block], buffers))
+                else:
+                    traces.append(np.conj(traces[src[0]]) if src[1] else traces[src[0]])
+            prod = traces[0]
+            for tr in traces[1:]:
+                # not in place: numpy's in-place complex multiply rounds a
+                # one-element array differently from a longer one
+                prod = prod * tr
+            products.append(prod)
+        return np.concatenate(products)
 
     pool = futures.ThreadPoolExecutor(workers, thread_name_prefix="traceinv-contract")
     pending = collections.deque()
     try:
-        for start in range(0, samples, block):
-            batch = _draw_batch(kind, family.D, N, min(block, samples - start), rng)
+        for start in range(0, samples, task):
+            batch = _draw_batch(kind, family.D, N, min(task, samples - start), rng)
             pending.append(pool.submit(contract, batch))
             if len(pending) > workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-    finally:  # on an error or an early close, the queued blocks are dropped and the running ones finish
+    finally:  # on an error or an early close, the queued tasks are dropped and the running ones finish
         pool.shutdown(cancel_futures=True)
 
 

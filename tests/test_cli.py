@@ -146,7 +146,7 @@ def test_bad_experiment_config_exits_2_without_traceback(tmp_path, capsys, comma
 )
 def test_bad_draw_config_exits_2_before_any_walk(tmp_path, capsys, monkeypatch, mst3, command, entries):
     # a bad later N is refused before the earlier ones are sampled: mst3 draws
-    # full tensors, 256 batches for its 4096 samples at N=8
+    # full tensors, 128 draws for its 4096 samples at N=8
     walks, draws = [], []
     real_draw = sampling._draw_batch
     monkeypatch.setattr(sampling, "search_f0", lambda *args, **kwargs: walks.append(args))

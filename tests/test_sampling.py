@@ -252,13 +252,43 @@ def test_mc_moment_contracts_a_repeated_member_once_per_block(monkeypatch, mst3,
     g = mst3 if name == "mst3" else random_graph(4, 4, seed=40)
     contracted, drawn = [], []
     real_trace, real_draw = sampling._batch_trace, sampling._draw_batch
-    monkeypatch.setattr(sampling, "_batch_trace", lambda h, *a: contracted.append(h) or real_trace(h, *a))
+    monkeypatch.setattr(sampling, "_batch_trace", lambda h, b, *a: contracted.append((h, len(b))) or real_trace(h, b, *a))
     monkeypatch.setattr(sampling, "_draw_batch", lambda *a: drawn.append(a) or real_draw(*a))
     graphs = [g, second(g)]
     est = mc_moment(family_of(graphs), "gaussian", 3, 2000, seed=19)
-    assert len(drawn) > 1 and contracted == [g] * len(drawn)
+    # a task's draw can hold several blocks: each block's samples are
+    # contracted once, by the first member alone
+    assert len(drawn) > 1 and [h for h, _ in contracted] == [g] * len(contracted)
+    assert sum(size for _, size in contracted) == 2000
     vals = oracles.per_sample_traces(graphs, "gaussian", 3, 2000, make_rng(19))
     assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+
+
+def test_mc_moment_hands_the_pool_tasks_of_several_blocks(monkeypatch, mst3):
+    # at N=8 and two workers an mst3 block is 8 samples (N^4 entries each,
+    # within 2^16 / 2) and a task's draw 32 (N^3 entries each, within 2^14)
+    drawn, contracted = [], []
+    real_trace, real_draw = sampling._batch_trace, sampling._draw_batch
+    monkeypatch.setattr(sampling, "_batch_trace", lambda h, b, *a: contracted.append(len(b)) or real_trace(h, b, *a))
+    monkeypatch.setattr(sampling, "_draw_batch", lambda *a: drawn.append(a[3]) or real_draw(*a))
+    mc_moment(family_of([mst3]), "gaussian", 8, 4096, seed=23, workers=2)
+    assert len(drawn) == 128 and all(count * 8**3 <= sampling.BATCH_ENTRY_CAP // 4 for count in drawn)
+    assert contracted == [8] * 512
+
+
+def test_cube_squares_overwrite_the_gram_product(mst3):
+    # once S and K are copied out of the Gram product, its buffer holds the
+    # squares: an mst3 block's scratch is conj(T), the Gram product and S, K
+    B, N = 5, 4
+    first, second = (_draw_batch("gaussian", 3, N, B, make_rng(seed)) for seed in (21, 22))
+    scratch = {}
+    a = _batch_trace(mst3, first, scratch)
+    assert sorted(buf.nbytes for buf in scratch.values()) == [16 * B * N**3, 16 * B * N**4, 16 * B * N**4]
+    kept = a.copy()
+    b = _batch_trace(mst3, second, scratch)
+    # the returned traces never alias scratch, and reused scratch gives what fresh scratch gives
+    assert np.array_equal(a, kept)
+    assert np.array_equal(a, _batch_trace(mst3, first)) and np.array_equal(b, _batch_trace(mst3, second))
 
 
 class RecordingRng:
@@ -810,6 +840,9 @@ def test_annealed_refuses_non_integer_D_and_k(D, k):
 # mst3 draws full tensors, and its widest array holds N^4 entries per sample,
 # so a block holds 256, 128 and 85 samples at N=4 with one, two and three
 # workers, and 16, 8 and 5 at N=8: no sample count here fills its last block.
+# A task's draw holds N^3 entries per sample within 2^14, in whole blocks:
+# 256, 256 and 255 samples at N=4, and 32, 32 and 30 at N=8, where 59 samples
+# are one full task and a partial one of several blocks, the last partial.
 # One 4097-sample case runs at N=8, since each takes seconds.
 _WORKER_CASES = [
     (name, kind, N, samples)
@@ -821,7 +854,7 @@ _WORKER_CASES = [
         ("pair", "gaussian", 4),
         ("pair", "haar", 8),
     ]
-    for samples in (2, 17, 4097)
+    for samples in (2, 17, 59, 4097)
     if N == 4 or samples < 4097 or (name, kind) == ("mst3", "gaussian")
 ]
 
