@@ -11,11 +11,9 @@ graph once: linear time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from . import perms
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, _Record
 
 
 def two_vertex(D: int) -> ColoredGraph:
@@ -180,14 +178,14 @@ def random_graph(D: int, k: int, seed: int) -> ColoredGraph:
     return ColoredGraph(D=D, k=k, sigma=tuple(perms.random_permutation(rng, k) for _ in range(D)))
 
 
-@dataclass(frozen=True)
-class DeltaBuildReport:
-    graph: ColoredGraph
-    delta: int
-    verified: bool
+class DeltaBuildReport(_Record):
+    __slots__ = ("graph", "delta", "verified")
+
+    def __init__(self, graph: ColoredGraph, delta: int, verified: bool):
+        self._fill(graph, delta, verified)
 
 
-def build_with_delta(D: int, delta: int, kmax: Optional[int] = None) -> DeltaBuildReport:
+def build_with_delta(D: int, delta: int, kmax: int | None = None) -> DeltaBuildReport:
     """Connected graph with prescribed degree of compatibility delta >= 1.
 
     delta copies of the smallest unit-delta building block (a k=2

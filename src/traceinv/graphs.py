@@ -12,40 +12,88 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import perms
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    D: int
-    k: int
-    sigma: tuple  # D permutations, white label -> black label
+class _Record:
+    """A read-only record: its fields are the class's ``__slots__``, set once by ``__init__``.
 
-    def __post_init__(self):
+    A slot named with a leading underscore is derived and stays out of eq,
+    hash and repr; every other slot is a field.  Records are equal when
+    they are of one class and their fields are equal, and pickling or
+    copying one calls its class on its fields.  The building layer's
+    records are not dataclasses because importing ``dataclasses`` (with
+    ``inspect``) and generating their methods took over a third of ``import traceinv``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def _fill(self, *values):
+        """Set the slots, in order; the one way a record's slots are written."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class ColoredGraph(_Record):
+    __slots__ = ("D", "k", "sigma")  # sigma: D permutations, white label -> black label
+
+    def __init__(self, D: int, k: int, sigma: tuple):
         # JSON writes D and k as given, and graph_from_json_dict reads back only integers
-        for field in ("D", "k"):
-            object.__setattr__(self, field, perms.as_int(getattr(self, field), field))
-        if self.D < 2:
-            raise ValueError(f"need at least 2 colors, got D={self.D}")
-        if self.k < 1:
-            raise ValueError(f"need at least one white vertex, got k={self.k}")
-        if len(self.sigma) != self.D:
-            raise ValueError(f"expected {self.D} permutations, got {len(self.sigma)}")
+        D, k = perms.as_int(D, "D"), perms.as_int(k, "k")
+        if D < 2:
+            raise ValueError(f"need at least 2 colors, got D={D}")
+        if k < 1:
+            raise ValueError(f"need at least one white vertex, got k={k}")
+        if len(sigma) != D:
+            raise ValueError(f"expected {D} permutations, got {len(sigma)}")
         checked = []
-        for c, p in enumerate(self.sigma):
+        for c, p in enumerate(sigma):
             try:
                 q = perms.check_perm(p)
             except ValueError as exc:
                 raise ValueError(f"sigma[{c}] invalid: {exc}") from exc
-            if len(q) != self.k:
-                raise ValueError(f"sigma[{c}] has size {len(q)}, expected {self.k}")
+            if len(q) != k:
+                raise ValueError(f"sigma[{c}] has size {len(q)}, expected {k}")
             checked.append(q)
-        object.__setattr__(self, "sigma", tuple(checked))
+        self._fill(D, k, tuple(checked))
+
+    # spelled out, not read through _values: _compile and graph_stats hash a graph on every lookup
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.D, self.k, self.sigma) == (other.D, other.k, other.sigma)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.D, self.k, self.sigma))
 
     def face_count(self, i: int, j: int) -> int:
         """Number of faces with colors i and j (0-based color indices)."""
@@ -178,8 +226,7 @@ def load_graph(path: str) -> ColoredGraph:
     return graph_from_json_dict(read_json(path))
 
 
-@dataclass(frozen=True)
-class GraphFamily:
+class GraphFamily(_Record):
     """Ordered multiset of named member graphs, viewed inside their disjoint union.
 
     Member i occupies white labels [offsets[i], offsets[i] + k_i) of the
@@ -187,15 +234,12 @@ class GraphFamily:
     member, the union graph) is made once; a lone member is its own union.
     """
 
-    members: tuple  # of (name, ColoredGraph)
-    offsets: tuple = field(init=False)
-    _member_of: tuple = field(init=False, repr=False, compare=False)
-    _union: ColoredGraph = field(init=False, repr=False, compare=False)
+    __slots__ = ("members", "offsets", "_member_of", "_union")  # members: (name, ColoredGraph) pairs
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple):
+        if not members:
             raise ValueError("family needs at least one member")
-        members = tuple((str(name), g) for name, g in self.members)
+        members = tuple((str(name), g) for name, g in members)
         D = members[0][1].D
         offsets, member_of = [], []
         for i, (name, g) in enumerate(members):
@@ -208,10 +252,10 @@ class GraphFamily:
         else:
             sigma = [[off + b for off, (_, g) in zip(offsets, members) for b in g.sigma[c]] for c in range(D)]
             union = ColoredGraph(D=D, k=len(member_of), sigma=sigma)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "_member_of", tuple(member_of))
-        object.__setattr__(self, "_union", union)
+        self._fill(members, tuple(offsets), tuple(member_of), union)
+
+    def __reduce__(self):  # the layout is made again from the members
+        return GraphFamily, (self.members,)
 
     @property
     def D(self) -> int:
@@ -279,14 +323,11 @@ def load_family(path: str) -> GraphFamily:
     return family_file_from_json_dict(read_json(path))
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    k: int
-    kappa: int
-    F_pairwise: tuple  # D x D symmetric, zero on the diagonal
-    F_total: int
-    is_mst: bool
-    is_planar3: bool
+class GraphStats(_Record):
+    __slots__ = ("k", "kappa", "F_pairwise", "F_total", "is_mst", "is_planar3")  # F_pairwise: D x D, zero diagonal
+
+    def __init__(self, k: int, kappa: int, F_pairwise: tuple, F_total: int, is_mst: bool, is_planar3: bool):
+        self._fill(k, kappa, F_pairwise, F_total, is_mst, is_planar3)
 
 
 @functools.lru_cache(maxsize=1024)  # graphs are frozen; gurau_bound callers ask once per pairing
@@ -415,13 +456,15 @@ def flip_edges(G: ColoredGraph, c: int, s1: int, s2: int) -> ColoredGraph:
     return ColoredGraph(D=G.D, k=G.k, sigma=tuple(sigma))
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    internal_f0: int
-    boundary: Optional[ColoredGraph]  # None when the pairing is full
-    boundary_k: int
-    white_map: tuple  # new white label -> original white label
-    black_map: tuple  # new black label -> original black label
+class BoundaryReport(_Record):
+    # boundary is None when the pairing is full; white_map and black_map
+    # take each new white (black) label to the original one
+    __slots__ = ("internal_f0", "boundary", "boundary_k", "white_map", "black_map")
+
+    def __init__(
+        self, internal_f0: int, boundary: ColoredGraph | None, boundary_k: int, white_map: tuple, black_map: tuple
+    ):
+        self._fill(internal_f0, boundary, boundary_k, white_map, black_map)
 
 
 def boundary_graph(G: ColoredGraph, matches: dict) -> BoundaryReport:

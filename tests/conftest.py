@@ -42,13 +42,13 @@ def cyc2_d3():
 def graph_builds(monkeypatch):
     """Number of ColoredGraph constructions (each one validates) during the test, as a one-item list."""
     count = [0]
-    check = ColoredGraph.__post_init__
+    check = ColoredGraph.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         count[0] += 1
-        check(self)
+        check(self, *args, **kwargs)
 
-    monkeypatch.setattr(ColoredGraph, "__post_init__", counted)
+    monkeypatch.setattr(ColoredGraph, "__init__", counted)
     return count
 
 

@@ -78,16 +78,21 @@ def test_removed_names_stay_removed():
     assert [name for name in REMOVED if hasattr(traceinv, name) or hasattr(sampling, name)] == []
 
 
-# a fresh process that builds graphs, then prints the modules loaded and
-# checks the exact layer's lazy names; then, through the command line, it
-# generates one graph and refuses a malformed file, prints the modules loaded
-# after that and checks the sampling names
+# a fresh process that builds graphs, then prints the modules that importing
+# and building added (site may have loaded some before) and checks the exact
+# layer's lazy names; then, through the command line, it generates one graph
+# and refuses a malformed file, prints the modules loaded after that and
+# checks the sampling names
 _NO_SAMPLING = """
 import json, os, sys, tempfile
+before = set(sys.modules)
 import traceinv
-graphs = [traceinv.random_graph(3, 4, seed=1), traceinv.cyclic(3, {0}, 2)]
+graphs = [traceinv.random_graph(3, 4, seed=1), traceinv.cyclic(3, {0}, 2), traceinv.melonic(3, [(0, 0)])]
 json.dumps(traceinv.family_of(graphs).to_json_dict())
-built = [name for name in ("numpy", "traceinv.search", "traceinv.moments", "traceinv.sampling") if name in sys.modules]
+json.dumps(traceinv.families.generate_from_spec({"kind": "fig7"}).to_json_dict())
+added = sys.modules.keys() - before
+built = [name for name in ("numpy", "dataclasses", "inspect", "typing", "traceinv.search", "traceinv.moments",
+                           "traceinv.sampling") if name in added]
 listed = set(traceinv._LAZY) <= set(dir(traceinv))
 from traceinv import gaussian_moment
 print(json.dumps([built, listed, traceinv.search_f0 is traceinv.search.search_f0,

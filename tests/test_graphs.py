@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -423,3 +425,86 @@ def test_family_lays_out_its_union_once(mst3, twov3, cyc2_d3, graph_builds):
 def test_family_requires_same_d(mst3):
     with pytest.raises(ValueError):
         family_of([mst3, two_vertex(4)])
+
+
+# each building-layer record's fields, the ones compared, hashed and shown
+RECORD_FIELDS = {
+    "ColoredGraph": ("D", "k", "sigma"),
+    "GraphFamily": ("members", "offsets"),
+    "GraphStats": ("k", "kappa", "F_pairwise", "F_total", "is_mst", "is_planar3"),
+    "BoundaryReport": ("internal_f0", "boundary", "boundary_k", "white_map", "black_map"),
+    "DeltaBuildReport": ("graph", "delta", "verified"),
+}
+
+
+def _records():
+    """One of each building-layer record, with the repr it has always had."""
+    from traceinv import build_with_delta
+
+    g = cyclic(3, {0}, 2)
+    return [
+        (g, "ColoredGraph(D=3, k=2, sigma=((0, 1), (1, 0), (1, 0)))"),
+        (
+            family_of([g, two_vertex(3)]),
+            "GraphFamily(members=(('G1', ColoredGraph(D=3, k=2, sigma=((0, 1), (1, 0), (1, 0)))), "
+            "('G2', ColoredGraph(D=3, k=1, sigma=((0,), (0,), (0,))))), offsets=(0, 2))",
+        ),
+        (
+            graph_stats(g),
+            "GraphStats(k=2, kappa=1, F_pairwise=((0, 1, 1), (1, 0, 2), (1, 2, 0)), F_total=4, "
+            "is_mst=False, is_planar3=True)",
+        ),
+        (
+            boundary_graph(g, {0: 1}),
+            "BoundaryReport(internal_f0=2, boundary=ColoredGraph(D=3, k=1, sigma=((0,), (0,), (0,))), "
+            "boundary_k=1, white_map=(1,), black_map=(0,))",
+        ),
+        (
+            boundary_graph(g, {0: 0, 1: 1}),
+            "BoundaryReport(internal_f0=4, boundary=None, boundary_k=0, white_map=(), black_map=())",
+        ),
+        (
+            build_with_delta(4, 1),
+            "DeltaBuildReport(graph=ColoredGraph(D=4, k=2, sigma=((1, 0), (1, 0), (0, 1), (0, 1))), "
+            "delta=1, verified=True)",
+        ),
+    ]
+
+
+def test_records_keep_their_reprs():
+    assert [repr(record) for record, _ in _records()] == [text for _, text in _records()]
+
+
+def test_records_compare_by_class_and_fields():
+    g = ColoredGraph(3, 2, [[0, 1], [1, 0], [1, 0]])
+    same = ColoredGraph(D=3, k=2, sigma=((0, 1), (1, 0), (1, 0)))
+    assert g == same and hash(g) == hash(same) and g is not same
+    assert g != (3, 2, g.sigma) and g != cyclic(3, {0}, 3)
+    fam = family_of([g, two_vertex(3)])
+    assert fam == family_of([same, two_vertex(3)]) and hash(fam) == hash(family_of([same, two_vertex(3)]))
+    assert fam != family_of([g, two_vertex(3)], names=["a", "b"]) and fam != (fam.members, fam.offsets)
+    for record, _ in _records():
+        fields = tuple(getattr(record, name) for name in RECORD_FIELDS[type(record).__name__])
+        assert record == record and record != fields and fields != record
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_records_refuse_assigning_and_deleting_fields(index):
+    record = _records()[index][0]
+    for name in RECORD_FIELDS[type(record).__name__]:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == value
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_records_survive_pickle_and_deepcopy(index):
+    record = _records()[index][0]
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+        if type(record).__name__ == "GraphFamily":  # the layout is made again
+            assert twin.union() == record.union() and twin.member_of_label() == [0, 0, 1]
