@@ -20,7 +20,7 @@ value does not depend on its block or its task, so a seed gives the same
 bytes at any worker count.
 
 A graph's plan is compiled once (``_compile``) and is one batched matmul
-per step, or two real ones for a cube step.  Reuse: every white vertex is
+per step, a real one for a cube step.  Reuse: every white vertex is
 T and every black one conj(T), so two pairwise contractions of the same
 structure (operands, and the axis positions they share) give the same
 array; the plan contracts each structure once and prefers an already
@@ -28,14 +28,16 @@ made one to new work, unless that widens its widest intermediate or adds
 FLOPs.  A plan that ends in the trace of a Hermitian cube, Tr(H^3), takes
 it in real arithmetic: H's Hermitian reading is proven from the
 structures (``_conjugates``, ``_find_cube``), and with H = S + iK, S
-symmetric and K antisymmetric, Tr(H^3) is the sum of S o (S^2 - 3 K^2),
-two real products where H H was one complex one, and exactly real; S^2
-and K^2 are written over H's array, dead once S and K are copied out.
-mst3's trace, Tr[(M^Gamma)^3] with M the color-0 Gram matrix, is so one
-Gram matmul and one cube step: two real N^6 products and one N^4
-reduction.  In a family, a member equal to an earlier one reads that
-trace, and a member equal to an earlier one's conjugate reads its
-complex conjugate.  Layouts: np.matmul takes a transposed stack without a
+symmetric and K antisymmetric, the real A = S + sqrt(3) K has
+Tr(A^2 A^T) = Tr(S^3) - 3 Tr(S K^2) = Tr(H^3), since every trace of a
+word with an odd number of K's is 0.  So Tr(H^3) is the sum of A^2 o A,
+one real product where H H was one complex one, and exactly real; A is
+Re((1 - i sqrt(3)) H), and A^2 is written over H's array, dead once A
+is copied out.  mst3's trace, Tr[(M^Gamma)^3] with M the color-0 Gram
+matrix, is so one Gram matmul and one cube step: one real N^6 product
+and one N^4 reduction.  In a family, a member equal to an earlier one
+reads that trace, and a member equal to an earlier one's conjugate reads
+its complex conjugate.  Layouts: np.matmul takes a transposed stack without a
 copy, so an operand is read as it is stored when its shared axes fill
 one end of it, in the order its partner reads them; each intermediate's
 axis order is chosen at compile time to make that so as often as it can,
@@ -95,15 +97,16 @@ def _draw_batch(kind, D, N, count, rng) -> np.ndarray:
     m = N**D
     raw = rng.standard_normal((count, 2 * m))
     # one pass, no complex temporaries: row i's real parts raw[i, :m] and
-    # imaginary parts raw[i, m:] are scaled straight into the floats of z
-    scale = 1 / math.sqrt(2 * m)
+    # imaginary parts raw[i, m:] are scaled straight into the floats of z,
+    # a Haar row by 1 / |raw row|, its squared norm one dot product per row
+    if kind == "haar":
+        scale = 1 / np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None]).reshape(count, 1))
+    else:
+        scale = 1 / math.sqrt(2 * m)
     parts = np.empty((count, m, 2))
     np.multiply(raw[:, :m], scale, out=parts[..., 0])
     np.multiply(raw[:, m:], scale, out=parts[..., 1])
-    z = parts.view(np.complex128)[..., 0]
-    if kind == "haar":
-        z *= 1 / np.linalg.norm(z, axis=1, keepdims=True)
-    return z.reshape((count,) + (N,) * D)
+    return parts.view(np.complex128)[..., 0].reshape((count,) + (N,) * D)
 
 
 def _vertex_labels(G: ColoredGraph):
@@ -357,9 +360,9 @@ def _compile(G: ColoredGraph):
     row axis count, copied) and the permutation the product is copied
     into, or None.  A plan that ends in P = H H and Tr(P H), for one
     Hermitian reading H (_find_cube), ends its program in one cube step
-    instead, (H, None, None): H is read as its real and imaginary parts
-    and Tr(H^3) taken from two real products (_cube_trace); the layouts
-    are chosen for the steps before it.  roots are the program's arrays
+    instead, (H, None, None): H is read as the real A = Re H + sqrt(3) Im H
+    and Tr(H^3) taken from the one real product A A (_cube_trace); the
+    layouts are chosen for the steps before it.  roots are the program's arrays
     that hold the components' traces.
     """
     labels = _vertex_labels(G)
@@ -424,39 +427,43 @@ def _matrices(arrays, operand, scratch, key):
     return t.reshape(x.shape[0], n**rows, n ** (len(axes) - rows))
 
 
-def _cube_trace(x, operand, scratch, n):
-    """Tr(H^3) on every sample, H the Hermitian reading operand of x, in real arithmetic.
+_OMEGA = complex(1, -math.sqrt(3))  # Re(omega H) = S + sqrt(3) K for H = S + iK
 
-    H = S + iK with S symmetric and K antisymmetric, so Tr(S^2 K) and
-    Tr(K^3) vanish and Tr(H^3) = Tr(S^3) - 3 Tr(S K^2), the sum of
-    S o (S^2 - 3 K^2): two real products where H H was one complex one,
-    and a value that is exactly real.  S and K are copied out of x in H's
-    reading into one scratch array, which holds the bytes of one complex
-    array.  x is dead after that copy and holds exactly the bytes of S^2
-    and K^2, so their one batched matmul writes over it: x is a step's
-    output in this thread's scratch (_find_cube proves H is no vertex), and
-    the cube is the program's last step, so nothing reads x again.  The
-    last sum is a per-sample matmul, as in every plan's reduction.
+
+def _cube_trace(x, operand, scratch, n):
+    """Tr(H^3) on every sample, H the Hermitian reading operand of x, from one real product.
+
+    H = S + iK with S symmetric and K antisymmetric, and A = S + sqrt(3) K
+    is the real part of omega H, omega = 1 - i sqrt(3).  A^T = S - sqrt(3) K,
+    and the trace of a word in S and K with an odd number of K's vanishes,
+    so Tr(A^2 A^T) = Tr(S^3) - 3 Tr(S K^2) = Tr(H^3), which is the sum of
+    A^2 o A: one real product where H H was one complex one, and a value
+    that is exactly real.  x is scaled by omega in place and A copied out
+    of it in H's reading into one float scratch array.  x is dead after
+    that copy and holds twice the bytes of A^2, so the product is written
+    over it: x is a step's output in this thread's scratch (_find_cube
+    proves H is no vertex), and the cube is the program's last step, so
+    nothing reads x again.  The last sum is a per-sample matmul, as in
+    every plan's reduction.
     """
     _, axes, rows, _ = operand
+    x *= _OMEGA
     t = x.transpose((0,) + tuple(p + 1 for p in axes))
-    parts = _buffer(scratch, (n, "sk"), (2,) + t.shape, float)
-    np.copyto(parts[0], t.real)
-    np.copyto(parts[1], t.imag)
+    a = _buffer(scratch, (n, "a"), t.shape, float)
+    np.copyto(a, t.real)
     B, side = x.shape[0], x.shape[-1] ** rows
-    parts = parts.reshape(2, B, side, side)
-    squares = np.matmul(parts, parts, out=x.reshape(-1).view(float).reshape(parts.shape))
-    squares[1] *= 3.0
-    squares[0] -= squares[1]
-    return np.matmul(parts[0].reshape(B, 1, -1), squares[0].reshape(B, -1, 1)).reshape(B)
+    a = a.reshape(B, side, side)
+    square = np.matmul(a, a, out=x.reshape(-1).view(float)[: a.size].reshape(a.shape))
+    return np.matmul(a.reshape(B, 1, -1), square.reshape(B, -1, 1)).reshape(B)
 
 
 def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = None) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
     Runs G's compiled program (_compile) over the whole batch at once, one
-    batched matmul per step, or two real ones for a cube step
-    (_cube_trace); the caller checks the plan against the memory cap.
+    batched matmul per step, a real one for a cube step (_cube_trace),
+    which scales its operand, a step's output, in place: the batch itself
+    is only read.  The caller checks the plan against the memory cap.
     Products and copies are written into scratch, which _trace_blocks
     keeps per graph across blocks; the returned traces never alias it.
     """

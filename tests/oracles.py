@@ -282,6 +282,16 @@ def trace_einsum(G, T):
     return np.einsum(*operands, [], optimize=("greedy", 2**16))
 
 
+def cube_trace_two_products(H):
+    """Tr(H^3) of each matrix of a stack of Hermitian H = S + iK, as the sum of S o (S^2 - 3 K^2).
+
+    S is symmetric and K antisymmetric, so Tr(S^2 K) and Tr(K^3) vanish
+    and Tr(H^3) = Tr(S^3) - 3 Tr(S K^2): two real products, S S and K K.
+    """
+    S, K = H.real, H.imag
+    return np.sum(S * (S @ S - 3 * (K @ K)), axis=(-2, -1))
+
+
 def per_sample_traces(graphs, kind, N, samples, rng):
     """Product of the graphs' traces on each of `samples` draws.
 

@@ -142,10 +142,10 @@ def test_batch_trace_matches_einsum_oracle(mst3, name):
 
 def test_mst3_plan_is_three_matmuls_and_one_copy(mst3):
     # Tr[(M^Gamma)^3], M the color-0 Gram matrix and M^Gamma Hermitian: the
-    # N^5 Gram with no copied operand, then one cube step, whose two real
-    # N^6 products S S and K K replace the complex H H and whose N^4
-    # reduction is the last; its partial transpose of M, written as the
-    # real part S and the imaginary part K, is the only copy
+    # N^5 Gram with no copied operand, then one cube step, whose one real
+    # N^6 product A A replaces the complex H H and whose N^4 reduction is
+    # the last; its partial transpose of M, written as the real
+    # A = Re H + sqrt(3) Im H, is the only copy
     is_black, steps, max_open, roots, program = sampling._compile(mst3)
     assert [len(set(a) | set(b)) for _, _, a, b, _ in steps] == [5, 6, 4]
     assert max_open == 4
@@ -170,7 +170,7 @@ def test_uncopied_operands_are_views(monkeypatch, mst3, name):
 
     monkeypatch.setattr(sampling, "_matrices", checked)
     _batch_trace(g, _draw_batch("gaussian", g.D, 3, 4, make_rng(18)))
-    # every matmul operand is read once; a cube step copies its one operand, H, as S and K
+    # every matmul operand is read once; a cube step copies its one operand, H, as A
     program = sampling._compile(g)[4]
     cubes = [left for left, right, _ in program if right is None]
     assert len(read) == 2 * (len(program) - len(cubes)) and all(read) and all(h[3] for h in cubes)
@@ -276,14 +276,47 @@ def test_mc_moment_hands_the_pool_tasks_of_several_blocks(monkeypatch, mst3):
     assert contracted == [8] * 512
 
 
+@pytest.mark.parametrize(
+    "side, re, im",
+    [*[(side, 1, 1) for side in (2, 3, 8, 16, 64)], (8, 1, 0), (8, 0, 1)],
+    ids=[*[f"hermitian-{side}" for side in (2, 3, 8, 16, 64)], "real-symmetric-8", "imaginary-8"],
+)
+def test_cube_trace_matches_two_product_oracle_and_eigenvalues(side, re, im):
+    rng = np.random.default_rng(side)
+    Z = re * rng.standard_normal((6, side, side)) + 1j * im * rng.standard_normal((6, side, side))
+    H = (Z + Z.conj().transpose(0, 2, 1)) / 2
+    x = H.copy()  # _cube_trace scales and overwrites its operand's array
+    vals = sampling._cube_trace(x, (None, (0, 1), 1, True), {}, 0)
+    assert vals.dtype == float
+    eig = np.linalg.eigvalsh(H)
+    # Tr(H^3) of a purely imaginary H is 0, and rounding in a sum that
+    # cancels scales with sum |lambda|^3, not with the value: allow 1e-12 of it
+    for val, want, lam in zip(vals, oracles.cube_trace_two_products(H), eig):
+        scale = 1e-12 * np.sum(np.abs(lam) ** 3)
+        assert val == pytest.approx(want, rel=1e-12, abs=scale)
+        assert val == pytest.approx(np.sum(lam**3), rel=1e-12, abs=scale)
+
+
+def test_cube_step_leaves_the_batch_unchanged(mst3):
+    # the cube step scales its operand in place: the operand is a step's
+    # output in scratch, never the drawn batch
+    pair = disjoint_union([mst3, conjugate(mst3)])[0]
+    for g in (mst3, conjugate(mst3), pair, *(random_graph(D, 3, seed=seed) for D, seed in CUBE_GRAPHS)):
+        assert sampling._compile(g)[4][-1][1] is None
+        batch = _draw_batch("gaussian", g.D, 3, 4, make_rng(24))
+        kept = batch.tobytes()
+        _batch_trace(g, batch)
+        assert batch.tobytes() == kept
+
+
 def test_cube_squares_overwrite_the_gram_product(mst3):
-    # once S and K are copied out of the Gram product, its buffer holds the
-    # squares: an mst3 block's scratch is conj(T), the Gram product and S, K
+    # once A is copied out of the Gram product, its buffer holds A^2: an
+    # mst3 block's scratch is conj(T), the Gram product and A
     B, N = 5, 4
     first, second = (_draw_batch("gaussian", 3, N, B, make_rng(seed)) for seed in (21, 22))
     scratch = {}
     a = _batch_trace(mst3, first, scratch)
-    assert sorted(buf.nbytes for buf in scratch.values()) == [16 * B * N**3, 16 * B * N**4, 16 * B * N**4]
+    assert sorted(buf.nbytes for buf in scratch.values()) == [16 * B * N**3, 8 * B * N**4, 16 * B * N**4]
     kept = a.copy()
     b = _batch_trace(mst3, second, scratch)
     # the returned traces never alias scratch, and reused scratch gives what fresh scratch gives
