@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import functools
 import io
@@ -313,7 +312,7 @@ def _cmd_quenched(args) -> tuple:
 def _cmd_annealed(args) -> tuple:
     lam = vars(args)["lambda"]
     rep = annealed_coefficients(args.regime, args.mu, lam, args.D, args.k)
-    return {"regime": args.regime, "mu": args.mu, "lambda": lam, **dataclasses.asdict(rep)}, None, 0
+    return {"regime": args.regime, "mu": args.mu, "lambda": lam, **rep._asdict()}, None, 0
 
 
 def _cmd_counterexample(args) -> tuple:

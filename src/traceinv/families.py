@@ -181,9 +181,6 @@ def random_graph(D: int, k: int, seed: int) -> ColoredGraph:
 class DeltaBuildReport(_Record):
     __slots__ = ("graph", "delta", "verified")
 
-    def __init__(self, graph: ColoredGraph, delta: int, verified: bool):
-        self._fill(graph, delta, verified)
-
 
 def build_with_delta(D: int, delta: int, kmax: int | None = None) -> DeltaBuildReport:
     """Connected graph with prescribed degree of compatibility delta >= 1.

@@ -20,14 +20,17 @@ from . import perms
 
 
 class _Record:
-    """A read-only record: its fields are the class's ``__slots__``, set once by ``__init__``.
+    """A read-only record: its fields are the class's ``__slots__``, set once when it is made.
 
     A slot named with a leading underscore is derived and stays out of eq,
-    hash and repr; every other slot is a field.  Records are equal when
-    they are of one class and their fields are equal, and pickling or
-    copying one calls its class on its fields.  The building layer's
-    records are not dataclasses because importing ``dataclasses`` (with
-    ``inspect``) and generating their methods took over a third of ``import traceinv``.
+    hash and repr; every other slot is a field.  A record of fields alone is
+    made by the generic ``__init__``, from its fields by position or keyword;
+    one that checks its input or derives slots has its own, which sets them
+    with ``_fill``.  Records are equal when they are of one class and their
+    fields are equal, and pickling or copying one calls its class on its
+    fields.  Records are not dataclasses because importing ``dataclasses``
+    (with ``inspect``) and generating their methods took over a third of
+    ``import traceinv``.
     """
 
     __slots__ = ()
@@ -36,10 +39,29 @@ class _Record:
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._values = operator.attrgetter(*cls._fields)
 
+    def __init__(self, *values, **named):
+        """Set the fields by position, then by keyword; a missing, unknown or repeated field is a TypeError."""
+        fields, name = self._fields, type(self).__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(values)}")
+        rest = fields[len(values):]
+        missing = [field for field in rest if field not in named]
+        if missing:
+            raise TypeError(f"{name} is missing fields {missing}")
+        unknown = sorted(named.keys() - set(rest))
+        if unknown:
+            raise TypeError(f"{name} got unknown or repeated fields {unknown}")
+        for field, value in zip(fields, values + tuple(named[field] for field in rest)):
+            object.__setattr__(self, field, value)
+
     def _fill(self, *values):
-        """Set the slots, in order; the one way a record's slots are written."""
+        """Set the slots, in order; how a record's own ``__init__`` writes them."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return dict(zip(self._fields, self._values(self)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -56,7 +78,7 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -326,9 +348,6 @@ def load_family(path: str) -> GraphFamily:
 class GraphStats(_Record):
     __slots__ = ("k", "kappa", "F_pairwise", "F_total", "is_mst", "is_planar3")  # F_pairwise: D x D, zero diagonal
 
-    def __init__(self, k: int, kappa: int, F_pairwise: tuple, F_total: int, is_mst: bool, is_planar3: bool):
-        self._fill(k, kappa, F_pairwise, F_total, is_mst, is_planar3)
-
 
 @functools.lru_cache(maxsize=1024)  # graphs are frozen; gurau_bound callers ask once per pairing
 def graph_stats(G: ColoredGraph) -> GraphStats:
@@ -460,11 +479,6 @@ class BoundaryReport(_Record):
     # boundary is None when the pairing is full; white_map and black_map
     # take each new white (black) label to the original one
     __slots__ = ("internal_f0", "boundary", "boundary_k", "white_map", "black_map")
-
-    def __init__(
-        self, internal_f0: int, boundary: ColoredGraph | None, boundary_k: int, white_map: tuple, black_map: tuple
-    ):
-        self._fill(internal_f0, boundary, boundary_k, white_map, black_map)
 
 
 def boundary_graph(G: ColoredGraph, matches: dict) -> BoundaryReport:

@@ -13,14 +13,13 @@ are floats from a scipy quadrature, scipy imported on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import perms
 from .graphs import (
     ColoredGraph,
     GraphFamily,
+    _Record,
     conjugate,
     connected_components,
     family_of,
@@ -69,11 +68,15 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, bool):  # perms.as_int refuses a bool, so it is no constant
+            return NotImplemented
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            return self.terms == ({0: other} if other else {})
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant hashes as the integer it equals
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
@@ -177,7 +180,7 @@ def _wick_sum(family: GraphFamily, connected: bool, kmax) -> LaurentPoly:
     return LaurentPoly({f0 - union.D * union.k: n for f0, n in hist.items()})
 
 
-def gaussian_moment(family: GraphFamily, kmax: Optional[int] = None) -> LaurentPoly:
+def gaussian_moment(family: GraphFamily, kmax: int | None = None) -> LaurentPoly:
     """Expectation of the product of the members' trace-invariants.
 
     Wick expansion over all pairings of the union: each contributes
@@ -186,7 +189,7 @@ def gaussian_moment(family: GraphFamily, kmax: Optional[int] = None) -> LaurentP
     return _wick_sum(family, False, kmax)
 
 
-def connected_cumulant(family: GraphFamily, kmax: Optional[int] = None) -> LaurentPoly:
+def connected_cumulant(family: GraphFamily, kmax: int | None = None) -> LaurentPoly:
     """Joint cumulant of the members' trace-invariants.
 
     Same expansion restricted to pairings whose member-incidence graph is
@@ -195,7 +198,7 @@ def connected_cumulant(family: GraphFamily, kmax: Optional[int] = None) -> Laure
     return _wick_sum(family, True, kmax)
 
 
-def cumulant_consistency(family: GraphFamily, kmax: Optional[int] = None) -> LaurentPoly:
+def cumulant_consistency(family: GraphFamily, kmax: int | None = None) -> LaurentPoly:
     """Residual of the moment-cumulant formula; identically zero on contract."""
     p = family.p
     if p > PMAX:
@@ -227,10 +230,8 @@ def haar_factor(k: int, D: int, N: int) -> Fraction:
     return Fraction(N ** (D * k), denom)
 
 
-@dataclass(frozen=True)
-class LeadingOrder:
-    s: int
-    mu: int
+class LeadingOrder(_Record):
+    __slots__ = ("s", "mu")
 
 
 def leading_order(poly: LaurentPoly) -> LeadingOrder:
@@ -240,14 +241,13 @@ def leading_order(poly: LaurentPoly) -> LeadingOrder:
     return LeadingOrder(s=s, mu=poly.coefficient(s))
 
 
-@dataclass(frozen=True)
-class FactorizationVerdict:
-    factorizes: bool
-    per_partition: tuple  # (partition, margin) for every partition != 0_p
-    worst: tuple  # the (partition, margin) with the smallest margin
+class FactorizationVerdict(_Record):
+    # per_partition: (partition, margin) for every partition != 0_p;
+    # worst: the (partition, margin) with the smallest margin
+    __slots__ = ("factorizes", "per_partition", "worst")
 
 
-def factorization_verdict(family: GraphFamily, kmax: Optional[int] = None) -> FactorizationVerdict:
+def factorization_verdict(family: GraphFamily, kmax: int | None = None) -> FactorizationVerdict:
     """Exhaustive check that the fully split partition dominates.
 
     For every partition pi of the members other than the singletons
@@ -286,15 +286,13 @@ def _factorization_verdict(family: GraphFamily, searches: _Searches) -> Factoriz
     )
 
 
-@dataclass(frozen=True)
-class Thm41Report:
-    passes: bool
-    lhs: int  # sum of per-component F0 maxima
-    rhs: Fraction  # (D/2) k + F/(D-1) - D
-    delta_sum: Fraction  # equivalent form: passes iff delta_sum < D(D-1)/2
+class Thm41Report(_Record):
+    # lhs: sum of per-component F0 maxima; rhs: (D/2) k + F/(D-1) - D, a Fraction;
+    # delta_sum: a Fraction, the equivalent form: passes iff delta_sum < D(D-1)/2
+    __slots__ = ("passes", "lhs", "rhs", "delta_sum")
 
 
-def thm41_check(family: GraphFamily, kmax: Optional[int] = None) -> Thm41Report:
+def thm41_check(family: GraphFamily, kmax: int | None = None) -> Thm41Report:
     """Sufficient factorization bound over the union's connected components."""
     return _thm41(family, _Searches(kmax))
 
@@ -350,12 +348,8 @@ def limit_moments_prop34(mu_c, p: int, regime: str) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class AnnealedCoefficients:
-    alpha: float
-    beta: float
-    alpha_inf: float
-    beta_inf: float
+class AnnealedCoefficients(_Record):
+    __slots__ = ("alpha", "beta", "alpha_inf", "beta_inf")
 
 
 def quad(*args, **kwargs):
@@ -431,14 +425,11 @@ def annealed_coefficients(
     )
 
 
-@dataclass(frozen=True)
-class Prop32Report:
-    exponent: int
-    verified: bool
-    note: str
+class Prop32Report(_Record):
+    __slots__ = ("exponent", "verified", "note")
 
 
-def prop32_scaling_check(H: ColoredGraph, p: int, kmax: Optional[int] = None) -> Prop32Report:
+def prop32_scaling_check(H: ColoredGraph, p: int, kmax: int | None = None) -> Prop32Report:
     """Predicted leading exponent of the p-th moment of Tr over {H, conj H}.
 
     Requires a maximally single-trace, non-factorizing H; the prediction is
@@ -464,15 +455,12 @@ def prop32_scaling_check(H: ColoredGraph, p: int, kmax: Optional[int] = None) ->
     return Prop32Report(exponent=exponent, verified=False, note="asymptotic (not desk-verifiable)")
 
 
-@dataclass(frozen=True)
-class TieredVerdict:
-    factorizes: Optional[bool]  # None when undecidable at this budget
-    tier: str
-    detail: dict
+class TieredVerdict(_Record):
+    __slots__ = ("factorizes", "tier", "detail")  # factorizes: None when undecidable at this budget
 
 
 def decide_factorization(
-    family: GraphFamily, kmax: Optional[int] = None, workers: int = 1
+    family: GraphFamily, kmax: int | None = None, workers: int = 1
 ) -> TieredVerdict:
     """Tiered factorization decision, cheap sufficient conditions first.
 

@@ -70,13 +70,11 @@ import functools
 import math
 import sys
 import threading
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import perms
-from .graphs import ColoredGraph, GraphFamily, conjugate, family_of, graph_stats, matrix_form
+from .graphs import ColoredGraph, GraphFamily, _Record, conjugate, family_of, graph_stats, matrix_form
 from .moments import annealed_coefficients, gaussian_moment
 from .search import BudgetError, check_workers, mst_pair_f0, resolve_kmax, search_f0
 
@@ -457,7 +455,7 @@ def _cube_trace(x, operand, scratch, n):
     return np.matmul(a.reshape(B, 1, -1), square.reshape(B, -1, 1)).reshape(B)
 
 
-def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: Optional[dict] = None) -> np.ndarray:
+def _batch_trace(G: ColoredGraph, batch: np.ndarray, scratch: dict | None = None) -> np.ndarray:
     """Trace of G on every sample of a batch, shape (B,) + (N,)*D.
 
     Runs G's compiled program (_compile) over the whole batch at once, one
@@ -668,12 +666,8 @@ def _spectral_blocks(kind, D, N, samples, rng, rows, lengths):
         yield prod
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: complex
-    stderr: float
-    samples: int
-    seed: int
+class MCEstimate(_Record):
+    __slots__ = ("mean", "stderr", "samples", "seed")
 
 
 def mc_moment(
@@ -694,13 +688,11 @@ def mc_moment(
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
-@dataclass(frozen=True)
-class QuenchedReport:
-    value: float
-    method: str  # "exact" | "mst-leading"
+class QuenchedReport(_Record):
+    __slots__ = ("value", "method")  # method: "exact" | "mst-leading"
 
 
-def quenched_entropy(H: ColoredGraph, N: int, kmax: Optional[int] = None) -> QuenchedReport:
+def quenched_entropy(H: ColoredGraph, N: int, kmax: int | None = None) -> QuenchedReport:
     """Quenched average -1/2 ln <Tr_{H union conj(H)}> at numeric N.
 
     Exact when the pair fits in the enumeration budget; for larger
@@ -737,7 +729,7 @@ def quenched_annealed_report(
     regime: str,
     mu_c: float,
     Lambda: float,
-    kmax: Optional[int] = None,
+    kmax: int | None = None,
 ) -> dict:
     """Juxtapose the quenched average with the annealed estimates at N.
 
@@ -754,19 +746,13 @@ def quenched_annealed_report(
         "quenched_method": quenched.method,
         "annealed_regularized": coeffs.alpha * ln_n + coeffs.beta,
         "annealed_limit": coeffs.alpha_inf * ln_n + coeffs.beta_inf,
-        **asdict(coeffs),
+        **coeffs._asdict(),
     }
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    rows: tuple  # (N, coverage)
-    epsilon: float
-    samples: int
-    seed: int
-    s_exponent: int
-    mu: int
-    envelope_constant: float  # mean of (1 - coverage) * N, the O(1/N) fit
+class ConcentrationReport(_Record):
+    # rows: (N, coverage); envelope_constant: mean of (1 - coverage) * N, the O(1/N) fit
+    __slots__ = ("rows", "epsilon", "samples", "seed", "s_exponent", "mu", "envelope_constant")
 
     def to_json_dict(self) -> dict:
         return {
@@ -787,7 +773,7 @@ def concentration_experiment(
     samples: int,
     seed: int,
     kind: str = "haar",
-    kmax: Optional[int] = None,
+    kmax: int | None = None,
     workers: int = 1,
 ) -> ConcentrationReport:
     """Empirical coverage of ||Tr|/(mu N^s) - 1| < epsilon per N.
@@ -827,15 +813,9 @@ def concentration_experiment(
     )
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    rows: tuple  # (N, mean entropy, stderr)
-    slope: float
-    intercept: float
-    slope_expected: int  # D k - F0max
-    intercept_expected: float  # -ln(multiplicity)
-    samples: int
-    seed: int
+class EntropyReport(_Record):
+    # rows: (N, mean entropy, stderr); slope_expected: D k - F0max; intercept_expected: -ln(multiplicity)
+    __slots__ = ("rows", "slope", "intercept", "slope_expected", "intercept_expected", "samples", "seed")
 
     def to_json_dict(self) -> dict:
         return {
@@ -855,7 +835,7 @@ def entropy_slope_experiment(
     samples: int,
     seed: int,
     kind: str = "haar",
-    kmax: Optional[int] = None,
+    kmax: int | None = None,
     workers: int = 1,
 ) -> EntropyReport:
     """Fit of the mean entropy against ln N, with its exact reference line.

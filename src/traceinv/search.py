@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
 
 from . import perms
-from .graphs import ColoredGraph, GraphFamily, component_labels, graph_stats, union_find
+from .graphs import ColoredGraph, GraphFamily, _Record, component_labels, graph_stats, union_find
 
 DEFAULT_KMAX = 11
 MAX_WORKERS = 64  # the most contraction threads --threads and a sampling call's workers may name
@@ -42,7 +40,7 @@ class BudgetError(ValueError):
     """Raised when an exact computation would exceed the configured k_max."""
 
 
-def resolve_kmax(kmax: Optional[int]) -> int:
+def resolve_kmax(kmax: int | None) -> int:
     """The enumeration budget a kmax argument names: DEFAULT_KMAX for None, else an integer (perms.as_int) of at least 1."""
     limit = DEFAULT_KMAX if kmax is None else perms.as_int(kmax, "kmax")
     if limit < 1:
@@ -58,7 +56,7 @@ def check_workers(count) -> int:
     return n
 
 
-def _check_budget(k: int, kmax: Optional[int]) -> int:
+def _check_budget(k: int, kmax: int | None) -> int:
     limit = resolve_kmax(kmax)
     if k > limit:
         raise BudgetError(
@@ -78,13 +76,10 @@ def pairing_f0(G: ColoredGraph, nu) -> int:
     return sum(perms.cycle_count(sig, inv) for sig in G.sigma)
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    f0_max: int
-    multiplicity: int
-    optima: tuple  # pairings achieving f0_max, lexicographic
-    explored: int  # pairings scored (leaves)
-    nodes: int  # partial pairings expanded below the root
+class SearchReport(_Record):
+    # optima: the pairings achieving f0_max, lexicographic; explored: pairings
+    # scored (leaves); nodes: partial pairings expanded below the root
+    __slots__ = ("f0_max", "multiplicity", "optima", "explored", "nodes")
 
 
 def _connects(member_of, p, edges) -> bool:
@@ -426,7 +421,7 @@ def _run_search(sigmas, member_of, prune) -> SearchReport:
     return SearchReport(best, hist[best], tuple(optima), explored, nodes)
 
 
-def search_f0(G: ColoredGraph, kmax: Optional[int] = None, workers: int = 1, prune: bool = False) -> SearchReport:
+def search_f0(G: ColoredGraph, kmax: int | None = None, workers: int = 1, prune: bool = False) -> SearchReport:
     """Exact maximum of pairing_f0 over all k! pairings, with every optimum.
 
     prune cuts the branches above the last six whites that cannot reach
@@ -440,7 +435,7 @@ def search_f0(G: ColoredGraph, kmax: Optional[int] = None, workers: int = 1, pru
     return _run_search(G.sigma, None, prune)
 
 
-def search_f0_connected(family: GraphFamily, kmax: Optional[int] = None) -> SearchReport:
+def search_f0_connected(family: GraphFamily, kmax: int | None = None) -> SearchReport:
     """Exact maximum restricted to pairings that connect the family members.
 
     The walk is always pruned, and keeps every optimum.
@@ -450,7 +445,6 @@ def search_f0_connected(family: GraphFamily, kmax: Optional[int] = None) -> Sear
     return _run_search(union.sigma, family.member_of_label(), True)
 
 
-@dataclass
 class _Searches:
     """The pruned searches of one call, so that it walks each graph once.
 
@@ -462,8 +456,9 @@ class _Searches:
     be.  A table lives only as long as the call that made it.
     """
 
-    kmax: Optional[int]
-    table: dict = field(default_factory=dict, init=False)
+    def __init__(self, kmax: int | None):
+        self.kmax = kmax
+        self.table = {}
 
     def graph(self, G: ColoredGraph) -> SearchReport:
         """G's pruned report; with conj G's in the table, that one with the optima inverted and sorted.
@@ -477,7 +472,8 @@ class _Searches:
             if bar is None:
                 self.table[key] = search_f0(G, kmax=self.kmax, prune=True)
             else:
-                self.table[key] = replace(bar, optima=tuple(sorted(perms.inverse(nu) for nu in bar.optima)))
+                optima = tuple(sorted(perms.inverse(nu) for nu in bar.optima))
+                self.table[key] = SearchReport(bar.f0_max, bar.multiplicity, optima, bar.explored, bar.nodes)
         return self.table[key]
 
     def connected(self, family: GraphFamily) -> int:
@@ -492,10 +488,8 @@ class _Searches:
         return self.table[key]
 
 
-@dataclass(frozen=True)
-class KConnectivityReport:
-    connected: bool
-    partition: tuple  # member-index blocks, sorted
+class KConnectivityReport(_Record):
+    __slots__ = ("connected", "partition")  # partition: member-index blocks, sorted
 
 
 def k_connectivity(family: GraphFamily, nu) -> KConnectivityReport:
@@ -512,10 +506,8 @@ def k_connectivity(family: GraphFamily, nu) -> KConnectivityReport:
     return KConnectivityReport(connected=len(partition) == 1, partition=partition)
 
 
-@dataclass(frozen=True)
-class GammaTreeReport:
-    is_tree: bool
-    kappa_hat: int
+class GammaTreeReport(_Record):
+    __slots__ = ("is_tree", "kappa_hat")
 
 
 def gamma_tree_check(family: GraphFamily, nu) -> GammaTreeReport:
@@ -534,11 +526,9 @@ def gamma_tree_check(family: GraphFamily, nu) -> GammaTreeReport:
     return GammaTreeReport(is_tree=kappa_hat == kappa_g - family.p + 1, kappa_hat=kappa_hat)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    omega2: int  # reduced Gurau degree, (2/(D-2)!) omega
-    delta: Fraction  # degree of compatibility
-    compatible: bool
+class DegreeReport(_Record):
+    # omega2: reduced Gurau degree, (2/(D-2)!) omega; delta: degree of compatibility, a Fraction
+    __slots__ = ("omega2", "delta", "compatible")
 
     @property
     def delta_doubled(self) -> int:
@@ -546,7 +536,7 @@ class DegreeReport:
         return int(2 * self.delta)
 
 
-def degree_report(G: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> DegreeReport:
+def degree_report(G: ColoredGraph, kmax: int | None = None, f0_max: int | None = None) -> DegreeReport:
     """Reduced Gurau degree and degree of compatibility, exact.
 
     f0_max, an integer (perms.as_int), may be supplied to skip the enumeration.
@@ -568,14 +558,11 @@ def gurau_bound(G: ColoredGraph, kappa_hat: int) -> int:
     return _cayley_bound(G.D, G.k, stats.F_total) - G.D * (stats.kappa - kappa_hat)
 
 
-@dataclass(frozen=True)
-class MstPairReport:
-    f0_union: int
-    nonfactorizing: bool
-    f0_single: int
+class MstPairReport(_Record):
+    __slots__ = ("f0_union", "nonfactorizing", "f0_single")
 
 
-def mst_pair_f0(H: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[int] = None) -> MstPairReport:
+def mst_pair_f0(H: ColoredGraph, kmax: int | None = None, f0_max: int | None = None) -> MstPairReport:
     """F0-maximum of {H, conjugate(H)} without searching S_{2k}.
 
     Valid for maximally single-trace H only: the mirror pairing yields
@@ -594,7 +581,7 @@ def mst_pair_f0(H: ColoredGraph, kmax: Optional[int] = None, f0_max: Optional[in
     )
 
 
-def cayley_delta(G: ColoredGraph, nu, kmax: Optional[int] = None) -> Fraction:
+def cayley_delta(G: ColoredGraph, nu, kmax: int | None = None) -> Fraction:
     """Degree of compatibility as a sum of Cayley-distance triangle defects.
 
     Only valid at a dominant pairing; non-dominant nu is refused.
@@ -610,16 +597,12 @@ def cayley_delta(G: ColoredGraph, nu, kmax: Optional[int] = None) -> Fraction:
     return sum((Fraction(dist(si, nu) + dist(nu, sj) - dist(si, sj), 2) for si, sj in pairs), Fraction(0))
 
 
-@dataclass(frozen=True)
-class TreelikeReport:
-    has_treelike: bool
-    only_treelike: bool
-    classified: tuple  # (pairing, is_treelike) over the connected optima
-    f0_connected: int
-    tree_value: int  # D + sum_i (F0_i - D)
+class TreelikeReport(_Record):
+    # classified: (pairing, is_treelike) over the connected optima; tree_value: D + sum_i (F0_i - D)
+    __slots__ = ("has_treelike", "only_treelike", "classified", "f0_connected", "tree_value")
 
 
-def treelike_report(family: GraphFamily, kmax: Optional[int] = None) -> TreelikeReport:
+def treelike_report(family: GraphFamily, kmax: int | None = None) -> TreelikeReport:
     """Tree-like classification of the connected dominant pairings.
 
     has_treelike holds when the connected maximum equals the value shared

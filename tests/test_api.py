@@ -81,8 +81,9 @@ def test_removed_names_stay_removed():
 # a fresh process that builds graphs, then prints the modules that importing
 # and building added (site may have loaded some before) and checks the exact
 # layer's lazy names; then, through the command line, it generates one graph
-# and refuses a malformed file, prints the modules loaded after that and
-# checks the sampling names
+# and refuses a malformed file, prints the modules loaded after that (the
+# command line's records are plain classes too, so no dataclasses, inspect or
+# typing) and checks the sampling names
 _NO_SAMPLING = """
 import json, os, sys, tempfile
 before = set(sys.modules)
@@ -106,6 +107,7 @@ with tempfile.TemporaryDirectory() as tmp:
         fh.write('{"D": 3, "sigma": [[1, 2]]}')
     assert cli.main(["analyze", bad]) == 2
 loaded = [name for name in ("numpy", "scipy", "traceinv.sampling") if name in sys.modules]
+loaded += [name for name in ("dataclasses", "inspect", "typing") if name in sys.modules.keys() - before]
 print(json.dumps([loaded, traceinv.mc_moment is traceinv.sampling.mc_moment, hasattr(traceinv, "sample_tensor")]))
 """
 

@@ -427,21 +427,59 @@ def test_family_requires_same_d(mst3):
         family_of([mst3, two_vertex(4)])
 
 
-# each building-layer record's fields, the ones compared, hashed and shown
+# each record's fields, the ones compared, hashed and shown
 RECORD_FIELDS = {
     "ColoredGraph": ("D", "k", "sigma"),
     "GraphFamily": ("members", "offsets"),
     "GraphStats": ("k", "kappa", "F_pairwise", "F_total", "is_mst", "is_planar3"),
     "BoundaryReport": ("internal_f0", "boundary", "boundary_k", "white_map", "black_map"),
     "DeltaBuildReport": ("graph", "delta", "verified"),
+    "SearchReport": ("f0_max", "multiplicity", "optima", "explored", "nodes"),
+    "KConnectivityReport": ("connected", "partition"),
+    "GammaTreeReport": ("is_tree", "kappa_hat"),
+    "DegreeReport": ("omega2", "delta", "compatible"),
+    "MstPairReport": ("f0_union", "nonfactorizing", "f0_single"),
+    "TreelikeReport": ("has_treelike", "only_treelike", "classified", "f0_connected", "tree_value"),
+    "LeadingOrder": ("s", "mu"),
+    "FactorizationVerdict": ("factorizes", "per_partition", "worst"),
+    "Thm41Report": ("passes", "lhs", "rhs", "delta_sum"),
+    "AnnealedCoefficients": ("alpha", "beta", "alpha_inf", "beta_inf"),
+    "Prop32Report": ("exponent", "verified", "note"),
+    "TieredVerdict": ("factorizes", "tier", "detail"),
+    "MCEstimate": ("mean", "stderr", "samples", "seed"),
+    "QuenchedReport": ("value", "method"),
+    "ConcentrationReport": ("rows", "epsilon", "samples", "seed", "s_exponent", "mu", "envelope_constant"),
+    "EntropyReport": ("rows", "slope", "intercept", "slope_expected", "intercept_expected", "samples", "seed"),
 }
+# records that hold a dict, so hashing one raises TypeError
+UNHASHABLE = {"TieredVerdict"}
 
 
 def _records():
-    """One of each building-layer record, with the repr it has always had."""
+    """One of each record, with the repr it has always had."""
     from traceinv import build_with_delta
+    from traceinv.moments import (
+        AnnealedCoefficients,
+        Prop32Report,
+        decide_factorization,
+        factorization_verdict,
+        gaussian_moment,
+        leading_order,
+        thm41_check,
+    )
+    from traceinv.sampling import ConcentrationReport, EntropyReport, MCEstimate, QuenchedReport
+    from traceinv.search import (
+        degree_report,
+        gamma_tree_check,
+        k_connectivity,
+        mst_pair_f0,
+        search_f0,
+        treelike_report,
+    )
 
     g = cyclic(3, {0}, 2)
+    pair = family_of([g, g])
+    mst3 = build_graph(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     return [
         (g, "ColoredGraph(D=3, k=2, sigma=((0, 1), (1, 0), (1, 0)))"),
         (
@@ -468,11 +506,102 @@ def _records():
             "DeltaBuildReport(graph=ColoredGraph(D=4, k=2, sigma=((1, 0), (1, 0), (0, 1), (0, 1))), "
             "delta=1, verified=True)",
         ),
+        (search_f0(g), "SearchReport(f0_max=5, multiplicity=1, optima=((1, 0),), explored=2, nodes=0)"),
+        (k_connectivity(pair, (0, 1, 2, 3)), "KConnectivityReport(connected=False, partition=((0,), (1,)))"),
+        (gamma_tree_check(pair, (2, 3, 0, 1)), "GammaTreeReport(is_tree=True, kappa_hat=1)"),
+        (degree_report(g), "DegreeReport(omega2=0, delta=Fraction(0, 1), compatible=True)"),
+        (mst_pair_f0(mst3), "MstPairReport(f0_union=12, nonfactorizing=False, f0_single=6)"),
+        (
+            treelike_report(pair),
+            "TreelikeReport(has_treelike=True, only_treelike=True, classified=(((1, 2, 3, 0), True), "
+            "((1, 3, 0, 2), True), ((2, 0, 3, 1), True), ((3, 0, 1, 2), True)), f0_connected=7, tree_value=7)",
+        ),
+        (leading_order(gaussian_moment(pair)), "LeadingOrder(s=-2, mu=1)"),
+        (
+            factorization_verdict(pair),
+            "FactorizationVerdict(factorizes=True, per_partition=((((0, 1),), 3),), worst=(((0, 1),), 3))",
+        ),
+        (thm41_check(pair), "Thm41Report(passes=True, lhs=10, rhs=Fraction(7, 1), delta_sum=Fraction(0, 1))"),
+        (
+            AnnealedCoefficients(alpha=0.5, beta=-1.25, alpha_inf=1.0, beta_inf=0.0),
+            "AnnealedCoefficients(alpha=0.5, beta=-1.25, alpha_inf=1.0, beta_inf=0.0)",
+        ),
+        (
+            Prop32Report(exponent=-54, verified=False, note="asymptotic"),
+            "Prop32Report(exponent=-54, verified=False, note='asymptotic')",
+        ),
+        (
+            decide_factorization(pair),
+            "TieredVerdict(factorizes=True, tier='thm41-bound', detail={'delta_sum': '0', 'threshold': '3'})",
+        ),
+        (
+            MCEstimate(mean=1 + 0.5j, stderr=0.25, samples=100, seed=7),
+            "MCEstimate(mean=(1+0.5j), stderr=0.25, samples=100, seed=7)",
+        ),
+        (QuenchedReport(value=0.75, method="exact"), "QuenchedReport(value=0.75, method='exact')"),
+        (
+            ConcentrationReport(
+                rows=((4, 0.5), (8, 0.75)), epsilon=0.1, samples=50, seed=3, s_exponent=-6, mu=2, envelope_constant=2.0
+            ),
+            "ConcentrationReport(rows=((4, 0.5), (8, 0.75)), epsilon=0.1, samples=50, seed=3, s_exponent=-6, "
+            "mu=2, envelope_constant=2.0)",
+        ),
+        (
+            EntropyReport(
+                rows=((4, 1.5, 0.125),), slope=3.0, intercept=-0.5, slope_expected=3, intercept_expected=-0.0,
+                samples=50, seed=3,
+            ),
+            "EntropyReport(rows=((4, 1.5, 0.125),), slope=3.0, intercept=-0.5, slope_expected=3, "
+            "intercept_expected=-0.0, samples=50, seed=3)",
+        ),
     ]
 
 
+RECORD_COUNT = len(RECORD_FIELDS) + 1  # BoundaryReport twice: with and without a boundary
+
+
 def test_records_keep_their_reprs():
-    assert [repr(record) for record, _ in _records()] == [text for _, text in _records()]
+    records = _records()
+    assert len(records) == RECORD_COUNT and {type(record).__name__ for record, _ in records} == set(RECORD_FIELDS)
+    assert [repr(record) for record, _ in records] == [text for _, text in records]
+    assert [record._fields for record, _ in records] == [RECORD_FIELDS[type(record).__name__] for record, _ in records]
+
+
+def test_records_holding_a_dict_are_unhashable():
+    for record, _ in _records():
+        if type(record).__name__ in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(record)
+        else:
+            assert hash(record) == hash(record._values(record))
+
+
+def test_generic_record_init_takes_fields_by_position_or_keyword():
+    from traceinv.search import SearchReport
+
+    values = (5, 1, ((1, 0),), 2, 0)
+    by_position = SearchReport(*values)
+    by_keyword = SearchReport(**dict(zip(RECORD_FIELDS["SearchReport"], values)))
+    mixed = SearchReport(5, 1, ((1, 0),), nodes=0, explored=2)
+    assert by_position == by_keyword == mixed and by_position._asdict() == mixed._asdict()
+    assert repr(mixed) == "SearchReport(f0_max=5, multiplicity=1, optima=((1, 0),), explored=2, nodes=0)"
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((5, 1, ()), {"explored": 2}, r"SearchReport is missing fields \['nodes'\]"),
+        ((5, 1, (), 2, 0), {"depth": 3}, r"SearchReport got unknown or repeated fields \['depth'\]"),
+        ((5, 1, (), 2), {"f0_max": 5, "nodes": 0}, r"SearchReport got unknown or repeated fields \['f0_max'\]"),
+        ((5, 1, (), 2, 0, 9), {}, "SearchReport takes 5 fields, got 6"),
+        ((), {}, "SearchReport is missing fields"),
+    ],
+)
+def test_generic_record_init_refuses_missing_unknown_and_extra_fields(args, kwargs, message):
+    from traceinv.search import SearchReport
+
+    with pytest.raises(TypeError, match=message):
+        SearchReport(*args, **kwargs)
 
 
 def test_records_compare_by_class_and_fields():
@@ -488,7 +617,7 @@ def test_records_compare_by_class_and_fields():
         assert record == record and record != fields and fields != record
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(RECORD_COUNT))
 def test_records_refuse_assigning_and_deleting_fields(index):
     record = _records()[index][0]
     for name in RECORD_FIELDS[type(record).__name__]:
@@ -500,11 +629,13 @@ def test_records_refuse_assigning_and_deleting_fields(index):
         assert getattr(record, name) == value
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(RECORD_COUNT))
 def test_records_survive_pickle_and_deepcopy(index):
     record = _records()[index][0]
     for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
-        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+        assert type(twin) is type(record) and twin == record
+        if type(record).__name__ not in UNHASHABLE:  # test_records_holding_a_dict_are_unhashable
+            assert hash(twin) == hash(record)
         assert repr(twin) == repr(record)
         if type(record).__name__ == "GraphFamily":  # the layout is made again
             assert twin.union() == record.union() and twin.member_of_label() == [0, 0, 1]

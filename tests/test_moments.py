@@ -43,6 +43,19 @@ def test_laurent_arithmetic():
     assert (3 * LaurentPoly.constant(1)).coefficient(0) == 3
 
 
+def test_laurent_constants_equal_and_hash_as_their_integers():
+    for c in (5, -3, 0):
+        poly = LaurentPoly.constant(c)
+        assert poly == c and c == poly and hash(poly) == hash(c)
+        assert {c: "x"}.get(poly) == "x" and {poly: "y"}[c] == "y"
+    assert LaurentPoly.zero() == 0 and hash(LaurentPoly.zero()) == hash(0)
+    assert LaurentPoly({1: 5}) != 5 and LaurentPoly({0: 5, 1: 1}) != 5
+    # a bool is no integer coefficient (perms.as_int), so it compares by identity, without a raise
+    for flag in (True, False):
+        assert LaurentPoly.constant(int(flag)) != flag and not (LaurentPoly.constant(int(flag)) == flag)
+        assert flag != LaurentPoly.constant(int(flag))
+
+
 def test_laurent_json_roundtrip():
     p = LaurentPoly({-3: 3, -4: 3})
     data = p.to_json_dict()

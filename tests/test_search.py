@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -738,7 +737,9 @@ def test_conjugate_report_is_read_from_the_graphs_walk(walks):
         assert walks == [(g.sigma, None)]
         # the maximum, multiplicity and optima of a walk of the conjugate; the counts of g's walk
         direct = search_f0(conjugate(g), prune=True)
-        assert derived == dataclasses.replace(direct, explored=rep.explored, nodes=rep.nodes)
+        assert derived == search_module.SearchReport(
+            direct.f0_max, direct.multiplicity, direct.optima, rep.explored, rep.nodes
+        )
         walks.clear()
 
 
